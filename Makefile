@@ -5,7 +5,7 @@ GO ?= go
 	bench-scenarios bench-scenarios-baseline \
 	bench-restart bench-restart-baseline bench-memory \
 	bench-stream bench-stream-baseline bench-distributed \
-	fuzz-checkpoint fuzz-estimator golden clean
+	fuzz-checkpoint fuzz-estimator fuzz-wire golden clean
 
 all: vet build test
 
@@ -59,13 +59,18 @@ bench-short:
 # Hot-path micro-benchmarks under the race detector: a fixed iteration
 # count (-benchtime=100x) makes this a correctness smoke test of the
 # lock-free read path, not a timing run — it catches races and alloc
-# regressions cheaply in CI.
+# regressions cheaply in CI. The wire-path benchmarks each fail above their
+# own allocs/op ceiling and run without the race detector: under it
+# sync.Pool drops what is put back, and the ceiling would blame the code.
 bench-smoke:
 	$(GO) test -race -run '^$$' -benchtime=100x -cpu 1,4,8 \
 		-bench 'BenchmarkEngine' ./internal/core/
 	$(GO) test -race -run '^$$' -benchtime=5x \
 		-bench 'BenchmarkClosureSerial|BenchmarkClosureParallel|BenchmarkFreeze|BenchmarkFrozenThresholdRow' \
 		./internal/markov/
+	$(GO) test -run '^$$' -benchtime=100x -benchmem \
+		-bench 'BenchmarkReadBody|BenchmarkClientIngestBundle|BenchmarkServeBundle' \
+		./internal/httpspec/
 
 # Deterministic load-generation benchmark (cmd/specbench). bench-run
 # writes BENCH.json; bench-gate additionally fails on regression against
@@ -150,6 +155,16 @@ fuzz-checkpoint:
 # and every exported v2 frame must re-encode canonically.
 fuzz-estimator:
 	$(GO) test -run '^$$' -fuzz FuzzBoundedEstimator -fuzztime 30s ./internal/core/
+
+# Wire-format fuzzing: the header parsers must degrade garbage to safe
+# zeros, and the in-place bundle walker must never panic, never hand out a
+# slice outside its input, and agree with mime/multipart.Reader on
+# everything it accepts.
+fuzz-wire:
+	$(GO) test -run '^$$' -fuzz FuzzParsePMilli -fuzztime 15s ./internal/httpspec/
+	$(GO) test -run '^$$' -fuzz FuzzIngestAttrib -fuzztime 15s ./internal/httpspec/
+	$(GO) test -run '^$$' -fuzz FuzzParseLinkHint -fuzztime 15s ./internal/httpspec/
+	$(GO) test -run '^$$' -fuzz FuzzWalkBundle -fuzztime 30s ./internal/httpspec/
 
 # Regenerate the golden files pinning the experiments renderers.
 golden:

@@ -66,6 +66,9 @@ type Cache interface {
 	Touch(at time.Time)
 	// Has reports whether the document is cached.
 	Has(doc webgraph.DocID) bool
+	// Contains reports the same without counting a lookup or refreshing
+	// the document's recency — for callers mirroring the retained set.
+	Contains(doc webgraph.DocID) bool
 	// Put inserts a document of the given size.
 	Put(doc webgraph.DocID, size int64)
 	// Len returns the number of cached documents.
@@ -96,12 +99,13 @@ func New(timeout time.Duration, capacity int64) Cache {
 // nullCache is the SessionTimeout = 0 client: nothing is ever cached.
 type nullCache struct{}
 
-func (nullCache) Touch(time.Time)           {}
-func (nullCache) Has(webgraph.DocID) bool   { return false }
-func (nullCache) Put(webgraph.DocID, int64) {}
-func (nullCache) Len() int                  { return 0 }
-func (nullCache) Bytes() int64              { return 0 }
-func (nullCache) Docs() []webgraph.DocID    { return nil }
+func (nullCache) Touch(time.Time)              {}
+func (nullCache) Has(webgraph.DocID) bool      { return false }
+func (nullCache) Contains(webgraph.DocID) bool { return false }
+func (nullCache) Put(webgraph.DocID, int64)    {}
+func (nullCache) Len() int                     { return 0 }
+func (nullCache) Bytes() int64                 { return 0 }
+func (nullCache) Docs() []webgraph.DocID       { return nil }
 
 type lruEntry struct {
 	doc  webgraph.DocID
@@ -145,6 +149,11 @@ func (c *lruCache) Has(doc webgraph.DocID) bool {
 	} else {
 		c.met.misses.Inc()
 	}
+	return ok
+}
+
+func (c *lruCache) Contains(doc webgraph.DocID) bool {
+	_, ok := c.entries[doc]
 	return ok
 }
 

@@ -1,7 +1,11 @@
 package httpspec
 
 import (
+	"bytes"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -59,4 +63,129 @@ func BenchmarkServerRoundTrip(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(page.Embedded)), "embedded_docs")
+}
+
+// allocCeiling fails a benchmark whose op allocates more than max times a
+// call: the wire path's allocation contract, checked by `make bench-smoke`.
+func allocCeiling(b *testing.B, max float64, op func()) {
+	b.Helper()
+	if got := testing.AllocsPerRun(20, op); got > max {
+		b.Fatalf("%v allocs/op, ceiling %v", got, max)
+	}
+}
+
+// BenchmarkReadBody reads a 64 KiB body: into a buffer sized from the
+// declared length, and through the growing read an undeclared one takes.
+func BenchmarkReadBody(b *testing.B) {
+	data := bytes.Repeat([]byte("x"), 64<<10)
+	r := bytes.NewReader(data)
+	for _, tc := range []struct {
+		name     string
+		declared int64
+		ceiling  float64
+	}{
+		{"declared", int64(len(data)), 2}, // the buffer and the EOF probe
+		{"undeclared", -1, 32},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			op := func() {
+				r.Reset(data)
+				if got, err := readBody(r, tc.declared); err != nil || len(got) != len(data) {
+					b.Fatal(len(got), err)
+				}
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			allocCeiling(b, tc.ceiling, op)
+		})
+	}
+}
+
+// benchBundle frames a requested document and three pushes of 8 KiB each,
+// the way serveBundle does.
+func benchBundle() []byte {
+	body := bytes.Repeat([]byte("y"), 8<<10)
+	var raw []byte
+	for i := 0; i < 4; i++ {
+		raw = appendPartHeader(raw, i == 0, "/doc/"+strconv.Itoa(i), len(body), i > 0, 420)
+		raw = append(raw, body...)
+	}
+	return appendBundleClose(raw, false)
+}
+
+// BenchmarkClientIngestBundle is bytes → cache: one sized read of a
+// four-part bundle, walked in place into a session's empty cache.
+func BenchmarkClientIngestBundle(b *testing.B) {
+	raw := benchBundle()
+	r := bytes.NewReader(raw)
+	resp := &http.Response{Body: io.NopCloser(r), ContentLength: int64(len(raw)), Header: http.Header{}}
+	c := NewClient("http://unused", ClientConfig{AcceptBundles: true})
+	op := func() {
+		c.EndSession()
+		r.Reset(raw)
+		if _, err := c.ingestBundle("/doc/0", resp, bundleBoundary); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(raw)))
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	if st := c.Stats(); st.Pushed != 3*int64(b.N) {
+		b.Fatalf("pushed %d parts in %d bundles", st.Pushed, b.N)
+	}
+	// The buffer, the EOF probe, the walker's delimiter, four path strings
+	// and the session's fresh cache map: nine, and one to spare.
+	allocCeiling(b, 10, op)
+}
+
+// discardResponse is a ResponseWriter that keeps only the headers.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// BenchmarkServeBundle frames and writes a page with its embedded objects
+// as pushes, store warm, into a discarding writer.
+func BenchmarkServeBundle(b *testing.B) {
+	site, err := webgraph.Generate(webgraph.TinySite(), stats.NewRNG(5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewServer(NewSiteStore(site), DefaultServerConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var page *webgraph.Document
+	for i := range site.Docs {
+		if site.Docs[i].Kind == webgraph.Page && len(site.Docs[i].Embedded) >= 2 {
+			page = &site.Docs[i]
+			break
+		}
+	}
+	if page == nil {
+		b.Fatal("no page with two embedded objects")
+	}
+	push := page.Embedded
+	pushP := make([]float64, len(push))
+	for i := range pushP {
+		pushP[i] = 0.9
+	}
+	w := &discardResponse{h: http.Header{}}
+	var written int64
+	op := func() { written = srv.serveBundle(w, page.ID, push, pushP, "") }
+	op()
+	b.ReportAllocs()
+	b.SetBytes(written)
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	// Two header values and the formatted Content-Length; the framing
+	// scratch is pooled.
+	allocCeiling(b, 3, op)
 }

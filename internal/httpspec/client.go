@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"mime"
-	"mime/multipart"
 	"net/http"
 	"sort"
 	"strconv"
@@ -383,10 +381,10 @@ func (c *Client) fetchAllowed(ctx context.Context, sp *obs.ActiveSpan, path, dig
 	ct := resp.Header.Get("Content-Type")
 	mt, params, _ := mime.ParseMediaType(ct)
 	if mt == "multipart/mixed" {
-		body, err := c.ingestBundle(path, resp.Body, params["boundary"], validRung(resp.Header.Get(HeaderRung)))
+		body, err := c.ingestBundle(path, resp, params["boundary"])
 		return body, hints, err
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -397,36 +395,43 @@ func (c *Client) fetchAllowed(ctx context.Context, sp *obs.ActiveSpan, path, dig
 	return body, hints, nil
 }
 
-// ingestBundle reads a multipart bundle, caching every part and returning
-// the part matching the requested path. Pushed parts are recorded in the
-// attribution ledger; a pushed copy of a document already cached is
-// resolved as wasted on the spot (the bytes crossed the wire for
-// nothing).
-func (c *Client) ingestBundle(want string, r io.Reader, boundary, rung string) ([]byte, error) {
+// ingestBundle reads a multipart bundle into one buffer and walks it in
+// place, caching every part and returning the part matching the requested
+// path; cached bodies (and the one returned) are capacity-clipped
+// sub-slices of that buffer, read-only like every cached body. Pushed
+// parts are recorded in the attribution ledger; a pushed copy of a
+// document already cached is resolved as wasted on the spot (the bytes
+// crossed the wire for nothing).
+func (c *Client) ingestBundle(want string, resp *http.Response, boundary string) ([]byte, error) {
 	if boundary == "" {
 		return nil, fmt.Errorf("httpspec: bundle without boundary")
 	}
-	mr := multipart.NewReader(r, boundary)
+	raw, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("httpspec: reading bundle: %w", err)
+	}
+	bw, err := newBundleWalker(raw, boundary)
+	if err != nil {
+		return nil, fmt.Errorf("httpspec: reading bundle: %w", err)
+	}
+	rung := validRung(resp.Header.Get(HeaderRung))
 	var wanted []byte
+	found := false
 	for {
-		part, err := mr.NextPart()
-		if err == io.EOF {
-			break
-		}
+		part, ok, err := bw.next()
 		if err != nil {
 			return nil, fmt.Errorf("httpspec: reading bundle: %w", err)
 		}
-		loc := part.Header.Get("Content-Location")
-		body, err := io.ReadAll(part)
-		if err != nil {
-			return nil, fmt.Errorf("httpspec: reading bundle part %q: %w", loc, err)
+		if !ok {
+			break
 		}
-		pushed := part.Header.Get(HeaderPushed) != ""
+		loc, body := string(part.loc), part.body
+		pushed := len(part.pushed) > 0
 		var pMilli int64
 		if pushed {
 			// Clamped parse: Spec-P crosses the wire, so garbage or
 			// oversized values must not reach the ledger's sums.
-			pMilli, _ = parsePMilli(part.Header.Get(HeaderSpecP))
+			pMilli, _ = parsePMilli(string(part.specP))
 		}
 		c.mu.Lock()
 		if pushed {
@@ -444,10 +449,10 @@ func (c *Client) ingestBundle(want string, r io.Reader, boundary, rung string) (
 		c.stats.BytesIn += int64(len(body))
 		c.mu.Unlock()
 		if loc == want {
-			wanted = body
+			wanted, found = body, true
 		}
 	}
-	if wanted == nil {
+	if !found {
 		return nil, fmt.Errorf("httpspec: bundle missing requested document %q", want)
 	}
 	return wanted, nil
@@ -505,7 +510,7 @@ func (c *Client) prefetch(ctx context.Context, parent *obs.ActiveSpan, h clientH
 	if resp.StatusCode != http.StatusOK {
 		return
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return
 	}
@@ -538,17 +543,16 @@ func (c *Client) digestLocked() string {
 // fall to 0, so a hostile Link header can at worst suppress one prefetch
 // — it cannot poison the attribution ledger's fixed-point sums.
 func parseLinkHint(l string) (clientHint, bool) {
-	parts := strings.Split(l, ";")
-	if len(parts) == 0 {
-		return clientHint{}, false
-	}
-	target := strings.TrimSpace(parts[0])
+	target, params, _ := strings.Cut(l, ";")
+	target = strings.TrimSpace(target)
 	if !strings.HasPrefix(target, "<") || !strings.HasSuffix(target, ">") {
 		return clientHint{}, false
 	}
 	h := clientHint{path: target[1 : len(target)-1]}
 	isPrefetch := false
-	for _, p := range parts[1:] {
+	for params != "" {
+		var p string
+		p, params, _ = strings.Cut(params, ";")
 		p = strings.TrimSpace(p)
 		switch {
 		case p == `rel="prefetch"` || p == "rel=prefetch":

@@ -340,7 +340,7 @@ func (p *Proxy) pull(ctx context.Context, sp *obs.ActiveSpan, path string) ([]by
 			p.breaker.Record(nil)
 			return resilience.Permanent(perr)
 		}
-		b, err := io.ReadAll(resp.Body)
+		b, err := readBody(resp.Body, resp.ContentLength)
 		if err != nil {
 			p.breaker.Record(err)
 			p.met.originErrors.Inc()
@@ -471,6 +471,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			sp.SetAttr("result", "hit")
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Header().Set("X-Served-By", "specweb-proxy")
+			w.Header().Set("Content-Length", strconv.Itoa(len(rep.body)))
 			_, _ = w.Write(rep.body)
 			return
 		}
@@ -617,6 +618,7 @@ func (p *Proxy) serveStale(w http.ResponseWriter, r *http.Request, sp *obs.Activ
 	w.Header().Set("X-Served-By", "specweb-proxy")
 	w.Header().Set(HeaderStale, "1")
 	w.Header().Set("Warning", `110 specweb-proxy "Response is Stale"`)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
 	return true
 }

@@ -3,11 +3,10 @@ package httpspec
 import (
 	"encoding/json"
 	"fmt"
-	"mime/multipart"
 	"net/http"
-	"net/textproto"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -373,7 +372,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	var push []webgraph.DocID
 	var pushP []float64
-	var hints []hint
+	var hintBuf [8]hint // the usual response hints a handful; more spill to the heap
+	hints := hintBuf[:0]
 	switch {
 	case quarReason != "":
 		s.quarSuppressed.Add(1)
@@ -432,9 +432,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		spec.Finish()
 	}
 
+	var linkBuf [128]byte
 	for _, h := range hints {
 		if path, ok := s.store.Path(h.doc); ok {
-			w.Header().Add("Link", fmt.Sprintf("<%s>; rel=\"prefetch\"; spec-p=%.3f", path, h.p))
+			w.Header().Add("Link", string(appendLinkHint(linkBuf[:0], path, h.p)))
 			s.hintsSent.Add(1)
 			s.met.hints.Inc()
 		}
@@ -473,6 +474,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type hint struct {
 	doc webgraph.DocID
 	p   float64
+}
+
+// appendLinkHint renders `</path>; rel="prefetch"; spec-p=0.420` onto dst.
+func appendLinkHint(dst []byte, path string, p float64) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, path...)
+	dst = append(dst, `>; rel="prefetch"; spec-p=`...)
+	return strconv.AppendFloat(dst, p, 'f', 3, 64)
 }
 
 // Demand priorities carried by HeaderPriority.
@@ -570,18 +579,40 @@ func (s *Server) serveDoc(w http.ResponseWriter, id webgraph.DocID) int64 {
 	return int64(n)
 }
 
+// framedPart is one gathered bundle part: its body and where its framed
+// delimiter-and-headers end in the scratch.
+type framedPart struct {
+	path   string
+	body   []byte
+	hdrEnd int
+	pushed bool
+	pMilli int64
+}
+
+// bundleScratch holds one response's part list and framing bytes; pooled,
+// so a steady server frames bundles without allocating.
+type bundleScratch struct {
+	parts []framedPart
+	hdr   []byte
+}
+
+var bundleScratchPool = sync.Pool{New: func() any { return new(bundleScratch) }}
+
 // serveBundle writes a multipart/mixed response: the requested document
 // first, then each speculative document, every part carrying its
-// Content-Location (and, when pushed, the Spec-P probability that drove
-// the push). Returns the body bytes written.
+// Content-Location and Content-Length (and, when pushed, the Spec-P
+// probability that drove the push). The parts are gathered before anything
+// is written, so the response declares its Content-Length and net/http
+// does not chunk it. Returns the body bytes written.
 func (s *Server) serveBundle(w http.ResponseWriter, id webgraph.DocID, push []webgraph.DocID, pushP []float64, rung string) int64 {
-	mw := multipart.NewWriter(w)
-	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
-	s.bundles.Add(1)
-	s.met.bundles.Inc()
-
-	var total int64
-	writePart := func(doc webgraph.DocID, pushed bool, pMilli int64) {
+	sc := bundleScratchPool.Get().(*bundleScratch)
+	defer func() {
+		clear(sc.parts) // the pool must not pin document bodies
+		sc.parts, sc.hdr = sc.parts[:0], sc.hdr[:0]
+		bundleScratchPool.Put(sc)
+	}()
+	size := 0
+	gather := func(doc webgraph.DocID, pushed bool, pMilli int64) {
 		path, ok := s.store.Path(doc)
 		if !ok {
 			return
@@ -590,37 +621,42 @@ func (s *Server) serveBundle(w http.ResponseWriter, id webgraph.DocID, push []we
 		if !ok {
 			return
 		}
-		hdr := textproto.MIMEHeader{}
-		hdr.Set("Content-Location", path)
-		hdr.Set("Content-Type", "application/octet-stream")
-		if pushed {
-			hdr.Set(HeaderPushed, "1")
-			hdr.Set(HeaderSpecP, strconv.FormatInt(pMilli, 10))
-		}
-		pw, err := mw.CreatePart(hdr)
-		if err != nil {
-			return
-		}
-		n, _ := pw.Write(body)
-		total += int64(n)
-		s.bytesSent.Add(int64(n))
-		s.met.bytesSent.Add(int64(n))
-		if pushed {
-			s.docsPushed.Add(1)
-			s.met.pushedDocs.Inc()
-			s.met.pushedBytes.Add(int64(n))
-			s.cfg.Attrib.Delivered(path, attrib.ClassPush, int64(n), pMilli, rung)
-		}
+		sc.hdr = appendPartHeader(sc.hdr, len(sc.parts) == 0, path, len(body), pushed, pMilli)
+		sc.parts = append(sc.parts, framedPart{path: path, body: body, hdrEnd: len(sc.hdr), pushed: pushed, pMilli: pMilli})
+		size += len(body)
 	}
-	writePart(id, false, 0)
+	gather(id, false, 0)
 	for i, d := range push {
 		var pMilli int64
 		if i < len(pushP) {
 			pMilli = attrib.PMilli(pushP[i])
 		}
-		writePart(d, true, pMilli)
+		gather(d, true, pMilli)
 	}
-	_ = mw.Close()
+	sc.hdr = appendBundleClose(sc.hdr, len(sc.parts) == 0)
+
+	w.Header().Set("Content-Type", bundleContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(size+len(sc.hdr)))
+	s.bundles.Add(1)
+	s.met.bundles.Inc()
+
+	var total int64
+	from := 0
+	for _, p := range sc.parts {
+		_, _ = w.Write(sc.hdr[from:p.hdrEnd])
+		from = p.hdrEnd
+		n, _ := w.Write(p.body)
+		total += int64(n)
+		s.bytesSent.Add(int64(n))
+		s.met.bytesSent.Add(int64(n))
+		if p.pushed {
+			s.docsPushed.Add(1)
+			s.met.pushedDocs.Inc()
+			s.met.pushedBytes.Add(int64(n))
+			s.cfg.Attrib.Delivered(p.path, attrib.ClassPush, int64(n), p.pMilli, rung)
+		}
+	}
+	_, _ = w.Write(sc.hdr[from:])
 	return total
 }
 

@@ -138,15 +138,11 @@ func (s *SiteStore) Content(id webgraph.DocID) ([]byte, bool) {
 		s.mu.Lock()
 		s.model.Put(id, int64(len(body)))
 		s.bodies[id] = body
-		// The model evicts on its own; mirror its retained set whenever
-		// the two disagree so evicted bodies are actually released.
+		// The model evicts on its own; whenever the two disagree, release
+		// the bodies that left it.
 		if s.model.Len() < len(s.bodies) {
-			keep := make(map[webgraph.DocID]bool, s.model.Len())
-			for _, d := range s.model.Docs() {
-				keep[d] = true
-			}
 			for d := range s.bodies {
-				if !keep[d] {
+				if !s.model.Contains(d) {
 					delete(s.bodies, d)
 				}
 			}
@@ -160,9 +156,19 @@ func renderBody(d *webgraph.Document) []byte {
 	header := fmt.Sprintf("specweb synthetic %s doc=%d path=%s\n", d.Kind, d.ID, d.Path)
 	n := int(d.Size)
 	body := make([]byte, n)
-	copy(body, header)
-	for i := len(header); i < n; i++ {
-		body[i] = byte('a' + (i+int(d.ID))%26)
+	h := copy(body, header)
+	if h == n {
+		return body
+	}
+	// The filler is the alphabet repeated, body[i] = 'a' + (i+ID)%26: lay
+	// one period down, then double it across the rest.
+	var period [26]byte
+	for k := range period {
+		period[k] = byte('a' + (h+k+int(d.ID))%26)
+	}
+	fill := body[h:]
+	for done := copy(fill, period[:]); done < len(fill); done *= 2 {
+		copy(fill[done:], fill[:done])
 	}
 	return body
 }

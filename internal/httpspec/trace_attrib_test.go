@@ -52,6 +52,10 @@ func TestTraceSpansClientProxyServer(t *testing.T) {
 	if _, _, err := c.Get(doc.Path); err != nil {
 		t.Fatal(err)
 	}
+	// Get returns once the body is read; the handlers' deferred Finish may
+	// still be pending. Close waits for them (and is safe to repeat).
+	pts.Close()
+	w.ts.Close()
 
 	cs := findSpan(t, clientTr, "client.get")
 	ps := findSpan(t, proxyTr, "proxy.request")
