@@ -4,7 +4,7 @@ GO ?= go
 	bench-smoke specbench bench-run bench-gate bench-baseline \
 	bench-scenarios bench-scenarios-baseline \
 	bench-restart bench-restart-baseline bench-memory \
-	bench-stream bench-stream-baseline bench-distributed \
+	bench-stream bench-stream-baseline bench-distributed bench-module \
 	fuzz-checkpoint fuzz-estimator fuzz-wire golden clean
 
 all: vet build test
@@ -144,6 +144,12 @@ bench-stream-baseline: specbench
 bench-distributed: specbench
 	./bin/specbench -short -reps 1 -stream -spawn 2 -verify-single \
 		-o BENCH-distributed.json
+
+# The benchmark of record is its own module (specweb/benchmark, replace
+# specweb => ../), so the root `go build ./... && go test ./...` cannot see
+# it: this is where deleting or renaming an internal API it pins fails. ~5 s.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Checkpoint decoder fuzzing: truncated, bit-flipped, and version-skewed
 # frames must fail with typed errors, never panic.

@@ -65,13 +65,13 @@ func main() {
 		maxRows   = flag.Int("max-rows", 0, "bound the dependency estimator to this many tracked documents (0 with -row-topk 0: exact)")
 		rowTopK   = flag.Int("row-topk", 0, "bound each estimator row to its top K successors, space-saving style (0 with -max-rows 0: exact)")
 
-		restartF  = flag.Bool("restart", false, "run the kill/restart chaos suite (uninterrupted + warm + cold + corrupt-fallback arms) and write the restart report")
+		restartF  = flag.Bool("restart", false, "run the kill/restart chaos suite (uninterrupted + warm + cold + corrupt-fallback arms; closed loop, in-process, with or without -stream) and write the restart report")
 		crashFrac = flag.Float64("crash-frac", 0.5, "restart: fraction of the measured trace served before the crash")
 
 		timeout = flag.Duration("timeout", 0, "per-request timeout (0 = none)")
 		retries = flag.Int("retries", 1, "max attempts per demand fetch (1 = no retries)")
 
-		streamF   = flag.Bool("stream", false, "drive the workload from per-client seeded stream cursors instead of a materialized trace (O(clients) memory; a distinct, statistically equivalent workload)")
+		streamF   = flag.Bool("stream", false, "feed the drive loop from per-client seeded stream cursors instead of a materialized trace (O(clients) memory; a distinct, statistically equivalent workload; every mode but -scenario runs from it)")
 		gateF     = flag.Bool("stream-gate", false, "run the streaming gate (streamed-vs-materialized byte identity plus the 100k-client memory bound) and write BENCH-stream.json")
 		workerF   = flag.Bool("worker", false, "serve shard jobs over HTTP (POST /run) instead of running a benchmark")
 		listenF   = flag.String("listen", "127.0.0.1:0", "worker listen address")

@@ -1,4 +1,4 @@
-// The streaming gate (make bench-stream): proves the streamed drive is
+// The streaming gate (make bench-stream): proves the cursor source is
 // both correct and worth it. Correctness is byte-identity — over a small
 // spec × overload cube, driving from per-client seeded cursors must
 // produce exactly the deterministic report that materializing the same
@@ -70,7 +70,7 @@ type streamMemoryInfo struct {
 }
 
 // gateCellConfig is one conformance cell: the tiny workload with the
-// streamed drive on, toggling speculation and overload control.
+// cursor source on, toggling speculation and overload control.
 func gateCellConfig(spec, over bool) loadgen.Config {
 	wl := experiments.DefaultWorkload()
 	wl.Profile = webgraph.TinySite()

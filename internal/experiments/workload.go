@@ -90,64 +90,62 @@ type StreamWorkload struct {
 	Gen    *synth.Stream
 }
 
-// BuildStream generates the site and topology exactly as Build does (same
-// seed-derivation labels, so the world is identical) and wraps the trace
-// model in a per-client stream generator instead of materializing it.
-// Identical configurations produce identical streams; scenarios are
-// rejected by the streaming generator.
-func BuildStream(cfg WorkloadConfig) (*StreamWorkload, error) {
+// world generates what both workload forms share — the site, the
+// topology and the trace model's configuration, scenario included — from
+// one set of seed-derivation labels, so Build and BuildStream describe
+// the identical world.
+func world(cfg WorkloadConfig) (*stats.RNG, synth.Config, error) {
 	root := stats.NewRNG(cfg.Seed)
 	site, err := webgraph.Generate(cfg.Profile, root.Split("site"))
 	if err != nil {
-		return nil, fmt.Errorf("experiments: generating site: %w", err)
+		return nil, synth.Config{}, fmt.Errorf("experiments: generating site: %w", err)
 	}
 	topo, err := netsim.Generate(cfg.Net, root.Split("net"))
 	if err != nil {
-		return nil, fmt.Errorf("experiments: generating topology: %w", err)
+		return nil, synth.Config{}, fmt.Errorf("experiments: generating topology: %w", err)
+	}
+	kind, err := synth.ScenarioByName(cfg.Scenario)
+	if err != nil {
+		return nil, synth.Config{}, fmt.Errorf("experiments: %w", err)
 	}
 	scfg := synth.DefaultConfig(site, topo)
 	scfg.Days = cfg.Days
 	scfg.SessionsPerDay = cfg.SessionsPerDay
 	scfg.Noise = cfg.Noise
-	if cfg.Scenario != "" && cfg.Scenario != "none" {
-		return nil, fmt.Errorf("experiments: scenario %q requires the materialized workload path", cfg.Scenario)
+	scfg.Scenario = synth.DefaultScenario(kind)
+	return root, scfg, nil
+}
+
+// BuildStream wraps the trace model in a per-client stream generator
+// instead of materializing it. Identical configurations produce
+// identical streams; the generator refuses scenarios.
+func BuildStream(cfg WorkloadConfig) (*StreamWorkload, error) {
+	_, scfg, err := world(cfg)
+	if err != nil {
+		return nil, err
 	}
 	gen, err := synth.NewStream(scfg, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building stream: %w", err)
 	}
-	return &StreamWorkload{Config: cfg, Site: site, Topo: topo, Gen: gen}, nil
+	return &StreamWorkload{Config: cfg, Site: scfg.Site, Topo: scfg.Topology, Gen: gen}, nil
 }
 
 // Build generates the site, topology, and trace for the configuration.
 // Identical configurations produce identical workloads.
 func Build(cfg WorkloadConfig) (*Workload, error) {
-	root := stats.NewRNG(cfg.Seed)
-	site, err := webgraph.Generate(cfg.Profile, root.Split("site"))
+	root, scfg, err := world(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: generating site: %w", err)
+		return nil, err
 	}
-	topo, err := netsim.Generate(cfg.Net, root.Split("net"))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: generating topology: %w", err)
-	}
-	scfg := synth.DefaultConfig(site, topo)
-	scfg.Days = cfg.Days
-	scfg.SessionsPerDay = cfg.SessionsPerDay
-	scfg.Noise = cfg.Noise
-	kind, err := synth.ScenarioByName(cfg.Scenario)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	scfg.Scenario = synth.DefaultScenario(kind)
 	res, err := synth.Generate(scfg, root.Split("trace"))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generating trace: %w", err)
 	}
 	return &Workload{
 		Config:  cfg,
-		Site:    site,
-		Topo:    topo,
+		Site:    scfg.Site,
+		Topo:    scfg.Topology,
 		Trace:   res.Trace,
 		Updates: res.Updates,
 	}, nil

@@ -96,6 +96,27 @@ type ClientStats struct {
 	Shed int64
 }
 
+// Add returns s + o field by field, the way per-client counters sum into
+// a run total; Sub returns s − o, the activity between two snapshots.
+func (s ClientStats) Add(o ClientStats) ClientStats { return s.plus(o, 1) }
+func (s ClientStats) Sub(o ClientStats) ClientStats { return s.plus(o, -1) }
+
+func (s ClientStats) plus(o ClientStats, sign int64) ClientStats {
+	s.Fetches += sign * o.Fetches
+	s.CacheHits += sign * o.CacheHits
+	s.Pushed += sign * o.Pushed
+	s.Prefetched += sign * o.Prefetched
+	s.BytesIn += sign * o.BytesIn
+	s.SpecHits += sign * o.SpecHits
+	s.SpecHitBytes += sign * o.SpecHitBytes
+	s.DemandBytes += sign * o.DemandBytes
+	s.MissBytes += sign * o.MissBytes
+	s.Retries += sign * o.Retries
+	s.StaleServes += sign * o.StaleServes
+	s.Shed += sign * o.Shed
+	return s
+}
+
 // cacheEntry is one cached document; spec marks it as having arrived
 // speculatively and not yet been requested. class is the delivery class
 // for attribution; resolved marks the delivery as already attributed

@@ -143,6 +143,40 @@ type PaperRatios struct {
 	ByteMissRate float64 `json:"byte_miss_rate"`
 }
 
+// ratio divides speculative by baseline, reporting the neutral 1 when
+// there is nothing to compare (or a counter delta left the baseline
+// negative).
+func ratio(spec, baseline float64) float64 {
+	if baseline <= 0 {
+		return 1
+	}
+	return spec / baseline
+}
+
+// BaselineBytes is what a non-speculative client with the same session
+// cache would have fetched: the misses plus every speculation-made hit.
+func (s ClientStats) BaselineBytes() int64 { return s.MissBytes + s.SpecHitBytes }
+
+// PaperRatios is the one definition of the four ratios, over summed
+// client counters and the run's timing accumulators: serviceSum is the
+// total observed request time, missSum and misses the time and count of
+// the requests that went to the server (any one time unit throughout).
+// Every report in the repository — loadgen's single-process and merged
+// results, the replay summary — calls this.
+func (s ClientStats) PaperRatios(serviceSum, missSum float64, misses int64) PaperRatios {
+	var meanMiss float64
+	if misses > 0 {
+		meanMiss = missSum / float64(misses)
+	}
+	demand := s.Fetches - s.CacheHits // requests the session cache did not absorb
+	return PaperRatios{
+		Bandwidth:    ratio(float64(s.BytesIn), float64(s.BaselineBytes())),
+		ServerLoad:   ratio(float64(demand+s.Prefetched), float64(demand+s.SpecHits)),
+		ServiceTime:  ratio(serviceSum, serviceSum+float64(s.SpecHits)*meanMiss),
+		ByteMissRate: ratio(float64(s.MissBytes), float64(s.BaselineBytes())),
+	}
+}
+
 // LatencySummary reports client-observed request latency in milliseconds.
 type LatencySummary struct {
 	P50  float64 `json:"p50"`
@@ -234,34 +268,17 @@ type ReplaySummary struct {
 	Attrib *attrib.Report `json:"attrib,omitempty"`
 }
 
-// ratio divides speculative by baseline, reporting the neutral 1 when
-// there is nothing to compare.
-func ratio(spec, baseline float64) float64 {
-	if baseline == 0 {
-		return 1
-	}
-	return spec / baseline
-}
-
 // Summary computes the paper's four ratios and the latency percentiles
 // for the run.
 func (s *ReplayStats) Summary() ReplaySummary {
-	baselineBytes := s.MissBytes + s.SpecHitBytes
-	specServerReqs := float64(s.Requests-s.CacheHits) + float64(s.Prefetched)
-	baseServerReqs := float64(s.Requests-s.CacheHits) + float64(s.SpecHits)
-
+	totals := ClientStats{
+		Fetches: s.Requests, CacheHits: s.CacheHits, SpecHits: s.SpecHits,
+		Prefetched: s.Prefetched, BytesIn: s.BytesIn,
+		MissBytes: s.MissBytes, SpecHitBytes: s.SpecHitBytes,
+	}
 	var durSum float64
 	for _, d := range s.latencies {
 		durSum += d
-	}
-	var meanMiss float64
-	if s.missCount > 0 {
-		meanMiss = s.missDurSum / float64(s.missCount)
-	}
-	serviceTime := 1.0
-	if n := float64(len(s.latencies)); n > 0 {
-		baselineDur := durSum + float64(s.SpecHits)*meanMiss
-		serviceTime = ratio(durSum/n, baselineDur/n)
 	}
 
 	lat := LatencySummary{}
@@ -291,14 +308,9 @@ func (s *ReplayStats) Summary() ReplaySummary {
 		Prefetched:    s.Prefetched,
 		BytesIn:       s.BytesIn,
 		DemandBytes:   s.DemandBytes,
-		BaselineBytes: baselineBytes,
-		Ratios: PaperRatios{
-			Bandwidth:    ratio(float64(s.BytesIn), float64(baselineBytes)),
-			ServerLoad:   ratio(specServerReqs, baseServerReqs),
-			ServiceTime:  serviceTime,
-			ByteMissRate: ratio(float64(s.MissBytes), float64(baselineBytes)),
-		},
-		LatencyMS: lat,
+		BaselineBytes: totals.BaselineBytes(),
+		Ratios:        totals.PaperRatios(durSum, s.missDurSum, s.missCount),
+		LatencyMS:     lat,
 	}
 	if s.Chaos {
 		reqs := float64(s.Requests)
@@ -430,24 +442,25 @@ func (rr *replayRun) record(dur float64, fromCache bool, err error) {
 func (rr *replayRun) finish() *ReplayStats {
 	stats := rr.stats
 	stats.Clients = len(rr.clients)
+	var total ClientStats
 	for _, c := range rr.clients {
 		if rr.attrib != nil {
 			c.ResolveOutstanding()
 		}
-		cs := c.Stats()
-		stats.Requests += cs.Fetches
-		stats.CacheHits += cs.CacheHits
-		stats.SpecHits += cs.SpecHits
-		stats.Pushed += cs.Pushed
-		stats.Prefetched += cs.Prefetched
-		stats.BytesIn += cs.BytesIn
-		stats.SpecHitBytes += cs.SpecHitBytes
-		stats.DemandBytes += cs.DemandBytes
-		stats.MissBytes += cs.MissBytes
-		stats.Retried += cs.Retries
-		stats.StaleServes += cs.StaleServes
-		stats.Shed += cs.Shed
+		total = total.Add(c.Stats())
 	}
+	stats.Requests = total.Fetches
+	stats.CacheHits = total.CacheHits
+	stats.SpecHits = total.SpecHits
+	stats.Pushed = total.Pushed
+	stats.Prefetched = total.Prefetched
+	stats.BytesIn = total.BytesIn
+	stats.SpecHitBytes = total.SpecHitBytes
+	stats.DemandBytes = total.DemandBytes
+	stats.MissBytes = total.MissBytes
+	stats.Retried = total.Retries
+	stats.StaleServes = total.StaleServes
+	stats.Shed = total.Shed
 	if rr.attrib != nil {
 		stats.Attrib = rr.attrib.Report(replayAttribTopDocs)
 	}

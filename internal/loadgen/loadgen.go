@@ -1,13 +1,9 @@
 package loadgen
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"os"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,8 +16,6 @@ import (
 	"specweb/internal/overload"
 	"specweb/internal/resilience"
 	"specweb/internal/resilience/faults"
-	"specweb/internal/stats"
-	"specweb/internal/synth"
 	"specweb/internal/trace"
 	"specweb/internal/webgraph"
 )
@@ -130,19 +124,17 @@ type Config struct {
 	// only; per-phase counters land in Result.Restart.
 	Restart *RestartConfig
 
-	// Stream drives the workload from per-client seeded cursors
-	// (synth.Stream) instead of a materialized trace: warmup replays the
-	// canonical k-way merge sequentially, then each closed-loop worker
-	// regenerates just its own clients' streams (the open loop paces from
-	// a fresh global merge). Peak memory is O(clients + concurrent
-	// sessions) instead of O(trace); the deterministic report section is
-	// byte-identical to materializing the same stream and running the
-	// ordinary path (see StreamMaterialize). Scenarios and the restart
-	// harness require the materialized trace and are rejected.
+	// Stream selects the workload source: per-client seeded cursors
+	// (synth.Stream) instead of a materialized trace. The drive loop is the
+	// same either way — warmup walks the canonical order sequentially, then
+	// every driver consumes its own clients' stream — but a cursor source
+	// regenerates requests on demand, so peak memory is O(clients +
+	// concurrent sessions) instead of O(trace). The generator itself
+	// refuses scenarios (cross-client overlays have no per-client cursor).
 	Stream bool
-	// StreamMaterialize (with Stream) builds the same per-client stream
-	// but materializes it into a trace and runs the ordinary drive — the
-	// conformance oracle the streamed path is byte-compared against.
+	// StreamMaterialize (with Stream) materializes that same per-client
+	// stream into a trace first and drives from the trace: the conformance
+	// oracle the cursor source is byte-compared against.
 	StreamMaterialize bool
 
 	// ShardIndex/ShardCount restrict the measurement phase to the
@@ -154,23 +146,6 @@ type Config struct {
 	// ShardCount 0 or 1 means unsharded.
 	ShardIndex int
 	ShardCount int
-
-	// raw, when non-nil, receives the arm's pre-aggregation state
-	// (merged histogram, miss accumulators, attrib export, overload
-	// freeze snapshot) for assembly into a Partial. Process-local.
-	raw *armRaw
-}
-
-// armRaw is one arm's pre-aggregation state, captured for partial
-// reports: everything a coordinator needs to recompute the aggregate
-// formulas over merged shards instead of over one process's workers.
-type armRaw struct {
-	Hist           HistState
-	MissDurNS      int64
-	MissCount      int64
-	ElapsedNS      int64
-	Attrib         *attrib.Export
-	OverloadFreeze *httpspec.ServerOverloadStats
 }
 
 func (c Config) withDefaults() Config {
@@ -210,8 +185,7 @@ func (c Config) withDefaults() Config {
 // carries: enough to name the heavy hitters without bloating the file.
 const attribTopDocs = 10
 
-// validateModes rejects flag combinations the streaming and sharded
-// drives cannot honor.
+// validateModes rejects the combinations a sharded run cannot merge.
 func (c Config) validateModes() error {
 	if c.ShardCount < 0 || c.ShardIndex < 0 {
 		return fmt.Errorf("loadgen: negative shard index/count")
@@ -235,9 +209,6 @@ func (c Config) validateModes() error {
 			return fmt.Errorf("loadgen: fault injection cannot run sharded (the fault stream is per-process)")
 		}
 	}
-	if c.Stream && c.Restart != nil {
-		return fmt.Errorf("loadgen: restart harness requires the materialized trace")
-	}
 	return nil
 }
 
@@ -251,31 +222,48 @@ func (c Config) inShard(id trace.ClientID) bool {
 	return workerOf(id, c.ShardCount) == c.ShardIndex
 }
 
-// countPass drains a stream once to learn its length, client set (in
-// first-appearance order, matching Trace.Clients), and first timestamp —
-// without retaining any request.
-func countPass(s trace.Stream) (int, []trace.ClientID, time.Time) {
-	var (
-		n     int
-		order []trace.ClientID
-		first time.Time
-	)
-	seen := make(map[trace.ClientID]bool)
-	for {
-		req, ok := s.Next()
-		if !ok {
-			break
-		}
-		if n == 0 {
-			first = req.Time
-		}
-		n++
-		if !seen[req.Client] {
-			seen[req.Client] = true
-			order = append(order, req.Client)
-		}
+// laneOf names the worker that drives a client's measurement phase, or -1
+// when the client belongs to another shard.
+func (c Config) laneOf(id trace.ClientID) int {
+	if !c.inShard(id) {
+		return -1
 	}
-	return n, order, first
+	return workerOf(id, c.Workers)
+}
+
+// info echoes the (defaulted) configuration into the report.
+func (c Config) info() ConfigInfo {
+	info := ConfigInfo{
+		Profile:            c.Workload.Profile.Name,
+		Days:               c.Workload.Days,
+		SessionsPerDay:     c.Workload.SessionsPerDay,
+		Seed:               c.Seed,
+		Workers:            c.Workers,
+		WarmupFraction:     c.WarmupFraction,
+		Mode:               modeName(c.Mode),
+		MaxPush:            c.MaxPush,
+		Cooperative:        c.Cooperative,
+		PrefetchThreshold:  c.PrefetchThreshold,
+		SessionGapRequests: c.SessionGapRequests,
+		Reps:               c.Reps,
+		OpenLoop:           c.OpenLoop,
+		Rate:               c.Rate,
+		Burst:              c.Burst,
+		ThinkMS:            float64(c.Think) / 1e6,
+		RealClock:          c.RealClock,
+		Network:            c.BaseURL != "",
+		Chaos:              c.Faults.Enabled(),
+		Overload:           c.Overload,
+		Scenario:           c.Workload.Scenario,
+		Estguard:           c.Estguard,
+		MaxRows:            c.MaxRows,
+		RowTopK:            c.RowTopK,
+		Stream:             c.Stream,
+	}
+	if info.Scenario == "none" {
+		info.Scenario = ""
+	}
+	return info
 }
 
 func modeName(m httpspec.Mode) string {
@@ -288,30 +276,51 @@ func modeName(m httpspec.Mode) string {
 	return "push"
 }
 
-// run is the shared state of one arm.
+// run is the shared state of one arm, filled in stage by stage: source,
+// stack, warmup, drive, aggregate.
 type run struct {
-	cfg     Config
+	cfg  Config
+	src  source
+	site *webgraph.Site
+	// n requests in the source, the first warmN of them warmup.
+	n, warmN int
+
+	// vnow is the virtual clock: warmup advances it along trace time;
+	// after the freeze every server-side timestamp is the warmup boundary,
+	// so the engine never auto-refreshes mid-measurement and its
+	// speculation model stays the frozen snapshot.
+	vnow     atomic.Int64
+	freezeAt time.Time
+
 	base    string
 	hc      *http.Client
-	srv     *httpspec.Server // nil in network mode
+	srv     *httpspec.Server  // nil in network mode
+	guard   *estguard.Guard   // the current server's, when cfg.Estguard
+	ckstore *checkpoint.Store // restart harness only
+	swap    *switchHandler    // restart harness only
+	led     *attrib.Ledger    // speculative arm only
+
 	clients map[trace.ClientID]*Client
 	// order preserves first-appearance order for deterministic
 	// aggregation (map iteration order must not leak into anything).
 	order []trace.ClientID
-	// aggregate stashes the merged wall-clock ledger here so partial
-	// reports can export the raw histogram and miss accumulators.
-	aggHist    *Hist
-	missDurSum time.Duration
-	missCount  int64
+
+	warmupErrors int64
+	// frozen is the clients' summed counters at the warmup boundary;
+	// measurement counts are totals minus this.
+	frozen httpspec.ClientStats
+	// ovFreeze is the server's overload ledger at the same instant: a
+	// coordinator reconstructs single-process totals as freeze + Σ
+	// per-shard measurement deltas.
+	ovFreeze *httpspec.ServerOverloadStats
+	// results holds one wall-clock ledger per worker, accumulated across
+	// the measurement's phases.
+	results []*workerResult
 }
 
-// Client pairs the protocol client with its warmup snapshot and session
-// counter. crash holds the stats snapshot taken at the restart
-// harness's crash barrier, so per-phase deltas can be reported.
+// Client pairs the protocol client with its session counter.
 type Client struct {
 	c            *httpspec.Client
-	warmup       httpspec.ClientStats
-	crash        httpspec.ClientStats
 	sinceSession int
 }
 
@@ -329,263 +338,140 @@ type workerResult struct {
 // drivers. The returned Result's Counts and Ratios are deterministic for
 // a given config (virtual clock, no faults); Timing is wall-clock.
 func Run(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
+	res, _, winfo, info, err := runArm(cfg)
+	return res, winfo, info, err
+}
+
+// runArm is Run plus the arm's raw mergeable state, which RunPartial
+// ships to a coordinator.
+func runArm(cfg Config) (*Result, PartialArm, *WorkloadInfo, ConfigInfo, error) {
 	cfg = cfg.withDefaults()
-	info := ConfigInfo{
-		Profile:            cfg.Workload.Profile.Name,
-		Days:               cfg.Workload.Days,
-		SessionsPerDay:     cfg.Workload.SessionsPerDay,
-		Seed:               cfg.Seed,
-		Workers:            cfg.Workers,
-		WarmupFraction:     cfg.WarmupFraction,
-		Mode:               modeName(cfg.Mode),
-		MaxPush:            cfg.MaxPush,
-		Cooperative:        cfg.Cooperative,
-		PrefetchThreshold:  cfg.PrefetchThreshold,
-		SessionGapRequests: cfg.SessionGapRequests,
-		Reps:               cfg.Reps,
-		OpenLoop:           cfg.OpenLoop,
-		Rate:               cfg.Rate,
-		Burst:              cfg.Burst,
-		ThinkMS:            float64(cfg.Think) / 1e6,
-		RealClock:          cfg.RealClock,
-		Network:            cfg.BaseURL != "",
-		Chaos:              cfg.Faults.Enabled(),
-		Overload:           cfg.Overload,
-		Scenario:           cfg.Workload.Scenario,
-		Estguard:           cfg.Estguard,
-		MaxRows:            cfg.MaxRows,
-		RowTopK:            cfg.RowTopK,
-		Stream:             cfg.Stream,
-	}
-	if info.Scenario == "none" {
-		info.Scenario = ""
+	info := cfg.info()
+	fail := func(err error) (*Result, PartialArm, *WorkloadInfo, ConfigInfo, error) {
+		return nil, PartialArm{}, nil, info, err
 	}
 	if err := cfg.validateModes(); err != nil {
-		return nil, nil, info, err
+		return fail(err)
+	}
+	if cfg.Restart != nil {
+		rst, err := cfg.Restart.validate(cfg)
+		if err != nil {
+			return fail(err)
+		}
+		cfg.Restart, info.Restart = rst, rst
 	}
 
-	// The workload: either a materialized trace (the classic path, and
-	// the StreamMaterialize oracle) or a per-client stream generator the
-	// drive regenerates from on demand.
-	var (
-		site *webgraph.Site
-		tr   *trace.Trace
-		gen  *synth.Stream
-	)
+	r := &run{cfg: cfg}
+	winfo, err := r.openSource()
+	if err != nil {
+		return fail(err)
+	}
+	if cfg.Speculate {
+		// One shared attribution ledger for the speculative arm. Capacity
+		// covers the whole site, so the space-saving sketch never evicts
+		// and its updates commute — the report is byte-identical no matter
+		// how many workers raced or in what order their sessions resolved.
+		r.led = attrib.NewLedger(r.site.NumDocs(), obs.NewRegistry())
+	}
+	cleanup, err := r.buildStack()
+	if err != nil {
+		return fail(err)
+	}
+	defer cleanup()
+	r.newClients()
+
+	cut := &cutter{cfg: cfg, s: r.src.All(), seen: make([]int, cfg.Workers)}
+	skips := r.warmup(cut)
+
+	start := time.Now()
+	restartInfo, err := r.drive(cut, skips)
+	if err != nil {
+		return fail(err)
+	}
+	elapsed := time.Since(start)
+
+	res, arm := r.aggregate(elapsed)
+	res.Restart = restartInfo
+	r.serverSections(res)
+	arm.OverloadFreeze, arm.OverloadEnd = r.ovFreeze, res.Overload
+	if r.led != nil {
+		// Drain the ledger: every speculative copy still sitting unused
+		// in a session cache is waste. Client order is fixed for
+		// reproducible logs, though the ledger commutes regardless.
+		for _, id := range r.order {
+			r.clients[id].c.ResolveOutstanding()
+		}
+		res.Attrib = r.led.Report(attribTopDocs)
+		arm.Attrib = r.led.Export()
+	}
+	res.Timing.Memory = heapNow()
+	return res, arm, winfo, info, nil
+}
+
+// openSource builds the workload source and sizes it: one counting pass
+// fixes the warmup boundary and the client set. A cursor source trades
+// that repeated generation (cheap, CPU-bound) for never holding the trace
+// (expensive, O(requests) memory).
+func (r *run) openSource() (*WorkloadInfo, error) {
+	cfg := r.cfg
 	if cfg.Stream {
 		sw, err := experiments.BuildStream(cfg.Workload)
 		if err != nil {
-			return nil, nil, info, err
+			return nil, err
 		}
-		site = sw.Site
+		r.site = sw.Site
 		if cfg.StreamMaterialize {
-			tr = trace.Materialize(sw.Gen.Merged())
+			r.src = traceSource{trace.Materialize(sw.Gen.Merged())}
 		} else {
-			gen = sw.Gen
+			r.src = cursorSource{sw.Gen}
 		}
 	} else {
 		wl, err := experiments.Build(cfg.Workload)
 		if err != nil {
-			return nil, nil, info, err
+			return nil, err
 		}
-		site = wl.Site
-		tr = wl.Trace
+		r.site, r.src = wl.Site, traceSource{wl.Trace}
 	}
 
-	var (
-		n     int
-		order []trace.ClientID
-		first time.Time
-	)
-	if tr != nil {
-		if n = tr.Len(); n > 0 {
-			order = tr.Clients()
-			first = tr.Requests[0].Time
-		}
-	} else {
-		// Counting pass: one full generation to fix the warmup boundary
-		// and client set. The streamed drive trades repeated generation
-		// (cheap, CPU-bound) for never holding the trace (expensive,
-		// O(requests) memory).
-		n, order, first = countPass(gen.Merged())
+	var first time.Time
+	r.n, r.order, first = trace.CountStream(r.src.All())
+	if r.n == 0 {
+		return nil, fmt.Errorf("loadgen: empty trace")
 	}
-	if n == 0 {
-		return nil, nil, info, fmt.Errorf("loadgen: empty trace")
-	}
-	warmN := int(cfg.WarmupFraction * float64(n))
-	winfo := &WorkloadInfo{
-		Pages:    site.NumPages(),
-		Clients:  len(order),
-		Trace:    n,
-		Warmup:   warmN,
-		Measured: n - warmN,
-		Bytes:    site.TotalBytes(),
-	}
+	r.warmN = int(cfg.WarmupFraction * float64(r.n))
+	r.freezeAt = first
+	r.vnow.Store(first.UnixNano())
+	return &WorkloadInfo{
+		Pages:    r.site.NumPages(),
+		Clients:  len(r.order),
+		Trace:    r.n,
+		Warmup:   r.warmN,
+		Measured: r.n - r.warmN,
+		Bytes:    r.site.TotalBytes(),
+	}, nil
+}
 
-	r := &run{cfg: cfg, clients: make(map[trace.ClientID]*Client)}
-
-	// One shared attribution ledger for the speculative arm. Capacity
-	// covers the whole site, so the space-saving sketch never evicts and
-	// its updates commute — the report is byte-identical no matter how
-	// many workers raced or in what order their sessions resolved. In a
-	// sharded run only this shard's clients feed it: ledger operations
-	// partition exactly by client, so the coordinator's merge of shard
-	// exports reproduces the single-process ledger.
-	var led *attrib.Ledger
-	if cfg.Speculate {
-		led = attrib.NewLedger(site.NumDocs(), obs.NewRegistry())
-	}
-
-	// The virtual clock: warmup advances it along trace time; after the
-	// freeze every server-side timestamp is the warmup boundary, so the
-	// engine never auto-refreshes mid-measurement and its speculation
-	// model stays the frozen snapshot.
-	var vnow atomic.Int64
-	vnow.Store(first.UnixNano())
-	vclock := func() time.Time { return time.Unix(0, vnow.Load()) }
-
-	// maybeFaulty wraps a transport with the seeded fault injector when
-	// any chaos knob is set.
-	maybeFaulty := func(rt http.RoundTripper, reg *obs.Registry) http.RoundTripper {
-		if !cfg.Faults.Enabled() {
-			return rt
-		}
-		fcfg := cfg.Faults
-		fcfg.Metrics = reg
-		return faults.New(fcfg).Transport(rt)
-	}
-
-	rst := cfg.Restart
-	if rst != nil {
-		var err error
-		if rst, err = rst.validate(cfg); err != nil {
-			return nil, nil, info, err
-		}
-		info.Restart = rst
-	}
-
-	var guard *estguard.Guard
-	var ckstore *checkpoint.Store
-	var swap *switchHandler
-	var rebuild func() (*httpspec.Server, error)
-	if cfg.BaseURL != "" {
-		r.base = cfg.BaseURL
-		r.hc = &http.Client{Transport: maybeFaulty(nil, nil)}
-	} else {
-		if rst != nil && rst.Mode != RestartNone {
-			// One durable store spans the crash: server A checkpoints
-			// into it, server B recovers (or deliberately doesn't) from
-			// it. The fingerprint binds frames to the workload identity.
-			dir := rst.StateDir
-			if dir == "" {
-				tmp, err := os.MkdirTemp("", "specweb-restart-")
-				if err != nil {
-					return nil, nil, info, err
-				}
-				defer os.RemoveAll(tmp)
-				dir = tmp
-				rst.StateDir = tmp
-			}
-			ecfg := httpspec.DefaultServerConfig().Engine
-			ecfg.MaxRows = cfg.MaxRows
-			ecfg.RowTopK = cfg.RowTopK
-			fp := checkpoint.Combine(ecfg.StateFingerprint(),
-				checkpoint.Fingerprint(fmt.Sprintf("loadgen/v1|profile=%s|seed=%d",
-					cfg.Workload.Profile.Name, cfg.Seed)))
-			var err error
-			ckstore, err = checkpoint.NewStore(checkpoint.StoreConfig{
-				Dir: dir, Fingerprint: fp, Metrics: obs.NewRegistry(),
-			})
-			if err != nil {
-				return nil, nil, info, err
-			}
-		}
-		// rebuild constructs a complete fresh stack — new registry, new
-		// engine, new guard — exactly as a restarted process would. The
-		// restart harness calls it a second time after the crash.
-		rebuild = func() (*httpspec.Server, error) {
-			store := httpspec.NewSiteStore(site)
-			scfg := httpspec.DefaultServerConfig()
-			scfg.Mode = cfg.Mode
-			scfg.MaxPush = cfg.MaxPush
-			scfg.Engine.MaxRows = cfg.MaxRows
-			scfg.Engine.RowTopK = cfg.RowTopK
-			scfg.Metrics = obs.NewRegistry()
-			scfg.Tracer = obs.NewTracer(64)
-			if ckstore != nil {
-				scfg.Engine.Checkpoint = ckstore
-			}
-			if cfg.Estguard {
-				guard = estguard.New(estguard.Config{Seed: cfg.Seed, Metrics: scfg.Metrics})
-				scfg.Engine.Guard = guard
-				if led != nil {
-					// Feed the snapshot judge from the shared client-side
-					// ledger: its totals at each (sequential, warmup-phase)
-					// refresh are deterministic.
-					scfg.Engine.Feedback = func() (int64, int64, int64) {
-						t := led.TotalsSnapshot()
-						return t.Deliveries, t.Consumed, t.Wasted
-					}
-				}
-			}
-			if cfg.RealClock {
-				scfg.Clock = nil // time.Now
-			} else {
-				scfg.Clock = vclock
-				store.SetClock(vclock)
-			}
-			if cfg.Overload {
-				ocfg := overload.Config{Clock: scfg.Clock, Metrics: scfg.Metrics}
-				if cfg.AdmissionTune != nil {
-					cfg.AdmissionTune(&ocfg)
-				}
-				scfg.Admission = overload.NewController(ocfg)
-				scfg.Governor = overload.NewGovernor(overload.GovernorConfig{
-					Clock:    scfg.Clock,
-					Metrics:  scfg.Metrics,
-					Pressure: nil,
-				})
-			}
-			if cfg.ServerTune != nil {
-				cfg.ServerTune(&scfg)
-			}
-			srv, err := httpspec.NewServer(store, scfg)
-			if err != nil {
-				return nil, err
-			}
-			r.srv = srv
-			return srv, nil
-		}
-		srv, err := rebuild()
-		if err != nil {
-			return nil, nil, info, err
-		}
-		r.base = "http://specbench.invalid"
-		var rt http.RoundTripper = NewHandlerTransport(srv)
-		if rst != nil {
-			// The swap point: clients keep their transport across the
-			// crash; only the handler behind it is replaced.
-			swap = newSwitchHandler(srv)
-			rt = NewHandlerTransport(swap)
-		}
-		r.hc = &http.Client{Transport: maybeFaulty(rt, obs.NewRegistry())}
-	}
-
+// newClients builds one protocol client per trace client, in
+// first-appearance order, all sharing the stack's transport.
+func (r *run) newClients() {
+	cfg := r.cfg
 	// One retrier shares the retry budget across all clients, as in
 	// cmd/replay.
 	var retrier *resilience.Retrier
 	if cfg.Retry.MaxAttempts > 1 {
 		retrier = resilience.NewRetrier(cfg.Retry)
 	}
-	for _, id := range order {
-		r.order = append(r.order, id)
+	r.clients = make(map[trace.ClientID]*Client, len(r.order))
+	for _, id := range r.order {
 		// In a sharded run the attribution ledger is attached only to
 		// this shard's clients: non-shard clients replay warmup without
 		// recording deliveries, exactly the slice of ledger traffic that
-		// belongs to some other shard.
+		// belongs to some other shard. Ledger operations partition
+		// exactly by client, so the coordinator's merge of shard exports
+		// reproduces the single-process ledger.
 		var clientLed *attrib.Ledger
-		if led != nil && cfg.inShard(id) {
-			clientLed = led
+		if cfg.inShard(id) {
+			clientLed = r.led
 		}
 		r.clients[id] = &Client{c: httpspec.NewClient(r.base, httpspec.ClientConfig{
 			ID:                string(id),
@@ -598,137 +484,82 @@ func Run(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
 			Attrib:            clientLed,
 		})}
 	}
+}
 
-	// Warmup: sequential, on trace time, over the FULL client population
-	// even when sharded — every shard must freeze the identical
-	// speculation model. Auto-refreshes fire exactly as the timestamps
-	// dictate.
-	var warmupErrors int64
-	warm := func(req *trace.Request) {
-		vnow.Store(req.Time.UnixNano())
-		cl := r.clients[req.Client]
-		r.sessionGap(cl)
-		if _, _, err := cl.c.Get(req.Path); err != nil {
-			warmupErrors++
+// warmup replays the leading warmN requests sequentially, on trace time,
+// over the FULL client population even when sharded — every shard must
+// freeze the identical speculation model. Auto-refreshes fire exactly as
+// the timestamps dictate. It then freezes the clock, refreshes the engine
+// once, and snapshots the counters measurement is taken relative to. The
+// returned cut is where each worker's measurement begins on its own lane.
+func (r *run) warmup(cut *cutter) []int {
+	skips := cut.advance(r.warmN, func(req trace.Request) {
+		r.vnow.Store(req.Time.UnixNano())
+		r.freezeAt = req.Time
+		if _, _, err := r.clientFor(req.Client).Get(req.Path); err != nil {
+			r.warmupErrors++
 		}
-	}
-	freezeAt := first
-	// skips[w] counts warmup-phase requests belonging to worker w's
-	// shard clients: the streamed measurement workers regenerate their
-	// clients' full streams and discard exactly that prefix.
-	var skips []int
-	if tr != nil {
-		for i := 0; i < warmN; i++ {
-			warm(&tr.Requests[i])
-		}
-		if warmN > 0 {
-			freezeAt = tr.Requests[warmN-1].Time
-		}
-	} else {
-		skips = make([]int, cfg.Workers)
-		ws := gen.Merged()
-		for i := 0; i < warmN; i++ {
-			req, ok := ws.Next()
-			if !ok {
-				break
-			}
-			warm(&req)
-			freezeAt = req.Time
-			if cfg.inShard(req.Client) {
-				skips[workerOf(req.Client, cfg.Workers)]++
-			}
-		}
-	}
-	vnow.Store(freezeAt.UnixNano())
+	})
 	if r.srv != nil {
-		r.srv.Engine().Refresh(freezeAt)
+		r.srv.Engine().Refresh(r.freezeAt)
+		if r.cfg.Overload {
+			ov := r.srv.OverloadStats()
+			r.ovFreeze = &ov
+		}
 	}
+	r.frozen = r.clientTotals()
+	return skips
+}
+
+// clientTotals sums every client's counters.
+func (r *run) clientTotals() httpspec.ClientStats {
+	var total httpspec.ClientStats
 	for _, id := range r.order {
-		cl := r.clients[id]
-		cl.warmup = cl.c.Stats()
+		total = total.Add(r.clients[id].c.Stats())
 	}
+	return total
+}
 
-	// The overload freeze snapshot: a sharded run reports it so the
-	// coordinator can reconstruct single-process totals as
-	// freeze + Σ per-shard measurement deltas.
-	var ovFreeze *httpspec.ServerOverloadStats
-	if cfg.Overload && r.srv != nil && cfg.raw != nil {
-		ov := r.srv.OverloadStats()
-		ovFreeze = &ov
+// aggregate folds the worker ledgers and the clients' measurement-phase
+// counters into the arm's raw state and the Result computed from it.
+func (r *run) aggregate(elapsed time.Duration) (*Result, PartialArm) {
+	hist := NewHist()
+	arm := PartialArm{
+		Stats:        r.clientTotals().Sub(r.frozen),
+		WarmupErrors: r.warmupErrors,
+		ElapsedNS:    int64(elapsed),
 	}
-
-	// Measurement: partition the remaining requests by owning worker
-	// (stable client hash), preserving per-client order. A sharded run
-	// drives only its own clients; the canonical order restricted to a
-	// client subset is the subset's own merge order, so shard streams
-	// and shard queues see identical per-client sequences.
-	var queues [][]int
-	if tr != nil {
-		queues = make([][]int, cfg.Workers)
-		for i := warmN; i < n; i++ {
-			id := tr.Requests[i].Client
-			if !cfg.inShard(id) {
-				continue
-			}
-			queues[workerOf(id, cfg.Workers)] = append(queues[workerOf(id, cfg.Workers)], i)
-		}
+	for _, wr := range r.results {
+		hist.Merge(wr.hist)
+		arm.Errors += wr.errors
+		arm.MissDurNS += int64(wr.missDurSum)
+		arm.MissCount += wr.missCount
 	}
+	arm.Hist = hist.Export()
+	return arm.result(hist), arm
+}
 
-	results := make([]*workerResult, cfg.Workers)
-	root := stats.NewRNG(cfg.Seed).Split("loadgen")
-	start := time.Now()
-	var restartInfo *RestartInfo
-	switch {
-	case rst != nil:
-		ri, rres, err := r.runRestart(tr, warmN, n, rst, ckstore, swap, rebuild, freezeAt, root)
-		if err != nil {
-			return nil, nil, info, err
-		}
-		restartInfo = ri
-		results = rres
-	case cfg.OpenLoop && cfg.Rate > 0:
-		if gen != nil {
-			r.runOpenLoopStream(gen.Merged(), warmN, results)
-		} else {
-			r.runOpenLoop(tr, queues, results)
-		}
-	default:
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := root.Split(fmt.Sprintf("worker-%d", w))
-				if gen != nil {
-					w := w
-					cursors := gen.CursorsWhere(func(id trace.ClientID) bool {
-						return cfg.inShard(id) && workerOf(id, cfg.Workers) == w
-					})
-					results[w] = r.closedWorkerStream(trace.MergeCursors(cursors), skips[w], rng)
-				} else {
-					results[w] = r.closedWorker(tr, queues[w], rng)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	elapsed := time.Since(start)
-
-	res := r.aggregate(results, elapsed, warmupErrors)
-	res.Restart = restartInfo
-	if ckstore != nil {
-		c := ckstore.Counters()
+// serverSections attaches the in-process server's own ledgers to the
+// result: checkpoint counters, overload stats, estimator footprint, guard
+// decisions — each only when the run configured that subsystem.
+func (r *run) serverSections(res *Result) {
+	cfg := r.cfg
+	if r.ckstore != nil {
+		c := r.ckstore.Counters()
 		res.Checkpoint = &c
 	}
-	if cfg.Overload && r.srv != nil {
+	if r.srv == nil {
+		return
+	}
+	if cfg.Overload {
 		ov := r.srv.OverloadStats()
 		res.Overload = &ov
 	}
-	if (cfg.MaxRows > 0 || cfg.RowTopK > 0) && r.srv != nil {
+	if cfg.MaxRows > 0 || cfg.RowTopK > 0 {
 		res.Estimator = r.srv.Engine().Stats().Estimator
 	}
-	if guard != nil && r.srv != nil {
-		gs := guard.StatsSnapshot()
+	if r.guard != nil {
+		gs := r.guard.StatsSnapshot()
 		es := r.srv.Engine().Stats()
 		res.Estguard = &EstguardInfo{
 			QuarantinedClients:  gs.QuarantinedClients,
@@ -742,35 +573,6 @@ func Run(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
 			DriftScore:          gs.DriftScore,
 		}
 	}
-	if led != nil {
-		// Drain the ledger: every speculative copy still sitting unused
-		// in a session cache is waste. Client order is fixed for
-		// reproducible logs, though the ledger commutes regardless.
-		for _, id := range r.order {
-			r.clients[id].c.ResolveOutstanding()
-		}
-		res.Attrib = led.Report(attribTopDocs)
-	}
-	if res.Timing != nil {
-		// Peak-memory evidence for the streaming gate: live heap after a
-		// forced collection, with the workload (trace or cursors) still
-		// referenced. Wall-clock-adjacent, so it lives inside Timing.
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		res.Timing.Memory = &MemoryInfo{HeapAllocBytes: ms.HeapAlloc, SysBytes: ms.Sys}
-	}
-	if cfg.raw != nil {
-		*cfg.raw = armRaw{
-			Hist:           r.aggHist.Export(),
-			MissDurNS:      int64(r.missDurSum),
-			MissCount:      r.missCount,
-			ElapsedNS:      int64(elapsed),
-			OverloadFreeze: ovFreeze,
-			Attrib:         led.Export(),
-		}
-	}
-	return res, winfo, info, nil
 }
 
 // RunReport executes cfg as the report's speculative arm and, when
@@ -786,18 +588,11 @@ func RunReport(cfg Config, withBaseline bool) (*Report, error) {
 	if withBaseline && cfg.Speculate {
 		b := cfg
 		b.Speculate = false
-		baseRes, _, _, err := runBest(b)
+		rep.Baseline, _, _, err = runBest(b)
 		if err != nil {
 			return nil, err
 		}
-		rep.Baseline = baseRes
-		if st, bt := specRes.Timing, baseRes.Timing; st != nil && bt != nil &&
-			bt.Latency.P99 > 0 && bt.Throughput > 0 {
-			rep.Relative = &Relative{
-				P99Ratio:        st.Latency.P99 / bt.Latency.P99,
-				ThroughputRatio: st.Throughput / bt.Throughput,
-			}
-		}
+		rep.Relative = relative(rep.Spec, rep.Baseline)
 	}
 	return rep, nil
 }
@@ -824,288 +619,10 @@ func runBest(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
 	return res, winfo, cinfo, nil
 }
 
-// sessionGap applies the request-count session purge; callers own the
-// client (dispatcher during warmup, the owning worker afterwards).
-func (r *run) sessionGap(cl *Client) {
-	if r.cfg.SessionGapRequests > 0 && cl.sinceSession >= r.cfg.SessionGapRequests {
-		cl.c.EndSession()
-		cl.sinceSession = 0
-	}
-	cl.sinceSession++
-}
-
 // workerOf assigns a client to a worker by stable hash, so the partition
 // does not depend on trace position or map order.
 func workerOf(id trace.ClientID, workers int) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(id))
 	return int(h.Sum32() % uint32(workers))
-}
-
-// closedWorkerStream walks the worker's own merged client streams
-// back-to-back, discarding the first skip requests (the warmup prefix,
-// already replayed sequentially — regeneration is how the streamed drive
-// avoids ever buffering it). The request sequence equals the
-// materialized worker's queue by the canonical-order restriction
-// property.
-func (r *run) closedWorkerStream(s trace.Stream, skip int, rng *stats.RNG) *workerResult {
-	res := &workerResult{hist: NewHist()}
-	for i := 0; ; i++ {
-		req, ok := s.Next()
-		if !ok {
-			break
-		}
-		if i < skip {
-			continue
-		}
-		cl := r.clients[req.Client]
-		r.sessionGap(cl)
-		if d := r.think(rng); d > 0 {
-			time.Sleep(d)
-		}
-		start := time.Now()
-		_, fromCache, err := cl.c.Get(req.Path)
-		res.observe(time.Since(start), fromCache, err)
-	}
-	return res
-}
-
-// closedWorker walks its queue back-to-back with optional think time.
-func (r *run) closedWorker(tr *trace.Trace, queue []int, rng *stats.RNG) *workerResult {
-	res := &workerResult{hist: NewHist()}
-	for _, idx := range queue {
-		req := &tr.Requests[idx]
-		cl := r.clients[req.Client]
-		r.sessionGap(cl)
-		if d := r.think(rng); d > 0 {
-			time.Sleep(d)
-		}
-		start := time.Now()
-		_, fromCache, err := cl.c.Get(req.Path)
-		res.observe(time.Since(start), fromCache, err)
-	}
-	return res
-}
-
-func (r *run) think(rng *stats.RNG) time.Duration {
-	d := r.cfg.Think
-	if j := r.cfg.ThinkJitter; j > 0 {
-		d += time.Duration(rng.Float64() * float64(j))
-	}
-	return d
-}
-
-func (res *workerResult) observe(d time.Duration, fromCache bool, err error) {
-	if err != nil {
-		if !errors.Is(err, httpspec.ErrShed) {
-			res.errors++
-		}
-		return
-	}
-	res.hist.Observe(d)
-	if !fromCache {
-		res.missDurSum += d
-		res.missCount++
-	}
-}
-
-// openItem is one paced arrival.
-type openItem struct {
-	idx int
-	at  time.Time
-}
-
-// runOpenLoop paces arrivals at Rate/Burst and hands each to its owning
-// worker; workers drain their channels sequentially, so per-client order
-// holds while the dispatcher never waits for responses. Latency is
-// charged from the scheduled arrival time.
-func (r *run) runOpenLoop(tr *trace.Trace, queues [][]int, results []*workerResult) {
-	cfg := r.cfg
-	interval := time.Duration(float64(cfg.Burst) / cfg.Rate * float64(time.Second))
-	chans := make([]chan openItem, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		chans[w] = make(chan openItem, len(queues[w])+1)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			res := &workerResult{hist: NewHist()}
-			for it := range chans[w] {
-				req := &tr.Requests[it.idx]
-				cl := r.clients[req.Client]
-				r.sessionGap(cl)
-				_, fromCache, err := cl.c.Get(req.Path)
-				res.observe(time.Since(it.at), fromCache, err)
-			}
-			results[w] = res
-		}(w)
-	}
-	next := time.Now()
-	dispatched := 0
-	// Walk measurement requests in global order for pacing.
-	total := 0
-	for _, q := range queues {
-		total += len(q)
-	}
-	cursor := make([]int, cfg.Workers)
-	// Reconstruct global order by merging queue indexes (they are
-	// already globally ordered within each queue; the overall global
-	// order is by trace index).
-	for dispatched < total {
-		best, bestIdx := -1, -1
-		for w := 0; w < cfg.Workers; w++ {
-			if cursor[w] < len(queues[w]) {
-				if idx := queues[w][cursor[w]]; bestIdx == -1 || idx < bestIdx {
-					best, bestIdx = w, idx
-				}
-			}
-		}
-		if dispatched > 0 && dispatched%cfg.Burst == 0 {
-			next = next.Add(interval)
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		chans[best] <- openItem{idx: bestIdx, at: next}
-		cursor[best]++
-		dispatched++
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-}
-
-// openReq is one paced arrival carried by value — the streamed open loop
-// never holds more than the bounded channel buffers.
-type openReq struct {
-	req trace.Request
-	at  time.Time
-}
-
-// openStreamBuffer bounds each worker's in-flight arrival queue in the
-// streamed open loop. The dispatcher blocks when a worker falls this far
-// behind; latency is still charged from the scheduled arrival time, so a
-// stall surfaces as queueing delay, never as coordinated omission.
-const openStreamBuffer = 1024
-
-// runOpenLoopStream paces arrivals straight off the canonical merged
-// stream: discard the warmup prefix (already replayed), then hand each
-// in-shard request to its owning worker at Rate/Burst. Memory is
-// O(workers · openStreamBuffer) instead of O(trace).
-func (r *run) runOpenLoopStream(s trace.Stream, skip int, results []*workerResult) {
-	cfg := r.cfg
-	interval := time.Duration(float64(cfg.Burst) / cfg.Rate * float64(time.Second))
-	chans := make([]chan openReq, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		chans[w] = make(chan openReq, openStreamBuffer)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			res := &workerResult{hist: NewHist()}
-			for it := range chans[w] {
-				cl := r.clients[it.req.Client]
-				r.sessionGap(cl)
-				_, fromCache, err := cl.c.Get(it.req.Path)
-				res.observe(time.Since(it.at), fromCache, err)
-			}
-			results[w] = res
-		}(w)
-	}
-	next := time.Now()
-	dispatched := 0
-	for i := 0; ; i++ {
-		req, ok := s.Next()
-		if !ok {
-			break
-		}
-		if i < skip || !r.cfg.inShard(req.Client) {
-			continue
-		}
-		if dispatched > 0 && dispatched%cfg.Burst == 0 {
-			next = next.Add(interval)
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		chans[workerOf(req.Client, cfg.Workers)] <- openReq{req: req, at: next}
-		dispatched++
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-}
-
-// aggregate folds worker ledgers and client counters into the Result.
-func (r *run) aggregate(results []*workerResult, elapsed time.Duration, warmupErrors int64) *Result {
-	hist := NewHist()
-	var errors, missCount int64
-	var missDurSum time.Duration
-	for _, wr := range results {
-		if wr == nil {
-			continue
-		}
-		hist.Merge(wr.hist)
-		errors += wr.errors
-		missDurSum += wr.missDurSum
-		missCount += wr.missCount
-	}
-	r.aggHist, r.missDurSum, r.missCount = hist, missDurSum, missCount
-
-	var c Counts
-	c.Errors = errors
-	for _, id := range r.order {
-		cl := r.clients[id]
-		cs, ws := cl.c.Stats(), cl.warmup
-		c.Requests += cs.Fetches - ws.Fetches
-		c.CacheHits += cs.CacheHits - ws.CacheHits
-		c.SpecHits += cs.SpecHits - ws.SpecHits
-		c.Pushed += cs.Pushed - ws.Pushed
-		c.Prefetched += cs.Prefetched - ws.Prefetched
-		c.Shed += cs.Shed - ws.Shed
-		c.Retries += cs.Retries - ws.Retries
-		c.StaleServes += cs.StaleServes - ws.StaleServes
-		c.BytesIn += cs.BytesIn - ws.BytesIn
-		c.DemandBytes += cs.DemandBytes - ws.DemandBytes
-		c.MissBytes += cs.MissBytes - ws.MissBytes
-		c.SpecHitBytes += cs.SpecHitBytes - ws.SpecHitBytes
-	}
-	c.BaselineBytes = c.MissBytes + c.SpecHitBytes
-	c.WarmupErrors = warmupErrors
-
-	ratios := Ratios{
-		Bandwidth:    ratio(float64(c.BytesIn), float64(c.BaselineBytes)),
-		ServerLoad:   ratio(float64(c.Requests-c.CacheHits+c.Prefetched), float64(c.Requests-c.CacheHits+c.SpecHits)),
-		ByteMissRate: ratio(float64(c.MissBytes), float64(c.BaselineBytes)),
-	}
-
-	timing := &Timing{
-		DurationSeconds: elapsed.Seconds(),
-		Latency:         quantiles(hist),
-		Histogram:       hist.Buckets(),
-		ServiceTime:     1,
-	}
-	if elapsed > 0 {
-		timing.Throughput = float64(hist.Count()) / elapsed.Seconds()
-	}
-	if n := hist.Count(); n > 0 {
-		var meanMiss time.Duration
-		if missCount > 0 {
-			meanMiss = missDurSum / time.Duration(missCount)
-		}
-		observed := float64(hist.sum)
-		baseline := observed + float64(c.SpecHits)*float64(meanMiss)
-		timing.ServiceTime = ratio(observed, baseline)
-	}
-
-	return &Result{Counts: c, Ratios: ratios, Timing: timing}
-}
-
-func ratio(spec, baseline float64) float64 {
-	if baseline <= 0 {
-		return 1
-	}
-	return spec / baseline
 }

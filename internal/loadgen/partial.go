@@ -4,26 +4,30 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"time"
 
 	"specweb/internal/attrib"
 	"specweb/internal/httpspec"
+	"specweb/internal/overload"
 )
 
 // PartialSchema versions the partial-report wire layout exchanged
 // between specbench workers and the coordinator.
-const PartialSchema = "specbench-partial/1"
+const PartialSchema = "specbench-partial/2"
 
-// PartialArm is one arm's shard-local outcome in raw, mergeable form:
-// measurement counts restricted to the shard's clients, the exported
-// histogram, the miss accumulators behind the service-time ratio, the
-// raw attribution export, and the overload freeze/end snapshots. Every
-// field is either a commutative sum over the shard's clients or (for
-// warmup-derived values) identical across shards, which is what makes
-// MergePartials exact.
+// PartialArm is one arm's outcome in raw, mergeable form: the clients'
+// summed measurement-phase counters, the workers' error count, the
+// exported histogram, the miss accumulators behind the service-time
+// ratio, the raw attribution export, and the overload freeze/end
+// snapshots. Every field is either a commutative sum over the arm's
+// clients or (for warmup-derived values) identical across shards, which
+// is what makes MergePartials exact. One process's own Result is computed
+// from its PartialArm too (result), so a single-process report is by
+// construction the merge of one partial.
 type PartialArm struct {
-	Counts         Counts                        `json:"counts"`
+	Stats          httpspec.ClientStats          `json:"stats"`
+	Errors         int64                         `json:"errors"`
+	WarmupErrors   int64                         `json:"warmup_errors"`
 	Hist           HistState                     `json:"hist"`
 	MissDurNS      int64                         `json:"miss_dur_ns"`
 	MissCount      int64                         `json:"miss_count"`
@@ -31,6 +35,45 @@ type PartialArm struct {
 	Attrib         *attrib.Export                `json:"attrib,omitempty"`
 	OverloadFreeze *httpspec.ServerOverloadStats `json:"overload_freeze,omitempty"`
 	OverloadEnd    *httpspec.ServerOverloadStats `json:"overload_end,omitempty"`
+}
+
+// result computes the arm's Counts, Ratios and Timing from its raw state
+// and hist, the imported form of a.Hist — the one place a Result is
+// derived, for one process's workers and for merged shards alike.
+func (a *PartialArm) result(hist *Hist) *Result {
+	s := a.Stats
+	pr := s.PaperRatios(float64(hist.sum), float64(a.MissDurNS), a.MissCount)
+	elapsed := time.Duration(a.ElapsedNS)
+	timing := &Timing{
+		DurationSeconds: elapsed.Seconds(),
+		Latency:         quantiles(hist),
+		ServiceTime:     pr.ServiceTime,
+		Histogram:       hist.Buckets(),
+	}
+	if elapsed > 0 {
+		timing.Throughput = float64(hist.Count()) / elapsed.Seconds()
+	}
+	return &Result{
+		Counts: Counts{
+			Requests:      s.Fetches,
+			WarmupErrors:  a.WarmupErrors,
+			CacheHits:     s.CacheHits,
+			SpecHits:      s.SpecHits,
+			Pushed:        s.Pushed,
+			Prefetched:    s.Prefetched,
+			Errors:        a.Errors,
+			Shed:          s.Shed,
+			Retries:       s.Retries,
+			StaleServes:   s.StaleServes,
+			BytesIn:       s.BytesIn,
+			DemandBytes:   s.DemandBytes,
+			MissBytes:     s.MissBytes,
+			SpecHitBytes:  s.SpecHitBytes,
+			BaselineBytes: s.BaselineBytes(),
+		},
+		Ratios: Ratios{Bandwidth: pr.Bandwidth, ServerLoad: pr.ServerLoad, ByteMissRate: pr.ByteMissRate},
+		Timing: timing,
+	}
 }
 
 // Partial is one worker process's report over its client shard. A
@@ -55,9 +98,7 @@ func RunPartial(cfg Config, withBaseline bool) (*Partial, error) {
 	if shards <= 0 {
 		shards = 1
 	}
-	var raw armRaw
-	cfg.raw = &raw
-	res, winfo, cinfo, err := Run(cfg)
+	_, arm, winfo, cinfo, err := runArm(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -67,34 +108,18 @@ func RunPartial(cfg Config, withBaseline bool) (*Partial, error) {
 		ShardCount: shards,
 		Config:     cinfo,
 		Workload:   *winfo,
-		Spec:       partialArm(res, raw),
+		Spec:       arm,
 	}
 	if withBaseline && cfg.Speculate {
 		b := cfg
 		b.Speculate = false
-		var braw armRaw
-		b.raw = &braw
-		bres, _, _, err := Run(b)
+		_, barm, _, _, err := runArm(b)
 		if err != nil {
 			return nil, err
 		}
-		arm := partialArm(bres, braw)
-		p.Baseline = &arm
+		p.Baseline = &barm
 	}
 	return p, nil
-}
-
-func partialArm(res *Result, raw armRaw) PartialArm {
-	return PartialArm{
-		Counts:         res.Counts,
-		Hist:           raw.Hist,
-		MissDurNS:      raw.MissDurNS,
-		MissCount:      raw.MissCount,
-		ElapsedNS:      raw.ElapsedNS,
-		Attrib:         raw.Attrib,
-		OverloadFreeze: raw.OverloadFreeze,
-		OverloadEnd:    res.Overload,
-	}
 }
 
 // MergePartials folds one partial per shard into the full BENCH Report.
@@ -169,38 +194,27 @@ func MergePartials(parts []*Partial) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if st, bt := rep.Spec.Timing, rep.Baseline.Timing; st != nil && bt != nil &&
-			bt.Latency.P99 > 0 && bt.Throughput > 0 {
-			rep.Relative = &Relative{
-				P99Ratio:        st.Latency.P99 / bt.Latency.P99,
-				ThroughputRatio: st.Throughput / bt.Throughput,
-			}
-		}
+		rep.Relative = relative(rep.Spec, rep.Baseline)
 	}
 
 	// The coordinator's own heap snapshot stands in for the per-process
 	// memory lines (wall-clock section; never part of the fingerprint).
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	for _, res := range []*Result{rep.Spec, rep.Baseline} {
-		if res != nil && res.Timing != nil {
-			res.Timing.Memory = &MemoryInfo{HeapAllocBytes: ms.HeapAlloc, SysBytes: ms.Sys}
-		}
+	mem := heapNow()
+	rep.Spec.Timing.Memory = mem
+	if rep.Baseline != nil {
+		rep.Baseline.Timing.Memory = mem
 	}
 	return rep, nil
 }
 
-// mergeArms reconstructs one arm's Result from its shard partials using
-// the single-process aggregate formulas over the merged raw state.
+// mergeArms reconstructs one arm's Result from its shard partials: sum
+// the raw state, then derive the Result from the sum exactly as a single
+// process derives it from its own.
 func mergeArms(arms []PartialArm) (*Result, error) {
 	var (
-		c         Counts
-		missDur   time.Duration
-		missCount int64
-		elapsed   time.Duration
-		exports   []*attrib.Export
-		haveAttr  bool
+		sum      PartialArm
+		exports  []*attrib.Export
+		haveAttr bool
 	)
 	hist := NewHist()
 	for i, a := range arms {
@@ -209,65 +223,25 @@ func mergeArms(arms []PartialArm) (*Result, error) {
 			return nil, err
 		}
 		hist.Merge(h)
-		missDur += time.Duration(a.MissDurNS)
-		missCount += a.MissCount
-		if e := time.Duration(a.ElapsedNS); e > elapsed {
-			elapsed = e
+		sum.Stats = sum.Stats.Add(a.Stats)
+		sum.Errors += a.Errors
+		sum.MissDurNS += a.MissDurNS
+		sum.MissCount += a.MissCount
+		if a.ElapsedNS > sum.ElapsedNS {
+			sum.ElapsedNS = a.ElapsedNS
 		}
 		if i == 0 {
-			c.WarmupErrors = a.Counts.WarmupErrors
-		} else if a.Counts.WarmupErrors != c.WarmupErrors {
+			sum.WarmupErrors = a.WarmupErrors
+		} else if a.WarmupErrors != sum.WarmupErrors {
 			return nil, fmt.Errorf("loadgen: shards disagree on warmup errors (%d vs %d) — warmup replays diverged",
-				a.Counts.WarmupErrors, c.WarmupErrors)
+				a.WarmupErrors, sum.WarmupErrors)
 		}
-		c.Requests += a.Counts.Requests
-		c.CacheHits += a.Counts.CacheHits
-		c.SpecHits += a.Counts.SpecHits
-		c.Pushed += a.Counts.Pushed
-		c.Prefetched += a.Counts.Prefetched
-		c.Errors += a.Counts.Errors
-		c.Shed += a.Counts.Shed
-		c.Retries += a.Counts.Retries
-		c.StaleServes += a.Counts.StaleServes
-		c.BytesIn += a.Counts.BytesIn
-		c.DemandBytes += a.Counts.DemandBytes
-		c.MissBytes += a.Counts.MissBytes
-		c.SpecHitBytes += a.Counts.SpecHitBytes
 		if a.Attrib != nil {
 			haveAttr = true
 		}
 		exports = append(exports, a.Attrib)
 	}
-	c.BaselineBytes = c.MissBytes + c.SpecHitBytes
-
-	res := &Result{
-		Counts: c,
-		Ratios: Ratios{
-			Bandwidth:    ratio(float64(c.BytesIn), float64(c.BaselineBytes)),
-			ServerLoad:   ratio(float64(c.Requests-c.CacheHits+c.Prefetched), float64(c.Requests-c.CacheHits+c.SpecHits)),
-			ByteMissRate: ratio(float64(c.MissBytes), float64(c.BaselineBytes)),
-		},
-	}
-	timing := &Timing{
-		DurationSeconds: elapsed.Seconds(),
-		Latency:         quantiles(hist),
-		Histogram:       hist.Buckets(),
-		ServiceTime:     1,
-	}
-	if elapsed > 0 {
-		timing.Throughput = float64(hist.Count()) / elapsed.Seconds()
-	}
-	if hist.Count() > 0 {
-		var meanMiss time.Duration
-		if missCount > 0 {
-			meanMiss = missDur / time.Duration(missCount)
-		}
-		observed := float64(hist.sum)
-		baseline := observed + float64(c.SpecHits)*float64(meanMiss)
-		timing.ServiceTime = ratio(observed, baseline)
-	}
-	res.Timing = timing
-
+	res := sum.result(hist)
 	if haveAttr {
 		rep, err := attrib.MergeExports(exports, attribTopDocs)
 		if err != nil {
@@ -279,29 +253,22 @@ func mergeArms(arms []PartialArm) (*Result, error) {
 	return res, nil
 }
 
-// mergeOverload reconstructs the single-process overload stats: the
-// warmup-boundary freeze snapshot is identical across shards (every
-// shard replays the full warmup under the frozen virtual clock), the
-// measurement-phase counter deltas partition by shard, and the gauges
-// and governor state come from shard 0's end snapshot.
+// mergeOverload reconstructs the single-process overload stats. The
+// warmup-boundary freeze snapshot is identical across shards (every shard
+// replays the full warmup under the frozen virtual clock) and the
+// measurement-phase counter deltas partition by shard, so shard 0's end
+// snapshot — freeze plus its own delta, and the source of the gauges and
+// governor state — needs only the other shards' deltas added.
 func mergeOverload(arms []PartialArm) *httpspec.ServerOverloadStats {
-	first := arms[0].OverloadEnd
-	if first == nil {
+	if arms[0].OverloadEnd == nil {
 		return nil
 	}
-	out := *first
+	out := *arms[0].OverloadEnd
 	if out.Admission != nil {
 		adm := *out.Admission
 		out.Admission = &adm
 	}
-	fz := arms[0].OverloadFreeze
-	if fz == nil || len(arms) == 1 {
-		return &out
-	}
-	out.PushesSuppressed = fz.PushesSuppressed
-	out.EmbedsSuppressed = fz.EmbedsSuppressed
-	out.DemandShed = fz.DemandShed
-	for _, a := range arms {
+	for _, a := range arms[1:] {
 		e, f := a.OverloadEnd, a.OverloadFreeze
 		if e == nil || f == nil {
 			continue
@@ -309,25 +276,17 @@ func mergeOverload(arms []PartialArm) *httpspec.ServerOverloadStats {
 		out.PushesSuppressed += e.PushesSuppressed - f.PushesSuppressed
 		out.EmbedsSuppressed += e.EmbedsSuppressed - f.EmbedsSuppressed
 		out.DemandShed += e.DemandShed - f.DemandShed
-	}
-	if out.Admission != nil && fz.Admission != nil {
-		d, s := fz.Admission.Demand, fz.Admission.Speculative
-		for _, a := range arms {
-			if a.OverloadEnd == nil || a.OverloadEnd.Admission == nil ||
-				a.OverloadFreeze == nil || a.OverloadFreeze.Admission == nil {
-				continue
-			}
-			ea, fa := a.OverloadEnd.Admission, a.OverloadFreeze.Admission
-			d.Admitted += ea.Demand.Admitted - fa.Demand.Admitted
-			d.Rejected += ea.Demand.Rejected - fa.Demand.Rejected
-			d.Queued += ea.Demand.Queued - fa.Demand.Queued
-			s.Admitted += ea.Speculative.Admitted - fa.Speculative.Admitted
-			s.Rejected += ea.Speculative.Rejected - fa.Speculative.Rejected
-			s.Queued += ea.Speculative.Queued - fa.Speculative.Queued
+		if out.Admission != nil && e.Admission != nil && f.Admission != nil {
+			addDelta(&out.Admission.Demand, e.Admission.Demand, f.Admission.Demand)
+			addDelta(&out.Admission.Speculative, e.Admission.Speculative, f.Admission.Speculative)
 		}
-		d.Inflight, d.Waiting = out.Admission.Demand.Inflight, out.Admission.Demand.Waiting
-		s.Inflight, s.Waiting = out.Admission.Speculative.Inflight, out.Admission.Speculative.Waiting
-		out.Admission.Demand, out.Admission.Speculative = d, s
 	}
 	return &out
+}
+
+// addDelta adds one class's admission activity between two snapshots.
+func addDelta(dst *overload.ClassStats, end, freeze overload.ClassStats) {
+	dst.Admitted += end.Admitted - freeze.Admitted
+	dst.Rejected += end.Rejected - freeze.Rejected
+	dst.Queued += end.Queued - freeze.Queued
 }

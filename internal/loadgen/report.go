@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 
 	"specweb/internal/attrib"
 	"specweb/internal/checkpoint"
@@ -198,6 +199,27 @@ type Relative struct {
 	ThroughputRatio float64 `json:"throughput_ratio"`
 }
 
+// relative compares two arms' wall-clock sections; nil when the baseline
+// has nothing to divide by.
+func relative(spec, baseline *Result) *Relative {
+	st, bt := spec.Timing, baseline.Timing
+	if st == nil || bt == nil || bt.Latency.P99 <= 0 || bt.Throughput <= 0 {
+		return nil
+	}
+	return &Relative{
+		P99Ratio:        st.Latency.P99 / bt.Latency.P99,
+		ThroughputRatio: st.Throughput / bt.Throughput,
+	}
+}
+
+// heapNow forces a collection and snapshots the process heap.
+func heapNow() *MemoryInfo {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return &MemoryInfo{HeapAllocBytes: ms.HeapAlloc, SysBytes: ms.Sys}
+}
+
 // quantiles extracts the report percentiles from a histogram.
 func quantiles(h *Hist) Quantiles {
 	ms := func(d float64) float64 { return d / 1e6 }
@@ -261,34 +283,11 @@ type CompareOptions struct {
 // where the baseline had none; the arm-relative p99 and throughput
 // ratios may not regress by more than the tolerance.
 func Compare(baseline, current *Report, opt CompareOptions) []string {
-	if opt.TolerancePct <= 0 {
-		opt.TolerancePct = 10
-	}
 	if opt.LatencySlackMS <= 0 {
 		opt.LatencySlackMS = 0.75
 	}
-	tol := opt.TolerancePct / 100
-	var v []string
-	fail := func(format string, args ...any) {
-		v = append(v, fmt.Sprintf(format, args...))
-	}
-	if baseline.Schema != current.Schema {
-		fail("schema changed: %s -> %s", baseline.Schema, current.Schema)
-	}
-
-	relDrift := func(name string, base, cur float64) {
-		if base == 0 && cur == 0 {
-			return
-		}
-		den := math.Abs(base)
-		if den == 0 {
-			den = 1
-		}
-		if d := math.Abs(cur-base) / den; d > tol {
-			fail("%s drifted %.1f%% (baseline %.6g, current %.6g, tolerance %.0f%%)",
-				name, d*100, base, cur, opt.TolerancePct)
-		}
-	}
+	g := newGate(opt.TolerancePct, baseline.Schema, current.Schema)
+	fail, relDrift, tol := g.fail, g.drift, g.tolerancePct/100
 	// Latency-style: regression only (higher is worse), with the
 	// absolute slack floor.
 	latWorse := func(name string, base, cur float64) {
@@ -345,5 +344,43 @@ func Compare(baseline, current *Report, opt CompareOptions) []string {
 				b.ThroughputRatio, c.ThroughputRatio)
 		}
 	}
-	return v
+	return g.v
+}
+
+// gate collects the violations of one baseline-vs-current comparison.
+type gate struct {
+	tolerancePct float64
+	v            []string
+}
+
+// newGate defaults the tolerance (10%) and requires matching schemas.
+func newGate(tolerancePct float64, baseSchema, curSchema string) *gate {
+	if tolerancePct <= 0 {
+		tolerancePct = 10
+	}
+	g := &gate{tolerancePct: tolerancePct}
+	if baseSchema != curSchema {
+		g.fail("schema changed: %s -> %s", baseSchema, curSchema)
+	}
+	return g
+}
+
+func (g *gate) fail(format string, args ...any) {
+	g.v = append(g.v, fmt.Sprintf(format, args...))
+}
+
+// drift fails when cur moved away from base, relative to |base|, by more
+// than the tolerance.
+func (g *gate) drift(name string, base, cur float64) {
+	if base == 0 && cur == 0 {
+		return
+	}
+	den := math.Abs(base)
+	if den == 0 {
+		den = 1
+	}
+	if d := math.Abs(cur-base) / den; d > g.tolerancePct/100 {
+		g.fail("%s drifted %.1f%% (baseline %.6g, current %.6g, tolerance %.0f%%)",
+			name, d*100, base, cur, g.tolerancePct)
+	}
 }

@@ -7,14 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"specweb/internal/checkpoint"
 	"specweb/internal/httpspec"
-	"specweb/internal/stats"
-	"specweb/internal/trace"
 )
 
 // The kill/restart chaos harness: one arm's measurement phase is split
@@ -120,114 +116,87 @@ func (s *switchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	(*s.h.Load()).ServeHTTP(w, r)
 }
 
-// runRestart drives the split measurement: phase 1 up to the crash
-// index, the crash/recovery barrier, then phase 2. All phase-1 workers
-// have joined before the swap, so no request is ever in flight across
-// the crash — demand traffic is never dropped, which the invariant
-// checks then assert as zero phase errors.
-func (r *run) runRestart(tr *trace.Trace, warmN, n int, rst *RestartConfig,
-	ck *checkpoint.Store, swap *switchHandler, rebuild func() (*httpspec.Server, error),
-	freezeAt time.Time, root *stats.RNG) (*RestartInfo, []*workerResult, error) {
+// runRestart drives the split measurement: every lane up to the crash
+// cut, the crash/recovery barrier, then every lane to its end. All
+// phase-1 workers have joined before the swap, so no request is ever in
+// flight across the crash — demand traffic is never dropped, which the
+// invariant checks then assert as zero phase errors.
+func (r *run) runRestart(cut *cutter, lanes []*lane) (*RestartInfo, error) {
+	rst := r.cfg.Restart
+	measured := r.n - r.warmN
+	crashIdx := int(rst.CrashFraction * float64(measured))
 
-	crashIdx := warmN + int(rst.CrashFraction*float64(n-warmN))
-	q1 := make([][]int, r.cfg.Workers)
-	q2 := make([][]int, r.cfg.Workers)
-	for i := warmN; i < n; i++ {
-		w := workerOf(tr.Requests[i].Client, r.cfg.Workers)
-		if i < crashIdx {
-			q1[w] = append(q1[w], i)
-		} else {
-			q2[w] = append(q2[w], i)
-		}
-	}
-
-	res1 := r.closedPhase(tr, q1, root, "p1")
-	for _, id := range r.order {
-		cl := r.clients[id]
-		cl.crash = cl.c.Stats()
-	}
-
+	r.closedLoop(lanes, cut.advance(r.warmN+crashIdx, nil))
+	atCrash, errs1 := r.clientTotals(), r.errors()
 	if rst.Mode != RestartNone {
-		// Crash: the old server is abandoned, not shut down. A real
-		// SIGKILL leaves exactly this — no drain, no final checkpoint.
-		if rst.CorruptNewest {
-			// A second frame of the same frozen state, so corrupting the
-			// newest still leaves a last-good frame to fall back to.
-			if err := r.srv.Engine().CheckpointNow(freezeAt); err != nil {
-				return nil, nil, err
-			}
-			if err := corruptNewestFrame(rst.StateDir); err != nil {
-				return nil, nil, err
-			}
+		if err := r.crash(); err != nil {
+			return nil, err
 		}
-		srvB, err := rebuild()
-		if err != nil {
-			return nil, nil, err
-		}
-		switch rst.Mode {
-		case RestartWarm:
-			snap, _, err := ck.Load()
-			if err != nil {
-				return nil, nil, err
-			}
-			if snap != nil {
-				if err := srvB.Engine().WarmStart(snap, freezeAt); err != nil {
-					ck.NoteColdStart()
-				}
-			}
-		case RestartCold:
-			ck.NoteColdStart() // recovery deliberately skipped
-		}
-		swap.set(srvB)
 	}
+	r.closedLoop(lanes, nil)
 
-	res2 := r.closedPhase(tr, q2, root, "p2")
-
-	ri := &RestartInfo{
+	return &RestartInfo{
 		Mode:          rst.Mode,
 		CrashFraction: rst.CrashFraction,
-		CrashIndex:    crashIdx - warmN,
-	}
-	for _, id := range r.order {
-		cl := r.clients[id]
-		ws, cs, fs := cl.warmup, cl.crash, cl.c.Stats()
-		ri.Phase1.Requests += cs.Fetches - ws.Fetches
-		ri.Phase1.CacheHits += cs.CacheHits - ws.CacheHits
-		ri.Phase1.SpecHits += cs.SpecHits - ws.SpecHits
-		ri.Phase2.Requests += fs.Fetches - cs.Fetches
-		ri.Phase2.CacheHits += fs.CacheHits - cs.CacheHits
-		ri.Phase2.SpecHits += fs.SpecHits - cs.SpecHits
-	}
-	for _, wr := range res1 {
-		ri.Phase1.Errors += wr.errors
-	}
-	for _, wr := range res2 {
-		ri.Phase2.Errors += wr.errors
-	}
-	if ri.Phase1.Requests > 0 {
-		ri.Phase1.Interception = float64(ri.Phase1.SpecHits) / float64(ri.Phase1.Requests)
-	}
-	if ri.Phase2.Requests > 0 {
-		ri.Phase2.Interception = float64(ri.Phase2.SpecHits) / float64(ri.Phase2.Requests)
-	}
-	return ri, append(res1, res2...), nil
+		CrashIndex:    crashIdx,
+		Phase1:        phaseCounts(atCrash.Sub(r.frozen), errs1),
+		Phase2:        phaseCounts(r.clientTotals().Sub(atCrash), r.errors()-errs1),
+	}, nil
 }
 
-// closedPhase runs one phase's queues to completion on worker
-// goroutines and returns their ledgers.
-func (r *run) closedPhase(tr *trace.Trace, queues [][]int, root *stats.RNG, tag string) []*workerResult {
-	results := make([]*workerResult, r.cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			results[w] = r.closedWorker(tr, queues[w],
-				root.Split(fmt.Sprintf("worker-%d-%s", w, tag)))
-		}(w)
+// crash abandons the running server — not shut down: a real SIGKILL
+// leaves exactly this, no drain, no final checkpoint — and swaps in a
+// fresh stack that knows what the restart mode lets it recover.
+func (r *run) crash() error {
+	rst := r.cfg.Restart
+	if rst.CorruptNewest {
+		// A second frame of the same frozen state, so corrupting the
+		// newest still leaves a last-good frame to fall back to.
+		if err := r.srv.Engine().CheckpointNow(r.freezeAt); err != nil {
+			return err
+		}
+		if err := corruptNewestFrame(rst.StateDir); err != nil {
+			return err
+		}
 	}
-	wg.Wait()
-	return results
+	srvB, err := r.newServer()
+	if err != nil {
+		return err
+	}
+	switch rst.Mode {
+	case RestartWarm:
+		snap, _, err := r.ckstore.Load()
+		if err != nil {
+			return err
+		}
+		if snap != nil {
+			if err := srvB.Engine().WarmStart(snap, r.freezeAt); err != nil {
+				r.ckstore.NoteColdStart()
+			}
+		}
+	case RestartCold:
+		r.ckstore.NoteColdStart() // recovery deliberately skipped
+	}
+	r.swap.set(srvB)
+	return nil
+}
+
+// errors sums the workers' error counts so far.
+func (r *run) errors() int64 {
+	var n int64
+	for _, wr := range r.results {
+		n += wr.errors
+	}
+	return n
+}
+
+// phaseCounts renders one phase's client-counter delta.
+func phaseCounts(d httpspec.ClientStats, errors int64) PhaseCounts {
+	pc := PhaseCounts{Requests: d.Fetches, CacheHits: d.CacheHits, SpecHits: d.SpecHits, Errors: errors}
+	if pc.Requests > 0 {
+		pc.Interception = float64(pc.SpecHits) / float64(pc.Requests)
+	}
+	return pc
 }
 
 // corruptNewestFrame flips one payload byte in the newest checkpoint
@@ -410,37 +379,8 @@ func CheckRestartInvariants(rep *RestartReport) []string {
 // baseline: deterministic per-phase counts within tolerancePct,
 // checkpoint counters exactly equal.
 func CompareRestart(baseline, current *RestartReport, tolerancePct float64) []string {
-	if tolerancePct <= 0 {
-		tolerancePct = 10
-	}
-	tol := tolerancePct / 100
-	var v []string
-	fail := func(format string, args ...any) {
-		v = append(v, fmt.Sprintf(format, args...))
-	}
-	if baseline.Schema != current.Schema {
-		fail("schema changed: %s -> %s", baseline.Schema, current.Schema)
-	}
-	drift := func(name string, base, cur float64) {
-		if base == 0 && cur == 0 {
-			return
-		}
-		den := base
-		if den < 0 {
-			den = -den
-		}
-		if den == 0 {
-			den = 1
-		}
-		d := (cur - base) / den
-		if d < 0 {
-			d = -d
-		}
-		if d > tol {
-			fail("%s drifted %.1f%% (baseline %.6g, current %.6g, tolerance %.0f%%)",
-				name, d*100, base, cur, tolerancePct)
-		}
-	}
+	g := newGate(tolerancePct, baseline.Schema, current.Schema)
+	fail, drift := g.fail, g.drift
 	arm := func(name string, base, cur *Result) {
 		if base == nil || cur == nil || base.Restart == nil || cur.Restart == nil {
 			fail("%s: arm missing in one report", name)
@@ -470,5 +410,5 @@ func CompareRestart(baseline, current *RestartReport, tolerancePct float64) []st
 	arm("warm", baseline.Warm, current.Warm)
 	arm("cold", baseline.Cold, current.Cold)
 	arm("corrupt_fallback", baseline.CorruptFallback, current.CorruptFallback)
-	return v
+	return g.v
 }

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -122,5 +123,39 @@ func TestRestartConfigValidation(t *testing.T) {
 	cfg.BaseURL = "http://example.invalid"
 	if _, _, _, err := Run(cfg); err == nil {
 		t.Fatal("network-mode restart accepted")
+	}
+}
+
+// TestRestartStreamConformance: the restart harness rides the same lanes
+// whichever source feeds them, so each crashing arm driven from
+// per-client cursors must reproduce — byte for byte in the deterministic
+// section, phase ledgers and checkpoint counters included — the same arm
+// driven from the materialized form of that stream, at any worker count.
+func TestRestartStreamConformance(t *testing.T) {
+	leakcheck.Check(t)
+	for _, arm := range []struct {
+		name string
+		rc   RestartConfig
+	}{
+		{"warm", RestartConfig{Mode: RestartWarm}},
+		{"cold", RestartConfig{Mode: RestartCold}},
+		{"corrupt-fallback", RestartConfig{Mode: RestartWarm, CorruptNewest: true}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := streamConfig(true, false, false)
+			cfg.Restart = &arm.rc
+			oracle := cfg
+			oracle.StreamMaterialize = true
+			want := deterministicBytes(t, oracle, 3)
+			if !bytes.Contains(want, []byte(`"phase2"`)) {
+				t.Fatalf("oracle report carries no restart ledger:\n%s", want)
+			}
+			for _, workers := range []int{1, 16} {
+				if got := deterministicBytes(t, cfg, workers); !bytes.Equal(want, got) {
+					t.Errorf("streamed restart (workers=%d) diverged from materialized oracle:\n%s\n--- vs ---\n%s",
+						workers, got, want)
+				}
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 )
 
 // ScenarioReportSchema versions the BENCH-scenarios.json layout.
@@ -182,28 +181,8 @@ func CheckScenarioInvariants(rep *ScenarioReport) []string {
 // quarantine ledger) must stay within tolerance. Wall-clock p99 is not
 // baseline-gated — CheckScenarioInvariants bounds it arm-relatively.
 func CompareScenarios(baseline, current *ScenarioReport, tolerancePct float64) []string {
-	if tolerancePct <= 0 {
-		tolerancePct = 10
-	}
-	tol := tolerancePct / 100
-	var v []string
-	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
-	if baseline.Schema != current.Schema {
-		fail("schema changed: %s -> %s", baseline.Schema, current.Schema)
-	}
-	drift := func(name string, base, cur float64) {
-		if base == 0 && cur == 0 {
-			return
-		}
-		den := math.Abs(base)
-		if den == 0 {
-			den = 1
-		}
-		if d := math.Abs(cur-base) / den; d > tol {
-			fail("%s drifted %.1f%% (baseline %.6g, current %.6g, tolerance %.0f%%)",
-				name, d*100, base, cur, tolerancePct)
-		}
-	}
+	g := newGate(tolerancePct, baseline.Schema, current.Schema)
+	fail, drift := g.fail, g.drift
 	for i := range baseline.Arms {
 		b := &baseline.Arms[i]
 		c := current.Arm(b.Name)
@@ -228,5 +207,5 @@ func CompareScenarios(baseline, current *ScenarioReport, tolerancePct float64) [
 			fail("arm %s missing from baseline suite", current.Arms[i].Name)
 		}
 	}
-	return v
+	return g.v
 }

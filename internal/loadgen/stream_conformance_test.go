@@ -159,12 +159,11 @@ func TestShardMergeIdentity(t *testing.T) {
 	}
 }
 
-// TestValidateModes pins the rejected combinations: the streamed drive
-// has no materialized trace for the restart harness, and sharded runs
-// exclude the per-process state that cannot merge.
+// TestValidateModes pins the rejected combinations: sharded runs exclude
+// the per-process state that cannot merge. The source never restricts the
+// drive, so a streamed restart run validates.
 func TestValidateModes(t *testing.T) {
 	bad := []Config{
-		{Stream: true, Restart: &RestartConfig{}},
 		{ShardIndex: 1, ShardCount: 0},
 		{ShardIndex: 2, ShardCount: 2},
 		{ShardCount: 2, Estguard: true},
@@ -177,8 +176,12 @@ func TestValidateModes(t *testing.T) {
 			t.Errorf("case %d: config %+v unexpectedly validated", i, cfg)
 		}
 	}
-	ok := Config{Stream: true, ShardIndex: 1, ShardCount: 2}
-	if err := ok.validateModes(); err != nil {
-		t.Errorf("streamed sharded config rejected: %v", err)
+	for _, ok := range []Config{
+		{Stream: true, ShardIndex: 1, ShardCount: 2},
+		{Stream: true, Restart: &RestartConfig{}},
+	} {
+		if err := ok.validateModes(); err != nil {
+			t.Errorf("config %+v rejected: %v", ok, err)
+		}
 	}
 }

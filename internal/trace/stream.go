@@ -1,6 +1,9 @@
 package trace
 
-import "container/heap"
+import (
+	"container/heap"
+	"time"
+)
 
 // Stream yields requests one at a time in canonical trace order. It is the
 // streaming counterpart of Trace.Requests: a consumer that only needs each
@@ -114,15 +117,19 @@ func Materialize(s Stream) *Trace {
 	}
 }
 
-// CountStream drains a stream, returning the request count and the
-// distinct clients in first-appearance order — the two facts the load
-// generator's sizing pass needs without holding any request.
-func CountStream(s Stream) (n int, clients []ClientID) {
+// CountStream drains a stream, returning the request count, the distinct
+// clients in first-appearance order (matching Trace.Clients) and the first
+// timestamp — the facts the load generator's sizing pass needs without
+// holding any request.
+func CountStream(s Stream) (n int, clients []ClientID, first time.Time) {
 	seen := make(map[ClientID]bool)
 	for {
 		req, ok := s.Next()
 		if !ok {
-			return n, clients
+			return n, clients, first
+		}
+		if n == 0 {
+			first = req.Time
 		}
 		n++
 		if !seen[req.Client] {

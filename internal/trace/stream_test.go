@@ -84,9 +84,12 @@ func TestMergeSubsetRestriction(t *testing.T) {
 // TestCountStream checks the sizing pass: request count plus distinct
 // clients in first-appearance order, nothing retained.
 func TestCountStream(t *testing.T) {
-	n, clients := CountStream(MergeCursors(cursorFixture()))
+	n, clients, first := CountStream(MergeCursors(cursorFixture()))
 	if n != 6 {
 		t.Errorf("count = %d, want 6", n)
+	}
+	if want := Materialize(MergeCursors(cursorFixture())).Requests[0].Time; !first.Equal(want) {
+		t.Errorf("first timestamp = %v, want %v", first, want)
 	}
 	want := []ClientID{"c.local", "a.local", "b.local"}
 	if len(clients) != len(want) {
