@@ -59,9 +59,10 @@ bench-short:
 # Hot-path micro-benchmarks under the race detector: a fixed iteration
 # count (-benchtime=100x) makes this a correctness smoke test of the
 # lock-free read path, not a timing run — it catches races and alloc
-# regressions cheaply in CI. The wire-path benchmarks each fail above their
-# own allocs/op ceiling and run without the race detector: under it
-# sync.Pool drops what is put back, and the ceiling would blame the code.
+# regressions cheaply in CI. The wire-path, round-trip and span benchmarks
+# each fail above their own allocs/op ceiling and run without the race
+# detector: under it sync.Pool drops what is put back, and the ceiling
+# would blame the code.
 bench-smoke:
 	$(GO) test -race -run '^$$' -benchtime=100x -cpu 1,4,8 \
 		-bench 'BenchmarkEngine' ./internal/core/
@@ -69,8 +70,9 @@ bench-smoke:
 		-bench 'BenchmarkClosureSerial|BenchmarkClosureParallel|BenchmarkFreeze|BenchmarkFrozenThresholdRow' \
 		./internal/markov/
 	$(GO) test -run '^$$' -benchtime=100x -benchmem \
-		-bench 'BenchmarkReadBody|BenchmarkClientIngestBundle|BenchmarkServeBundle' \
+		-bench 'BenchmarkReadBody|BenchmarkClientIngestBundle|BenchmarkServeBundle|BenchmarkServerRoundTrip' \
 		./internal/httpspec/
+	$(GO) test -run '^$$' -benchtime=100x -benchmem -bench 'BenchmarkSpan' ./internal/obs/
 
 # Deterministic load-generation benchmark (cmd/specbench). bench-run
 # writes BENCH.json; bench-gate additionally fails on regression against
@@ -165,8 +167,11 @@ fuzz-estimator:
 # Wire-format fuzzing: the header parsers must degrade garbage to safe
 # zeros, and the in-place bundle walker must never panic, never hand out a
 # slice outside its input, and agree with mime/multipart.Reader on
-# everything it accepts.
+# everything it accepts; the in-place traceparent parser must agree with
+# the strings.Split version, and the hint probability with fmt's %.3f.
 fuzz-wire:
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 15s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzAppendFixed3 -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzParsePMilli -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzIngestAttrib -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzParseLinkHint -fuzztime 15s ./internal/httpspec/

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -134,6 +135,7 @@ type cacheEntry struct {
 type Client struct {
 	cfg     ClientConfig
 	base    string
+	baseURL *url.URL // base parsed once; nil when appending a path to it is not just string concatenation
 	retrier *resilience.Retrier
 	tracer  *obs.Tracer
 
@@ -156,8 +158,53 @@ func NewClient(base string, cfg ClientConfig) *Client {
 	if retrier == nil && cfg.Retry.MaxAttempts > 1 {
 		retrier = resilience.NewRetrier(cfg.Retry)
 	}
-	return &Client{cfg: cfg, base: strings.TrimRight(base, "/"),
+	c := &Client{cfg: cfg, base: strings.TrimRight(base, "/"),
 		retrier: retrier, tracer: cfg.Tracer, cache: make(map[string]cacheEntry)}
+	// A base that is literally scheme://host[:port][/plain/prefix], which
+	// is what every caller passes, is parsed here once; anything else keeps
+	// parsing base+path per request.
+	if u, err := url.Parse(c.base); err == nil && u.Host != "" && !strings.HasSuffix(u.Host, ":") &&
+		(u.Path == "" || plainPath(u.Path)) && c.base == u.Scheme+"://"+u.Host+u.Path {
+		c.baseURL = u
+	}
+	return c
+}
+
+// plainPath reports whether path is an absolute path of unreserved
+// characters and slashes: one url.Parse would take over verbatim, with
+// nothing to unescape and no query or fragment to split off.
+func plainPath(path string) bool {
+	if path == "" || path[0] != '/' {
+		return false
+	}
+	for i := 0; i < len(path); i++ {
+		c := path[i]
+		switch {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		case c == '/', c == '.', c == '_', c == '~', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// newRequest is http.NewRequestWithContext(ctx, GET, c.base+path, nil)
+// without parsing the base again on every round trip: for a plain path the
+// request's URL is a copy of the parsed base with the path appended.
+func (c *Client) newRequest(ctx context.Context, path string) (*http.Request, error) {
+	if c.baseURL == nil || !plainPath(path) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	}
+	// The empty URL parses to an empty *url.URL, overwritten below.
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "", nil)
+	if err != nil {
+		return nil, err
+	}
+	*req.URL = *c.baseURL
+	req.URL.Path += path
+	req.Host = req.URL.Host
+	return req, nil
 }
 
 // Stats returns a snapshot of the client counters.
@@ -344,7 +391,7 @@ func (c *Client) fetch(ctx context.Context, sp *obs.ActiveSpan, path, digest, fe
 func (c *Client) fetchAllowed(ctx context.Context, sp *obs.ActiveSpan, path, digest, feedback string) ([]byte, []clientHint, error) {
 	cctx, cancel := resilience.EnsureDeadline(ctx, c.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, c.base+path, nil)
+	req, err := c.newRequest(cctx, path)
 	if err != nil {
 		return nil, nil, resilience.Permanent(err)
 	}
@@ -509,7 +556,7 @@ func (c *Client) prefetch(ctx context.Context, parent *obs.ActiveSpan, h clientH
 
 	cctx, cancel := resilience.EnsureDeadline(ctx, c.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, c.base+path, nil)
+	req, err := c.newRequest(cctx, path)
 	if err != nil {
 		return
 	}

@@ -3,6 +3,9 @@ package httpspec
 import (
 	"context"
 	"io"
+	"math"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"specweb/internal/checkpoint"
 	"specweb/internal/core"
 	"specweb/internal/leakcheck"
+	"specweb/internal/obs"
 	"specweb/internal/stats"
 	"specweb/internal/synth"
 	"specweb/internal/trace"
@@ -229,6 +234,90 @@ func TestCooperativeDigestSuppressesPush(t *testing.T) {
 	// must not push them again.
 	if got := w.server.Stats().DocsPushed; got != pushedBefore {
 		t.Errorf("server pushed %d docs the client already had", got-pushedBefore)
+	}
+}
+
+// TestRequestedDocumentNeverSpeculated: the document being served is never
+// also pushed or hinted — whatever the digest says, and even when the
+// matrix row lists it as its own successor (no estimator produces that
+// row; a warm start puts it there). The server relies on the engine for
+// this and hands it only what the client sent, so the digest counters read
+// as they always did: the requested document counts when the client names
+// it, and is never "suppressed by the digest".
+func TestRequestedDocumentNeverSpeculated(t *testing.T) {
+	for name, mode := range map[string]Mode{"push": ModePush, "hints": ModeHints, "hybrid": ModeHybrid} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			w := newWorldWithMetrics(t, mode, reg)
+			page := pageWithEmbedded(t, w.site)
+			other := w.site.Doc(page.Embedded[0])
+			p := func(v float64) uint64 { return math.Float64bits(v) }
+			err := w.server.Engine().WarmStart(&checkpoint.Snapshot{
+				Knobs: checkpoint.Knobs{Tp: 0.3, Embed: 0.8},
+				Rows: []checkpoint.Row{{Doc: int32(page.ID), Succ: []checkpoint.Succ{
+					{Doc: int32(page.ID), PBits: p(1)},
+					{Doc: int32(other.ID), PBits: p(0.9)},
+				}}},
+			}, w.clock())
+			if err != nil {
+				t.Fatal(err)
+			}
+			digestDocs := reg.Counter("specweb_server_digest_docs_total", "", nil)
+			suppressed := reg.Counter("specweb_engine_decisions_total", "", obs.Labels{"decision": "digest_suppressed"})
+
+			for _, tc := range []struct {
+				name           string
+				digest         string
+				docs, suppress int64 // what the request adds to each counter
+				wantOther      bool  // the real successor is still speculated
+			}{
+				{"no digest", "", 0, 0, true},
+				{"digest names it", page.Path, 1, 0, true},
+				{"digest names it and the successor", page.Path + " " + other.Path, 2, 1, false},
+			} {
+				docs0, supp0 := digestDocs.Value(), suppressed.Value()
+				req, _ := http.NewRequest(http.MethodGet, w.ts.URL+page.Path, nil)
+				req.Header.Set(HeaderAccept, acceptBundle)
+				if tc.digest != "" {
+					req.Header.Set(HeaderHave, tc.digest)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				speculated := map[string]int{}
+				for _, l := range resp.Header.Values("Link") {
+					if h, ok := parseLinkHint(l); ok {
+						speculated[h.path]++
+					}
+				}
+				if _, params, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); params["boundary"] != "" {
+					mr := multipart.NewReader(resp.Body, params["boundary"])
+					for {
+						part, err := mr.NextPart()
+						if err != nil {
+							break
+						}
+						if part.Header.Get(HeaderPushed) != "" {
+							speculated[part.Header.Get("Content-Location")]++
+						}
+					}
+				}
+				resp.Body.Close()
+				if n := speculated[page.Path]; n != 0 {
+					t.Errorf("%s: requested document speculated %d times", tc.name, n)
+				}
+				if got := speculated[other.Path] == 1; got != tc.wantOther {
+					t.Errorf("%s: successor speculated = %v, want %v (%v)", tc.name, got, tc.wantOther, speculated)
+				}
+				if got := digestDocs.Value() - docs0; got != tc.docs {
+					t.Errorf("%s: digest_docs_total moved by %d, want %d", tc.name, got, tc.docs)
+				}
+				if got := suppressed.Value() - supp0; got != tc.suppress {
+					t.Errorf("%s: digest_suppressed moved by %d, want %d", tc.name, got, tc.suppress)
+				}
+			}
+		})
 	}
 }
 

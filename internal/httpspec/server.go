@@ -3,6 +3,7 @@ package httpspec
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -386,9 +387,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.met.embedSuppressed.Inc()
 		sp.SetAttr("speculation", "suppressed")
 	default:
+		// The engine never speculates the requested document itself, so
+		// the digest holds only what the client sent: nil for most.
 		have := parseHave(r.Header.Get(HeaderHave), s.store)
 		s.met.digestDocs.Add(int64(len(have)))
-		have[id] = true // never push the requested document
 
 		// The engine's lock-free decision path: the pooled Decision's
 		// buffers back push/hints until the response is written, then
@@ -462,9 +464,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.respBytes.Observe(float64(written))
 	elapsed := s.now().Sub(start)
-	// The trace-ID exemplar ties the latency bucket to a concrete request
+	// The trace exemplar ties the latency bucket to a concrete request
 	// inspectable at /debug/spans?trace=….
-	s.met.latency.ObserveTrace(elapsed.Seconds(), sp.TraceID())
+	s.met.latency.ObserveSpan(elapsed.Seconds(), sp)
 	// Feed the governor the full demand-path latency (including any
 	// admission queueing): its control loop is what brings the ladder
 	// back down when this number recovers.
@@ -481,6 +483,33 @@ func appendLinkHint(dst []byte, path string, p float64) []byte {
 	dst = append(dst, '<')
 	dst = append(dst, path...)
 	dst = append(dst, `>; rel="prefetch"; spec-p=`...)
+	return appendFixed3(dst, p)
+}
+
+// appendFixed3 appends p with three decimals, byte for byte what
+// strconv.AppendFloat(dst, p, 'f', 3, 64) appends. strconv has no short
+// path for a fixed number of decimals (it converts through its big
+// decimal), so the usual case is rounded here in integers: p*1000 carries
+// a relative error of 2^-53, under 2e-10 absolute below 1e6, so once its
+// fraction is more than 1e-6 away from a half the side of the half it
+// falls on is certain. Ties and near-ties (the estimator's count/occ
+// quotients do hit exact ones, 0.0625 and 0.1875 among them, which round
+// half-even), negatives including -0, NaN and anything from 1000 up go to
+// strconv.
+func appendFixed3(dst []byte, p float64) []byte {
+	if !math.Signbit(p) && p < 1000 {
+		x := p * 1000
+		whole := math.Floor(x)
+		frac := x - whole
+		if math.Abs(frac-0.5) > 1e-6 {
+			m := uint64(whole)
+			if frac > 0.5 {
+				m++
+			}
+			dst = strconv.AppendUint(dst, m/1000, 10)
+			return append(dst, '.', byte('0'+m/100%10), byte('0'+m/10%10), byte('0'+m%10))
+		}
+	}
 	return strconv.AppendFloat(dst, p, 'f', 3, 64)
 }
 
@@ -749,7 +778,12 @@ func isRemote(c trace.ClientID) bool {
 	return !strings.HasSuffix(string(c), ".local")
 }
 
+// parseHave resolves a Spec-Have digest to document IDs; no header, no
+// map (only cooperative clients send one).
 func parseHave(header string, store Store) map[webgraph.DocID]bool {
+	if header == "" {
+		return nil
+	}
 	have := make(map[webgraph.DocID]bool)
 	for _, p := range strings.Fields(header) {
 		if id, ok := store.Lookup(p); ok {

@@ -2,14 +2,17 @@ package httpspec
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"mime"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"net/textproto"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +20,7 @@ import (
 	"unsafe"
 
 	"specweb/internal/resilience"
+	"specweb/internal/stats"
 	"specweb/internal/webgraph"
 )
 
@@ -489,6 +493,58 @@ func TestAppendLinkHintMatchesSprintf(t *testing.T) {
 			}
 		}
 	}
+
+	// The probabilities the estimator can produce and the values around
+	// every rounding boundary: the integer path and the strconv fallback
+	// together must be %.3f everywhere.
+	check := func(p float64) {
+		t.Helper()
+		var buf [64]byte
+		want := fmt.Sprintf("</a>; rel=\"prefetch\"; spec-p=%.3f", p)
+		if got := string(appendLinkHint(buf[:0], "/a", p)); got != want {
+			t.Errorf("appendLinkHint(%v [%#x]) = %q, want %q", p, math.Float64bits(p), got, want)
+		}
+	}
+	for k := 0; k <= 65536; k++ {
+		check(float64(k) / 65536)
+	}
+	// count/occ and count/(occ+Smoothing): exact ties such as 1/16 = 0.0625
+	// and 3/16 = 0.1875 sit here and round half-even.
+	for a := 0; a < 400; a++ {
+		for b := 1; b < 400; b++ {
+			check(float64(a) / float64(b))
+			check(float64(a) / float64(b+2))
+		}
+	}
+	// Both neighbours of every x.xxx5 below 2, and of some larger ones.
+	for m := 0; m < 2000; m++ {
+		tie := (float64(m) + 0.5) / 1000
+		check(tie)
+		check(math.Nextafter(tie, math.Inf(-1)))
+		check(math.Nextafter(tie, math.Inf(1)))
+	}
+	for _, tie := range []float64{12.3455, 999.9985, 999.9995, 1000.0005, 0.0625, 0.1875, 0.3125} {
+		check(tie)
+		check(math.Nextafter(tie, math.Inf(-1)))
+		check(math.Nextafter(tie, math.Inf(1)))
+	}
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		-0.0004, -0.0005, -0.42, -1, 999.9994, 999.9996, 1000, 1000.4, 1e6, 1e15, 1e22, 1e300,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, 4.9999999e-4, 5.0000001e-4} {
+		check(p)
+	}
+}
+
+func FuzzAppendFixed3(f *testing.F) {
+	for _, p := range []float64{0, 0.42, 0.0625, 0.1875, 0.9995, 999.9995, -0.0, -1, 1e22,
+		math.NaN(), math.Inf(1), math.SmallestNonzeroFloat64} {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p float64) {
+		if got, want := string(appendFixed3(nil, p)), fmt.Sprintf("%.3f", p); got != want {
+			t.Fatalf("appendFixed3(%v [%#x]) = %q, want %q", p, math.Float64bits(p), got, want)
+		}
+	})
 }
 
 // splitLinkHint is parseLinkHint as it was written over strings.Split.
@@ -527,6 +583,58 @@ func FuzzParseLinkHint(f *testing.F) {
 			t.Fatalf("parseLinkHint(%q) = %+v, %v; over strings.Split it was %+v, %v", l, got, ok, want, wantOK)
 		}
 	})
+}
+
+// TestClientRequestMatchesNewRequest: the request built from the base
+// parsed once is the request http.NewRequestWithContext builds from
+// base+path — same URL, same Host, same bytes on the wire — for every path
+// the department and media sites serve, and for the paths and bases that
+// have to take the parsing route.
+func TestClientRequestMatchesNewRequest(t *testing.T) {
+	paths := []string{"", "/", "relative", "/~user/x_y-z.html", "//x/y", "/../x", "/./", "/a/",
+		"/a?b=c", "/a?", "/a#frag", "/a%2Fb", "/a%zz", "/a b", "/caf\u00e9", "/a\x7f", "/a:b", "/a;b", "/a+b", "/a@b"}
+	for _, prof := range []webgraph.Profile{webgraph.DepartmentSite(), webgraph.MediaSite()} {
+		site, err := webgraph.Generate(prof, stats.NewRNG(1995))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range site.Docs {
+			paths = append(paths, site.Docs[i].Path)
+		}
+	}
+	parsedOnce := map[string]bool{
+		"http://127.0.0.1:8111": true, "http://example.com": true, "http://example.com/": true,
+		"http://example.com/pre/fix": true, "https://[::1]:8443/a": true,
+		"HTTP://example.com": false, "http://user:pw@example.com": false, "http://example.com:": false,
+		"http://example.com/a%2Fb": false, "http://example.com/a b": false,
+		"http://example.com/?q=1": false, "http://example.com/#f": false, "example.com": false, "": false,
+	}
+	ctx := context.Background()
+	for base, want := range parsedOnce {
+		c := NewClient(base, ClientConfig{})
+		if got := c.baseURL != nil; got != want {
+			t.Errorf("base %q parsed once = %v, want %v", base, got, want)
+		}
+		for _, path := range paths {
+			ref, refErr := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+			got, err := c.newRequest(ctx, path)
+			if (err != nil) != (refErr != nil) {
+				t.Errorf("%q + %q: err %v, reference %v", base, path, err, refErr)
+			}
+			if err != nil || refErr != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got.URL, ref.URL) || got.URL.String() != ref.URL.String() ||
+				got.URL.RequestURI() != ref.URL.RequestURI() || got.Host != ref.Host {
+				t.Errorf("%q + %q: URL %#v host %q, reference %#v host %q", base, path, got.URL, got.Host, ref.URL, ref.Host)
+			}
+			var wire, refWire bytes.Buffer
+			if err, refErr := got.Write(&wire), ref.Write(&refWire); err != nil || refErr != nil ||
+				!bytes.Equal(wire.Bytes(), refWire.Bytes()) {
+				t.Errorf("%q + %q: on the wire %q (%v), reference %q (%v)", base, path, wire.Bytes(), err, refWire.Bytes(), refErr)
+			}
+		}
+	}
 }
 
 // TestRenderBodyMatchesByteLoop pins the doubling fill against the loop it

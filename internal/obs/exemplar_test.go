@@ -12,6 +12,9 @@ func TestHistogramExemplar(t *testing.T) {
 	h.ObserveTrace(0.05, "0123456789abcdef0123456789abcdef")
 	h.ObserveTrace(0.07, "fedcba9876543210fedcba9876543210") // same bucket: last wins
 	h.ObserveTrace(0.5, "")                                  // empty trace: plain observe
+	h.ObserveTrace(0.5, "not-a-trace-id")                    // so is anything that is not 32 hex digits
+	h.ObserveTrace(0.5, "0123456789abcdef0123456789abcdeX")  // however nearly
+	h.ObserveSpan(0.5, nil)                                  // and a nil span
 
 	if got := h.Exemplar(0.06); got != "fedcba9876543210fedcba9876543210" {
 		t.Errorf("Exemplar(0.06) = %q", got)
@@ -19,8 +22,16 @@ func TestHistogramExemplar(t *testing.T) {
 	if got := h.Exemplar(0.005); got != "" {
 		t.Errorf("Exemplar(0.005) = %q, want none", got)
 	}
-	if h.Count() != 4 {
-		t.Errorf("count = %d, want 4", h.Count())
+	if got := h.Exemplar(0.5); got != "" {
+		t.Errorf("Exemplar(0.5) = %q, want none", got)
+	}
+	if h.Count() != 7 {
+		t.Errorf("count = %d, want 7", h.Count())
+	}
+	sp := NewTracer(1).Start("request")
+	h.ObserveSpan(0.5, sp)
+	if got := h.Exemplar(0.5); got != sp.TraceID() {
+		t.Errorf("Exemplar(0.5) = %q, want the span's trace %q", got, sp.TraceID())
 	}
 
 	var b strings.Builder

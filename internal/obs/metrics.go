@@ -88,23 +88,49 @@ type Histogram struct {
 	sum    atomic.Uint64  // float64 bits
 	count  atomic.Int64
 
-	// exemplars holds, per bucket, the most recent trace-ID exemplar
-	// observed into it (set by ObserveTrace). Lazily allocated so plain
-	// histograms pay nothing.
-	exemplars []atomic.Pointer[exemplar]
+	// exemplars holds, per bucket, the most recent trace exemplar observed
+	// into it (set by ObserveSpan / ObserveTrace).
+	exemplars []exemplar
 }
 
 // exemplar ties one observed value to the trace that produced it, in the
 // OpenMetrics sense: a concrete request a human can pull up in
-// /debug/spans?trace=… to explain a bucket.
+// /debug/spans?trace=… to explain a bucket. It is a slot, written in
+// place: an observer that finds it busy leaves it to whoever holds it
+// (that one is as recent), so recording an exemplar never waits and never
+// allocates.
 type exemplar struct {
-	trace string
+	mu    sync.Mutex
+	trace traceID // zero: no exemplar yet
 	value float64
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.observe(v, traceID{}) }
+
+// ObserveSpan records one value and makes the span's trace the bucket's
+// exemplar (last writer wins). A nil span degrades to a plain Observe.
+func (h *Histogram) ObserveSpan(v float64, sp *ActiveSpan) {
+	if sp == nil {
+		h.Observe(v)
+		return
+	}
+	h.observe(v, sp.rec.trace)
+}
+
+// ObserveTrace is ObserveSpan for a caller holding the trace ID as 32 hex
+// digits; anything else degrades to a plain Observe.
+func (h *Histogram) ObserveTrace(v float64, traceID string) {
+	id, _ := parseTraceID(traceID)
+	h.observe(v, id)
+}
+
+func (h *Histogram) observe(v float64, trace traceID) {
 	i := sort.SearchFloat64s(h.bounds, v)
+	if e := &h.exemplars[i]; !trace.isZero() && e.mu.TryLock() {
+		e.trace, e.value = trace, v
+		e.mu.Unlock()
+	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	for {
@@ -116,38 +142,19 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveTrace records one value and attaches the trace ID as the
-// bucket's exemplar (last writer wins). An empty trace ID degrades to a
-// plain Observe.
-func (h *Histogram) ObserveTrace(v float64, traceID string) {
-	if traceID == "" || h.exemplars == nil {
-		h.Observe(v)
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.exemplars[i].Store(&exemplar{trace: traceID, value: v})
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
+// exemplarAt reads bucket i's exemplar; a zero trace means none.
+func (h *Histogram) exemplarAt(i int) (traceID, float64) {
+	e := &h.exemplars[i]
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.trace, e.value
 }
 
 // Exemplar returns the trace ID last attached to the bucket containing v
 // ("" if none).
 func (h *Histogram) Exemplar(v float64) string {
-	if h.exemplars == nil {
-		return ""
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	if e := h.exemplars[i].Load(); e != nil {
-		return e.trace
-	}
-	return ""
+	trace, _ := h.exemplarAt(sort.SearchFloat64s(h.bounds, v))
+	return trace.String()
 }
 
 // Count returns the number of observations.
@@ -310,7 +317,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels
 	h := &Histogram{
 		bounds:    f.buckets,
 		counts:    make([]atomic.Int64, len(f.buckets)+1),
-		exemplars: make([]atomic.Pointer[exemplar], len(f.buckets)+1),
+		exemplars: make([]exemplar, len(f.buckets)+1),
 	}
 	f.series[sig] = h
 	return h
@@ -412,14 +419,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // exemplarSuffix renders the bucket's OpenMetrics-style exemplar
 // (` # {trace_id="…"} value`), or "" when the bucket has none.
 func (h *Histogram) exemplarSuffix(i int) string {
-	if h.exemplars == nil {
+	trace, value := h.exemplarAt(i)
+	if trace.isZero() {
 		return ""
 	}
-	e := h.exemplars[i].Load()
-	if e == nil {
-		return ""
-	}
-	return ` # {trace_id="` + e.trace + `"} ` + formatFloat(e.value)
+	return ` # {trace_id="` + trace.String() + `"} ` + formatFloat(value)
 }
 
 func braced(sig string) string {

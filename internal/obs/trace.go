@@ -1,11 +1,12 @@
 package obs
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"encoding/json"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,120 +22,131 @@ var DefaultTracer = NewTracer(256)
 // stack propagates: a request entering the client carries one trace ID
 // through proxy and server hops (and back through speculative pulls), so
 // the spans of every process involved in a request share a trace ID and
-// can be merged into one tree.
-const TraceparentHeader = "traceparent"
+// can be merged into one tree. It is spelled the way net/http canonicalizes
+// header names (and so the way it already went out on the wire): Header.Get
+// and Header.Set allocate the canonical form of any other spelling on every
+// call.
+const TraceparentHeader = "Traceparent"
 
 // SpanID identifies one span; 0 means "no span / no parent". IDs are
-// seeded per process so spans from different processes in one trace do
-// not collide when their rings are merged.
+// drawn from the runtime's per-thread random source: no state is shared
+// between the goroutines opening spans, and spans from different processes
+// in one trace do not collide when their rings are merged.
 type SpanID uint64
 
-// processSeed makes span and trace IDs unique across processes. It is
-// drawn once from crypto/rand; on failure (no entropy source) the
-// constant fallback still yields unique IDs within the process.
-var processSeed = func() uint64 {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return 0x9e3779b97f4a7c15
+func newSpanID() SpanID {
+	for {
+		if id := rand.Uint64(); id != 0 { // 0 is reserved for "no span"
+			return SpanID(id)
+		}
 	}
-	return binary.LittleEndian.Uint64(b[:])
-}()
-
-var idCounter atomic.Uint64
-
-// mix64 is the splitmix64 finalizer: a bijective scramble that turns the
-// sequential counter into well-spread 64-bit IDs.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
-func nextID() uint64 {
-	id := mix64(processSeed + idCounter.Add(1))
-	if id == 0 {
-		id = 1 // 0 is reserved for "no span"
-	}
-	return id
+// traceID is the 128-bit W3C trace ID as two words, hi being the first
+// sixteen hex digits on the wire. The all-zero ID is invalid (and is what
+// "no trace" looks like); the hex string exists only where a human or the
+// wire reads it.
+type traceID struct{ hi, lo uint64 }
+
+func newTraceID() traceID {
+	return traceID{hi: rand.Uint64(), lo: uint64(newSpanID())}
 }
 
-// NewTraceID returns a fresh 32-hex-digit trace ID (unique per process,
-// distinct across processes with high probability).
-func NewTraceID() string {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], mix64(processSeed))
-	binary.BigEndian.PutUint64(b[8:], nextID())
-	return hex32(b)
+func (id traceID) isZero() bool { return id.hi == 0 && id.lo == 0 }
+
+// String renders the 32-hex-digit form ("" for the zero ID).
+func (id traceID) String() string {
+	if id.isZero() {
+		return ""
+	}
+	var b [32]byte
+	putHex16(b[:16], id.hi)
+	putHex16(b[16:], id.lo)
+	return string(b[:])
 }
 
 const hexDigits = "0123456789abcdef"
 
-func hex32(b [16]byte) string {
-	var out [32]byte
-	for i, v := range b {
-		out[i*2] = hexDigits[v>>4]
-		out[i*2+1] = hexDigits[v&0xf]
-	}
-	return string(out[:])
-}
-
-func hex16(v uint64) string {
-	var out [16]byte
+// putHex16 writes v as sixteen lowercase hex digits into dst[:16].
+func putHex16(dst []byte, v uint64) {
+	_ = dst[15]
 	for i := 15; i >= 0; i-- {
-		out[i] = hexDigits[v&0xf]
+		dst[i] = hexDigits[v&0xf]
 		v >>= 4
 	}
-	return string(out[:])
 }
 
-// FormatTraceparent renders the W3C header value for a span within a
-// trace: 00-<trace-id>-<span-id>-01.
-func FormatTraceparent(traceID string, span SpanID) string {
-	return "00-" + traceID + "-" + hex16(uint64(span)) + "-01"
+// parseHex16 reads exactly sixteen lowercase hex digits from s[:16].
+func parseHex16(s string) (v uint64, ok bool) {
+	_ = s[15]
+	for i := 0; i < 16; i++ {
+		c := s[i]
+		switch {
+		case c >= '0' && c <= '9':
+			c -= '0'
+		case c >= 'a' && c <= 'f':
+			c -= 'a' - 10
+		default:
+			return 0, false
+		}
+		v = v<<4 | uint64(c)
+	}
+	return v, true
+}
+
+// parseTraceID reads the 32-hex-digit form; anything else is not an ID and
+// comes back as the zero ID.
+func parseTraceID(s string) (id traceID, ok bool) {
+	if len(s) != 32 {
+		return traceID{}, false
+	}
+	hi, ok1 := parseHex16(s[:16])
+	lo, ok2 := parseHex16(s[16:])
+	if !ok1 || !ok2 {
+		return traceID{}, false
+	}
+	id = traceID{hi, lo}
+	return id, !id.isZero()
+}
+
+// Offsets of the fields of `vv-<32 hex>-<16 hex>-ff`, the shortest
+// traceparent value there is.
+const (
+	tpTrace = 3
+	tpSpan  = tpTrace + 32 + 1
+	tpFlags = tpSpan + 16 + 1
+	tpLen   = tpFlags + 2
+)
+
+// parseTraceparent reads a W3C traceparent value where it lies: the fields
+// sit at fixed offsets, so there is nothing to split. It accepts any
+// two-byte version and any trailing fields (a future version may add
+// some), requires the canonical lowercase-hex widths, and rejects the
+// all-zero trace and span IDs the spec declares invalid.
+func parseTraceparent(h string) (trace traceID, parent SpanID, ok bool) {
+	h = strings.TrimSpace(h)
+	if len(h) < tpFlags || h[0] == '-' || h[1] == '-' ||
+		h[tpTrace-1] != '-' || h[tpSpan-1] != '-' || h[tpFlags-1] != '-' {
+		return traceID{}, 0, false
+	}
+	trace, ok = parseTraceID(h[tpTrace : tpSpan-1])
+	span, spanOK := parseHex16(h[tpSpan:])
+	if !ok || !spanOK || span == 0 {
+		return traceID{}, 0, false
+	}
+	return trace, SpanID(span), true
 }
 
 // ParseTraceparent extracts the trace ID and parent span ID from a W3C
-// traceparent header value. It accepts any version, requires the
-// canonical lowercase-hex field widths, and rejects the all-zero trace
-// and span IDs the spec declares invalid.
+// traceparent header value, under parseTraceparent's rules.
 func ParseTraceparent(h string) (traceID string, parent SpanID, ok bool) {
-	parts := strings.Split(strings.TrimSpace(h), "-")
-	if len(parts) < 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 {
-		return "", 0, false
-	}
-	var id uint64
-	for _, c := range []byte(parts[2]) {
-		var v byte
-		switch {
-		case c >= '0' && c <= '9':
-			v = c - '0'
-		case c >= 'a' && c <= 'f':
-			v = c - 'a' + 10
-		default:
-			return "", 0, false
-		}
-		id = id<<4 | uint64(v)
-	}
-	allZero := true
-	for _, c := range []byte(parts[1]) {
-		if c != '0' {
-			allZero = false
-		}
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			return "", 0, false
-		}
-	}
-	if allZero || id == 0 {
-		return "", 0, false
-	}
-	return parts[1], SpanID(id), true
+	trace, parent, ok := parseTraceparent(h)
+	return trace.String(), parent, ok
 }
 
-// Span is one finished operation. The ring keeps only finished spans;
-// in-flight ones live on their *ActiveSpan until Finish.
+// Span is one finished operation as /debug/spans, Recent and Trace show
+// it. Nothing on the request path builds one: spans are kept as flat
+// records and rendered into this form when somebody reads them.
 type Span struct {
 	Trace    string            `json:"trace,omitempty"`
 	ID       SpanID            `json:"id"`
@@ -145,20 +157,63 @@ type Span struct {
 	Attrs    map[string]string `json:"attrs,omitempty"`
 }
 
+// inlineAttrs is how many attributes a span holds. The widest span in the
+// stack, server.request, sets four (path, rung, speculation or status,
+// kind or shed).
+const inlineAttrs = 4
+
+// droppedAttrsKey is the attribute a rendered span gains when SetAttr was
+// called with more distinct keys than inlineAttrs: its value counts the
+// calls that found no room, so an overflow is visible, never silent.
+const droppedAttrsKey = "obs.dropped_attrs"
+
+type attr struct{ k, v string }
+
+// record is a span as the tracer holds it, in flight and in the ring
+// alike: fixed size, everything by value, so finishing a span is one
+// struct copy into its ring slot and the slot shares no mutable memory
+// with the ActiveSpan it came from.
+type record struct {
+	trace   traceID
+	id      SpanID
+	parent  SpanID
+	name    string
+	start   time.Time
+	dur     time.Duration
+	attrs   [inlineAttrs]attr
+	nattrs  uint8
+	dropped uint8 // SetAttr calls that found attrs full; saturates
+}
+
+// span renders the record in its exported form.
+func (r *record) span() Span {
+	s := Span{Trace: r.trace.String(), ID: r.id, Parent: r.parent,
+		Name: r.name, Start: r.start, Duration: r.dur}
+	if r.nattrs > 0 {
+		s.Attrs = make(map[string]string, r.nattrs)
+		for _, a := range r.attrs[:r.nattrs] {
+			s.Attrs[a.k] = a.v
+		}
+		if r.dropped > 0 {
+			s.Attrs[droppedAttrsKey] = strconv.Itoa(int(r.dropped))
+		}
+	}
+	return s
+}
+
 // Tracer records spans into a bounded ring: the most recent spans are
 // retained, older ones overwritten. All methods are safe on a nil
 // *Tracer (they no-op), so instrumentation never needs a nil check.
 type Tracer struct {
-	capacity int
-
-	// clock supplies span start times; tests inject a fixed one so the
-	// /debug/spans format can be pinned by a golden file.
-	clock func() time.Time
+	// clock supplies span times when set; tests inject a fixed one so the
+	// /debug/spans format can be pinned by a golden file. Read without the
+	// ring lock: starting a span takes no lock at all.
+	clock atomic.Pointer[func() time.Time]
 
 	mu    sync.Mutex
-	ring  []Span
-	head  int    // next write position
-	total uint64 // spans ever finished
+	ring  []record // len == capacity; slots [0, min(total, capacity)) are filled
+	head  int      // next write position
+	total uint64   // spans ever finished
 }
 
 // NewTracer returns a tracer retaining the last capacity finished spans
@@ -167,35 +222,44 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{capacity: capacity, clock: time.Now, ring: make([]Span, 0, capacity)}
+	return &Tracer{ring: make([]record, capacity)}
 }
 
-// SetClock injects the span time source (nil restores time.Now). Call
-// before recording spans; deterministic tests use it to pin span output.
+// SetClock injects the span time source (nil restores time.Now).
+// Deterministic tests use it to pin span output.
 func (t *Tracer) SetClock(clock func() time.Time) {
 	if t == nil {
 		return
 	}
 	if clock == nil {
-		clock = time.Now
+		t.clock.Store(nil)
+		return
 	}
-	t.mu.Lock()
-	t.clock = clock
-	t.mu.Unlock()
+	t.clock.Store(&clock)
 }
 
 func (t *Tracer) now() time.Time {
-	t.mu.Lock()
-	clock := t.clock
-	t.mu.Unlock()
-	return clock()
+	if clock := t.clock.Load(); clock != nil {
+		return (*clock)()
+	}
+	return time.Now()
 }
 
-// ActiveSpan is an in-flight span; call Finish to record it.
+// since is now().Sub(start); on the real clock it reads only the monotonic
+// half, which is all a duration needs.
+func (t *Tracer) since(start time.Time) time.Duration {
+	if clock := t.clock.Load(); clock != nil {
+		return (*clock)().Sub(start)
+	}
+	return time.Since(start)
+}
+
+// ActiveSpan is an in-flight span; call Finish to record it. It stays
+// readable after Finish (ID, TraceID, Traceparent), and a SetAttr after
+// Finish changes only this value, never the record already in the ring.
 type ActiveSpan struct {
-	t     *Tracer
-	span  Span
-	attrs map[string]string
+	t   *Tracer
+	rec record
 }
 
 // Start begins a root span under a fresh trace ID.
@@ -203,7 +267,7 @@ func (t *Tracer) Start(name string) *ActiveSpan {
 	if t == nil {
 		return nil
 	}
-	return t.start(name, NewTraceID(), 0)
+	return t.start(name, newTraceID(), 0)
 }
 
 // StartChild begins a span under parent, inheriting its trace ID. A nil
@@ -215,7 +279,7 @@ func (t *Tracer) StartChild(name string, parent *ActiveSpan) *ActiveSpan {
 	if parent == nil {
 		return t.Start(name)
 	}
-	return t.start(name, parent.span.Trace, parent.span.ID)
+	return t.start(name, parent.rec.trace, parent.rec.id)
 }
 
 // StartRemote continues a trace arriving from another process: it parses
@@ -226,20 +290,21 @@ func (t *Tracer) StartRemote(name, traceparent string) *ActiveSpan {
 	if t == nil {
 		return nil
 	}
-	if trace, parent, ok := ParseTraceparent(traceparent); ok {
+	if trace, parent, ok := parseTraceparent(traceparent); ok {
 		return t.start(name, trace, parent)
 	}
 	return t.Start(name)
 }
 
-func (t *Tracer) start(name, trace string, parent SpanID) *ActiveSpan {
-	return &ActiveSpan{t: t, span: Span{
-		Trace:  trace,
-		ID:     SpanID(nextID()),
-		Parent: parent,
-		Name:   name,
-		Start:  t.now(),
-	}}
+// start makes the span's one allocation.
+func (t *Tracer) start(name string, trace traceID, parent SpanID) *ActiveSpan {
+	s := &ActiveSpan{t: t}
+	s.rec.trace = trace
+	s.rec.id = newSpanID()
+	s.rec.parent = parent
+	s.rec.name = name
+	s.rec.start = t.now()
+	return s
 }
 
 // ID returns the span's ID (0 on a nil span), for parenting children.
@@ -247,83 +312,116 @@ func (s *ActiveSpan) ID() SpanID {
 	if s == nil {
 		return 0
 	}
-	return s.span.ID
+	return s.rec.id
 }
 
-// TraceID returns the span's trace ID ("" on a nil span).
+// TraceID returns the span's trace ID as 32 hex digits ("" on a nil
+// span). It builds the string; the request path has no use for it.
 func (s *ActiveSpan) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	return s.span.Trace
+	return s.rec.trace.String()
 }
 
-// Traceparent renders the span as a W3C traceparent header value, for
-// propagation to the next hop ("" on a nil span).
+// Traceparent renders the span as a W3C traceparent header value,
+// 00-<trace-id>-<span-id>-01, for propagation to the next hop ("" on a
+// nil span).
 func (s *ActiveSpan) Traceparent() string {
 	if s == nil {
 		return ""
 	}
-	return FormatTraceparent(s.span.Trace, s.span.ID)
+	var b [tpLen]byte
+	copy(b[:], "00-")
+	putHex16(b[tpTrace:], s.rec.trace.hi)
+	putHex16(b[tpTrace+16:], s.rec.trace.lo)
+	b[tpSpan-1] = '-'
+	putHex16(b[tpSpan:], uint64(s.rec.id))
+	copy(b[tpFlags-1:], "-01")
+	return string(b[:])
 }
 
-// SetAttr attaches a key/value annotation.
+// SetAttr attaches a key/value annotation; setting a key again replaces
+// its value. A span holds inlineAttrs distinct keys: a call beyond that is
+// counted and shows as droppedAttrsKey when the span is read.
 func (s *ActiveSpan) SetAttr(k, v string) {
 	if s == nil {
 		return
 	}
-	if s.attrs == nil {
-		s.attrs = make(map[string]string, 4)
+	r := &s.rec
+	for i := range r.attrs[:r.nattrs] {
+		if r.attrs[i].k == k {
+			r.attrs[i].v = v
+			return
+		}
 	}
-	s.attrs[k] = v
+	if int(r.nattrs) == len(r.attrs) {
+		if r.dropped < math.MaxUint8 {
+			r.dropped++
+		}
+		return
+	}
+	r.attrs[r.nattrs] = attr{k, v}
+	r.nattrs++
 }
 
-// Finish stamps the duration and pushes the span into the ring.
+// Finish stamps the duration and copies the span's record into the ring.
 func (s *ActiveSpan) Finish() {
 	if s == nil {
 		return
 	}
 	t := s.t
+	s.rec.dur = t.since(s.rec.start)
 	t.mu.Lock()
-	s.span.Duration = t.clock().Sub(s.span.Start)
-	s.span.Attrs = s.attrs
-	if len(t.ring) < t.capacity {
-		t.ring = append(t.ring, s.span)
-	} else {
-		t.ring[t.head] = s.span
+	t.ring[t.head] = s.rec
+	if t.head++; t.head == len(t.ring) {
+		t.head = 0
 	}
-	t.head = (t.head + 1) % t.capacity
 	t.total++
 	t.mu.Unlock()
 }
 
-// Recent returns the retained spans, oldest first.
-func (t *Tracer) Recent() []Span {
+// retained copies out the retained records matching keep, oldest first.
+// Rendering them happens after the lock is dropped.
+func (t *Tracer) retained(keep func(*record) bool) []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.ring))
-	if len(t.ring) < t.capacity {
-		out = append(out, t.ring...)
-		return out
+	older, newer := t.ring[t.head:], t.ring[:t.head]
+	if t.total < uint64(len(t.ring)) {
+		older = nil // not wrapped yet: nothing lives past head
 	}
-	out = append(out, t.ring[t.head:]...)
-	out = append(out, t.ring[:t.head]...)
+	recs := make([]record, 0, len(older)+len(newer))
+	for _, part := range [2][]record{older, newer} {
+		for i := range part {
+			if keep == nil || keep(&part[i]) {
+				recs = append(recs, part[i])
+			}
+		}
+	}
+	t.mu.Unlock()
+	out := make([]Span, len(recs))
+	for i := range recs {
+		out[i] = recs[i].span()
+	}
 	return out
 }
 
-// Trace returns the retained spans belonging to one trace ID, oldest
-// first.
-func (t *Tracer) Trace(traceID string) []Span {
-	var out []Span
-	for _, s := range t.Recent() {
-		if s.Trace == traceID {
-			out = append(out, s)
-		}
+// Recent returns the retained spans, oldest first.
+func (t *Tracer) Recent() []Span { return t.retained(nil) }
+
+// Trace returns the retained spans belonging to one trace ID (32 hex
+// digits), oldest first.
+func (t *Tracer) Trace(id string) []Span {
+	want, ok := parseTraceID(id)
+	if !ok {
+		return nil
 	}
-	return out
+	if spans := t.retained(func(r *record) bool { return r.trace == want }); len(spans) > 0 {
+		return spans
+	}
+	return nil // "spans": null on /debug/spans, as an unknown trace always read
 }
 
 // Total returns how many spans have ever finished (including overwritten

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -180,10 +181,146 @@ func TestParseTraceparentRejectsGarbage(t *testing.T) {
 	// And a remote start on garbage degrades to a fresh root.
 	tr := NewTracer(4)
 	sp := tr.StartRemote("req", "garbage")
-	if sp.TraceID() == "" || sp.span.Parent != 0 {
-		t.Errorf("StartRemote on garbage: trace=%q parent=%d", sp.TraceID(), sp.span.Parent)
+	if sp.TraceID() == "" || sp.rec.parent != 0 {
+		t.Errorf("StartRemote on garbage: trace=%q parent=%d", sp.TraceID(), sp.rec.parent)
 	}
 	sp.Finish()
+}
+
+// splitTraceparent is ParseTraceparent as it was written over
+// strings.Split: the reference the in-place parser is held to.
+func splitTraceparent(h string) (traceID string, parent SpanID, ok bool) {
+	parts := strings.Split(strings.TrimSpace(h), "-")
+	if len(parts) < 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 {
+		return "", 0, false
+	}
+	var id uint64
+	for _, c := range []byte(parts[2]) {
+		var v byte
+		switch {
+		case c >= '0' && c <= '9':
+			v = c - '0'
+		case c >= 'a' && c <= 'f':
+			v = c - 'a' + 10
+		default:
+			return "", 0, false
+		}
+		id = id<<4 | uint64(v)
+	}
+	allZero := true
+	for _, c := range []byte(parts[1]) {
+		if c != '0' {
+			allZero = false
+		}
+		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+			return "", 0, false
+		}
+	}
+	if allZero || id == 0 {
+		return "", 0, false
+	}
+	return parts[1], SpanID(id), true
+}
+
+func FuzzParseTraceparent(f *testing.F) {
+	const trace, span = "0123456789abcdef0123456789abcdef", "00f067aa0ba902b7"
+	for _, h := range []string{"", "garbage", "00-" + trace + "-" + span + "-01",
+		"00-" + trace + "-" + span + "-", "00-" + trace + "-" + span, // empty and missing flags
+		"cc-" + trace + "-" + span + "-01-extra-fields", "zz-" + trace + "-" + span + "-01",
+		"0-" + trace + "-" + span + "-01", "000-" + trace + "-" + span + "-01", "--" + trace + "-" + span + "-01",
+		"00-" + strings.ToUpper(trace) + "-" + span + "-01", "00-" + trace + "-" + strings.ToUpper(span) + "-01",
+		"00-" + strings.Repeat("0", 32) + "-" + span + "-01", "00-" + trace + "-" + strings.Repeat("0", 16) + "-01",
+		" \t00-" + trace + "-" + span + "-01\r\n", "\u00a000-" + trace + "-" + span + "-01\u2003",
+		"00-" + trace[:31] + "-" + span + "-01", "00-" + trace + "0-" + span + "-01",
+		"00-" + trace + "-" + span + "0-01", "00-" + trace[:16] + "-" + trace[16:] + "-" + span + "-01",
+		"00_" + trace + "_" + span + "_01", "00-" + trace + "-" + span + "x01"} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		trace, parent, ok := ParseTraceparent(h)
+		wantTrace, wantParent, wantOK := splitTraceparent(h)
+		if trace != wantTrace || parent != wantParent || ok != wantOK {
+			t.Fatalf("ParseTraceparent(%q) = %q, %x, %v; over strings.Split it was %q, %x, %v",
+				h, trace, parent, ok, wantTrace, wantParent, wantOK)
+		}
+		if !ok {
+			return
+		}
+		// What StartRemote continues and sends on is what came in.
+		sp := NewTracer(1).StartRemote("hop", h)
+		if sp.TraceID() != wantTrace || sp.rec.parent != wantParent {
+			t.Fatalf("StartRemote(%q) continued %q under %x", h, sp.TraceID(), sp.rec.parent)
+		}
+		if next, _, ok := splitTraceparent(sp.Traceparent()); !ok || next != wantTrace {
+			t.Fatalf("Traceparent() = %q does not carry trace %q", sp.Traceparent(), wantTrace)
+		}
+	})
+}
+
+// TestSetAttrAfterFinishDoesNotReachRing: Finish copies the record, so the
+// span and its ring slot share nothing a later SetAttr could write while a
+// reader renders the ring (run under -race: with the attribute map shared,
+// as it once was, this is a map write during a map read).
+func TestSetAttrAfterFinishDoesNotReachRing(t *testing.T) {
+	tr := NewTracer(4)
+	sp := tr.Start("request")
+	sp.SetAttr("path", "/a")
+	sp.Finish()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			rec := httptest.NewRecorder()
+			tr.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/spans", nil))
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		sp.SetAttr("path", "/late")
+		sp.SetAttr("late", "yes")
+	}
+	wg.Wait()
+
+	spans := tr.Recent()
+	if len(spans) != 1 || len(spans[0].Attrs) != 1 || spans[0].Attrs["path"] != "/a" {
+		t.Errorf("ring holds %+v, want the span as it was at Finish", spans)
+	}
+	if sp.ID() != spans[0].ID || sp.TraceID() != spans[0].Trace {
+		t.Errorf("span no longer readable after Finish: id %d trace %q", sp.ID(), sp.TraceID())
+	}
+}
+
+// TestSetAttrOverflowIsCounted: a span holds inlineAttrs distinct keys.
+// Replacing a held key always works; a key that finds no room is counted,
+// and the count shows when the span is read.
+func TestSetAttrOverflowIsCounted(t *testing.T) {
+	tr := NewTracer(4)
+	sp := tr.Start("wide")
+	for i := 0; i < inlineAttrs; i++ {
+		sp.SetAttr("k"+strconv.Itoa(i), "v")
+	}
+	sp.SetAttr("k0", "replaced") // held: replaced in place, nothing dropped
+	sp.Finish()
+	sp = tr.Start("too-wide")
+	for i := 0; i < inlineAttrs+3; i++ {
+		sp.SetAttr("k"+strconv.Itoa(i), "v")
+	}
+	sp.Finish()
+
+	spans := tr.Recent()
+	if got := spans[0].Attrs; len(got) != inlineAttrs || got["k0"] != "replaced" || got[droppedAttrsKey] != "" {
+		t.Errorf("full span: %v", got)
+	}
+	got := spans[1].Attrs
+	if len(got) != inlineAttrs+1 || got[droppedAttrsKey] != "3" {
+		t.Errorf("overflowing span: %v, want %d attributes and %s=3", got, inlineAttrs, droppedAttrsKey)
+	}
+	for i := 0; i < inlineAttrs; i++ {
+		if got["k"+strconv.Itoa(i)] != "v" {
+			t.Errorf("overflow displaced held attribute k%d: %v", i, got)
+		}
+	}
 }
 
 func TestTraceFilterAndTree(t *testing.T) {
@@ -202,6 +339,12 @@ func TestTraceFilterAndTree(t *testing.T) {
 	for _, s := range got {
 		if s.Trace != a.TraceID() {
 			t.Errorf("span %q has trace %q", s.Name, s.Trace)
+		}
+	}
+
+	for _, unknown := range []string{strings.Repeat("f", 32), "not-a-trace-id"} {
+		if got := tr.Trace(unknown); got != nil {
+			t.Errorf("Trace(%q) = %v, want nil", unknown, got)
 		}
 	}
 
@@ -267,19 +410,20 @@ func TestTracerHandler(t *testing.T) {
 func TestSpansHandlerGolden(t *testing.T) {
 	t0 := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	tr := NewTracer(8)
-	tr.ring = []Span{
-		{Trace: "0123456789abcdef0123456789abcdef", ID: 0x10, Name: "client.get",
-			Start: t0, Duration: 5 * time.Millisecond,
-			Attrs: map[string]string{"doc": "/index.html"}},
-		{Trace: "0123456789abcdef0123456789abcdef", ID: 0x11, Parent: 0x10,
-			Name: "server.request", Start: t0.Add(time.Millisecond),
-			Duration: 3 * time.Millisecond},
-		{Trace: "0123456789abcdef0123456789abcdef", ID: 0x12, Parent: 0x11,
-			Name: "server.speculate", Start: t0.Add(2 * time.Millisecond),
-			Duration: time.Millisecond},
+	trace := traceID{hi: 0x0123456789abcdef, lo: 0x0123456789abcdef}
+	fixed := []record{
+		{trace: trace, id: 0x10, name: "client.get",
+			start: t0, dur: 5 * time.Millisecond,
+			attrs: [inlineAttrs]attr{{"doc", "/index.html"}}, nattrs: 1},
+		{trace: trace, id: 0x11, parent: 0x10,
+			name: "server.request", start: t0.Add(time.Millisecond),
+			dur: 3 * time.Millisecond},
+		{trace: trace, id: 0x12, parent: 0x11,
+			name: "server.speculate", start: t0.Add(2 * time.Millisecond),
+			dur: time.Millisecond},
 	}
-	tr.head = len(tr.ring) % tr.capacity
-	tr.total = uint64(len(tr.ring))
+	tr.head = copy(tr.ring, fixed)
+	tr.total = uint64(len(fixed))
 
 	for name, url := range map[string]string{
 		"spans_golden.json":       "/debug/spans",

@@ -355,5 +355,8 @@ func Generate(p Profile, g *stats.RNG) (*Site, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("webgraph: generated site failed validation: %w", err)
 	}
+	// Indexed here, while the site still has one owner: ByPath's own lazy
+	// build is unguarded, and request handlers call it concurrently.
+	s.indexPaths()
 	return s, nil
 }

@@ -130,7 +130,9 @@ func (s *Site) Valid(id DocID) bool {
 	return id >= 0 && int(id) < len(s.Docs)
 }
 
-// ByPath returns the document with the given URL path, or nil.
+// ByPath returns the document with the given URL path, or nil. Generate
+// builds the index; a Site assembled by hand gets it on the first call,
+// which is then not safe to make from several goroutines at once.
 func (s *Site) ByPath(path string) *Document {
 	if s.byPath == nil {
 		s.indexPaths()
