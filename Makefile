@@ -59,13 +59,15 @@ bench-short:
 # Hot-path micro-benchmarks under the race detector: a fixed iteration
 # count (-benchtime=100x) makes this a correctness smoke test of the
 # lock-free read path, not a timing run — it catches races and alloc
-# regressions cheaply in CI. The wire-path, round-trip and span benchmarks
-# each fail above their own allocs/op ceiling and run without the race
-# detector: under it sync.Pool drops what is put back, and the ceiling
-# would blame the code.
+# regressions cheaply in CI. The refresh, wire-path, round-trip and span
+# benchmarks each fail above their own allocs/op ceiling and run without
+# the race detector: under it sync.Pool drops what is put back, and the
+# ceiling would blame the code.
 bench-smoke:
 	$(GO) test -race -run '^$$' -benchtime=100x -cpu 1,4,8 \
-		-bench 'BenchmarkEngine' ./internal/core/
+		-bench 'BenchmarkEngine(Record|Speculate|Hints)' ./internal/core/
+	$(GO) test -run '^$$' -benchtime=20x -benchmem \
+		-bench 'BenchmarkEngineRefresh' ./internal/core/
 	$(GO) test -race -run '^$$' -benchtime=5x \
 		-bench 'BenchmarkClosureSerial|BenchmarkClosureParallel|BenchmarkFreeze|BenchmarkFrozenThresholdRow' \
 		./internal/markov/
@@ -158,11 +160,15 @@ bench-module:
 fuzz-checkpoint:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/checkpoint/
 
-# Bounded-estimator fuzzing: interleaved record/evict/freeze/warm-start
+# Estimator fuzzing. Bounded: interleaved record/evict/freeze/warm-start
 # sequences must never panic, never roll the eviction ledger backwards,
-# and every exported v2 frame must re-encode canonically.
+# and every exported v2 frame must re-encode canonically. Exact: the flat
+# store must agree with the map-of-maps oracle on counts, occurrences and
+# frozen bytes over random streams (a found input is minimized for at most
+# 2 s, so the 30 s go to fuzzing).
 fuzz-estimator:
 	$(GO) test -run '^$$' -fuzz FuzzBoundedEstimator -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzExactAccumulator -fuzztime 30s -fuzzminimizetime 2s ./internal/markov/
 
 # Wire-format fuzzing: the header parsers must degrade garbage to safe
 # zeros, and the in-place bundle walker must never panic, never hand out a

@@ -2,10 +2,16 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"specweb/internal/estguard"
+	"specweb/internal/netsim"
+	"specweb/internal/obs"
+	"specweb/internal/stats"
+	"specweb/internal/synth"
 	"specweb/internal/trace"
 	"specweb/internal/webgraph"
 )
@@ -90,6 +96,112 @@ func BenchmarkEngineHints(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEngineRefresh measures one UpdateCycle — drain, fold, freeze,
+// publish — as the request that crosses the deadline pays it: an engine
+// trained on 29 days of the department site (the benchmark of record's
+// learn-online world) folds in one more day of ~1.9k requests. Recording
+// the day is outside the timer; only Refresh is measured. `make
+// bench-smoke` runs it for the allocs/op ceiling.
+func BenchmarkEngineRefresh(b *testing.B) {
+	profile, err := webgraph.ProfileByName("department")
+	if err != nil {
+		b.Fatal(err)
+	}
+	root := stats.NewRNG(1995)
+	site, err := webgraph.Generate(profile, root.Split("site"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := netsim.Generate(netsim.DefaultConfig(), root.Split("net"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	scfg := synth.DefaultConfig(site, topo)
+	scfg.Days = 30
+	scfg.SessionsPerDay = 220
+	res, err := synth.Generate(scfg, root.Split("trace"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	first, last, _ := res.Trace.Span()
+	const day = 24 * time.Hour
+	cut := first.Add(29 * day)
+	train := res.Trace.Window(first, cut).Requests
+	fold := res.Trace.Window(cut, last.Add(1)).Requests
+	size := func(d webgraph.DocID) (int64, bool) { return site.Doc(d).Size, true }
+
+	for _, tc := range []struct {
+		name    string
+		guard   bool
+		ceiling float64
+	}{
+		// Measured 70 and 1,311 (12,301 and 14,175 with the map-of-maps
+		// store). What is left is the size cache, new successors' row
+		// growth and the frozen arrays; under a guard, estguard's own
+		// per-client features and drift profile.
+		{"plain", false, 80},
+		{"guarded", true, 1400},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := DefaultEngineConfig()
+			cfg.Metrics = obs.NewRegistry()
+			if tc.guard {
+				cfg.Guard = estguard.New(estguard.Config{Metrics: cfg.Metrics})
+			}
+			e, err := NewEngine(cfg, size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := range train {
+				e.Record(train[i].Client, train[i].Doc, train[i].Time)
+			}
+			// Each cycle replays the thirtieth day one day later, so the
+			// aged state stays at its steady size however long the run.
+			shift := time.Duration(0)
+			record := func() {
+				for i := range fold {
+					e.Record(fold[i].Client, fold[i].Doc, fold[i].Time.Add(shift))
+				}
+				shift += day
+			}
+			var phases [numRefreshPhases]float64
+			for p, h := range e.met.refreshPhase {
+				phases[p] = h.Sum()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				record()
+				b.StartTimer()
+				e.Refresh(cut.Add(shift))
+			}
+			b.StopTimer()
+			// Where the cycle went, from the engine's own phase histogram;
+			// the phases should add up to ns/op.
+			for p, h := range e.met.refreshPhase[:phaseCheckpoint] {
+				b.ReportMetric((h.Sum()-phases[p])*1e3/float64(b.N), refreshPhaseNames[p]+"_ms")
+			}
+			// The ceiling counts Refresh alone, as the timer does.
+			var before, after runtime.MemStats
+			const runs = 5
+			var mallocs uint64
+			for i := 0; i < runs; i++ {
+				record()
+				runtime.ReadMemStats(&before)
+				e.Refresh(cut.Add(shift))
+				runtime.ReadMemStats(&after)
+				mallocs += after.Mallocs - before.Mallocs
+			}
+			if got := float64(mallocs) / runs; got > tc.ceiling {
+				b.Fatalf("%v allocs per refresh, ceiling %v", got, tc.ceiling)
+			}
+			b.ReportMetric(float64(len(fold)), "requests")
+			b.ReportMetric(float64(e.Stats().Pairs), "pairs")
+		})
+	}
 }
 
 // BenchmarkReplicatorRecord measures popularity tracking throughput.

@@ -147,9 +147,6 @@ func (e *Engine) WarmStart(cs *checkpoint.Snapshot, now time.Time) error {
 		}
 		e.captureEstStatsLocked()
 	}
-	// The restored frozen matrix was not compiled from this process's
-	// estimator, so the next refresh must freeze in full.
-	e.deltaBase = false
 	e.installLocked(frozen, e.snapshotSizes(frozen))
 	e.met.pairs.Set(float64(frozen.NumPairs()))
 	e.met.docs.Set(float64(frozen.NumRows()))

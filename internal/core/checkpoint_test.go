@@ -101,7 +101,7 @@ func TestEngineWarmStartRoundTrip(t *testing.T) {
 	if got, want := b.Tp(), 0.33; got != want {
 		t.Fatalf("Tp not restored: %v", got)
 	}
-	if pa, pb := a.Speculate(1, nil), b.Speculate(1, nil); !reflect.DeepEqual(pa, pb) {
+	if pa, pb := speculate(a, 1, nil), speculate(b, 1, nil); !reflect.DeepEqual(pa, pb) {
 		t.Fatalf("decisions diverged: %v vs %v", pa, pb)
 	}
 

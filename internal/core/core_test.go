@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -26,6 +27,29 @@ func newTestEngine(t *testing.T, cfg EngineConfig) *Engine {
 	return e
 }
 
+// speculate, hints and split run one decision through a pooled Decision,
+// as a server does, and copy the outcome out before releasing it.
+func speculate(e *Engine, doc webgraph.DocID, have map[webgraph.DocID]bool) []webgraph.DocID {
+	d := AcquireDecision()
+	defer ReleaseDecision(d)
+	e.SpeculateInto(d, doc, have)
+	return slices.Clone(d.Push)
+}
+
+func hints(e *Engine, doc webgraph.DocID, have map[webgraph.DocID]bool) []speculation.Hint {
+	d := AcquireDecision()
+	defer ReleaseDecision(d)
+	e.HintsInto(d, doc, have)
+	return slices.Clone(d.Hints)
+}
+
+func split(e *Engine, doc webgraph.DocID, have map[webgraph.DocID]bool) ([]webgraph.DocID, []speculation.Hint) {
+	d := AcquireDecision()
+	defer ReleaseDecision(d)
+	e.SplitInto(d, doc, have)
+	return slices.Clone(d.Push), slices.Clone(d.Hints)
+}
+
 // feedPattern teaches the engine "doc 1 is followed by doc 2" n times.
 func feedPattern(e *Engine, n int, extra ...webgraph.DocID) {
 	at := t0
@@ -45,15 +69,15 @@ func TestEngineLearnsDependencies(t *testing.T) {
 	cfg := DefaultEngineConfig()
 	cfg.MinOccurrences = 2
 	e := newTestEngine(t, cfg)
-	if got := e.Speculate(1, nil); len(got) != 0 {
+	if got := speculate(e, 1, nil); len(got) != 0 {
 		t.Errorf("untrained engine speculated %v", got)
 	}
 	feedPattern(e, 20)
-	got := e.Speculate(1, nil)
+	got := speculate(e, 1, nil)
 	if len(got) != 1 || got[0] != 2 {
 		t.Errorf("Speculate(1) = %v, want [2]", got)
 	}
-	if got := e.Speculate(2, nil); len(got) != 0 {
+	if got := speculate(e, 2, nil); len(got) != 0 {
 		t.Errorf("Speculate(2) = %v, want none (2 is never followed)", got)
 	}
 }
@@ -63,7 +87,7 @@ func TestEngineCooperativeExclusion(t *testing.T) {
 	cfg.MinOccurrences = 2
 	e := newTestEngine(t, cfg)
 	feedPattern(e, 20)
-	got := e.Speculate(1, map[webgraph.DocID]bool{2: true})
+	got := speculate(e, 1, map[webgraph.DocID]bool{2: true})
 	if len(got) != 0 {
 		t.Errorf("cooperative exclusion failed: %v", got)
 	}
@@ -75,7 +99,7 @@ func TestEngineMaxSize(t *testing.T) {
 	cfg.MaxSize = 10000
 	e := newTestEngine(t, cfg)
 	feedPattern(e, 20, 4) // doc 4 is 90 KB
-	got := e.Speculate(1, nil)
+	got := speculate(e, 1, nil)
 	for _, d := range got {
 		if d == 4 {
 			t.Error("oversized doc speculated despite MaxSize")
@@ -103,7 +127,7 @@ func TestEngineHintsAndSplit(t *testing.T) {
 		at = at.Add(time.Hour)
 	}
 	e.Refresh(at)
-	hints := e.Hints(1, nil)
+	hints := hints(e, 1, nil)
 	if len(hints) != 2 {
 		t.Fatalf("hints = %v", hints)
 	}
@@ -113,7 +137,7 @@ func TestEngineHintsAndSplit(t *testing.T) {
 	if hints[0].Size != 2000 {
 		t.Errorf("hint size = %d, want 2000", hints[0].Size)
 	}
-	push, hint := e.Split(1, nil)
+	push, hint := split(e, 1, nil)
 	if len(push) != 1 || push[0] != 2 {
 		t.Errorf("hybrid push = %v, want [2]", push)
 	}
@@ -134,7 +158,7 @@ func TestEngineAutoRefresh(t *testing.T) {
 		at = at.Add(2 * time.Minute) // crosses the refresh boundary
 	}
 	// No manual Refresh: the time-based refresh must have kicked in.
-	if got := e.Speculate(1, nil); len(got) != 1 || got[0] != 2 {
+	if got := speculate(e, 1, nil); len(got) != 1 || got[0] != 2 {
 		t.Errorf("auto-refresh did not learn: %v", got)
 	}
 	st := e.Stats()
@@ -150,7 +174,7 @@ func TestEngineAgingForgets(t *testing.T) {
 	cfg.Tp = 0.5
 	e := newTestEngine(t, cfg)
 	feedPattern(e, 10)
-	if got := e.Speculate(1, nil); len(got) != 1 {
+	if got := speculate(e, 1, nil); len(got) != 1 {
 		t.Fatalf("not learned: %v", got)
 	}
 	// New era: doc 1 now followed by doc 3. After several refreshes the
@@ -164,7 +188,7 @@ func TestEngineAgingForgets(t *testing.T) {
 		}
 		e.Refresh(at)
 	}
-	got := e.Speculate(1, nil)
+	got := speculate(e, 1, nil)
 	if len(got) != 1 || got[0] != 3 {
 		t.Errorf("aging failed to shift dependency: %v", got)
 	}
@@ -177,7 +201,7 @@ func TestEngineTopK(t *testing.T) {
 	cfg.Tp = 0
 	e := newTestEngine(t, cfg)
 	feedPattern(e, 20, 3)
-	got := e.Speculate(1, nil)
+	got := speculate(e, 1, nil)
 	if len(got) != 1 {
 		t.Errorf("TopK=1 returned %v", got)
 	}
@@ -197,8 +221,8 @@ func TestEngineConcurrency(t *testing.T) {
 			client := trace.ClientID(string(rune('a' + w)))
 			for i := 0; i < 500; i++ {
 				e.Record(client, webgraph.DocID(1+i%3), at)
-				e.Speculate(1, nil)
-				e.Hints(2, nil)
+				speculate(e, 1, nil)
+				hints(e, 2, nil)
 				at = at.Add(time.Millisecond)
 			}
 		}(w)
@@ -262,13 +286,13 @@ func TestEngineSetLimitsValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Doc 2 is 2000 bytes: the new MaxSize must suppress it.
-	if got := e.Speculate(1, nil); len(got) != 0 {
+	if got := speculate(e, 1, nil); len(got) != 0 {
 		t.Errorf("Speculate(1) = %v after MaxSize 1500, want none", got)
 	}
 	if err := e.SetLimits(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Speculate(1, nil); len(got) != 1 || got[0] != 2 {
+	if got := speculate(e, 1, nil); len(got) != 1 || got[0] != 2 {
 		t.Errorf("Speculate(1) = %v after restoring limits, want [2]", got)
 	}
 }
@@ -305,8 +329,8 @@ func TestEngineSetTpRace(t *testing.T) {
 			client := trace.ClientID(string(rune('p' + w)))
 			for i := 0; i < 500; i++ {
 				e.Record(client, webgraph.DocID(1+i%3), at)
-				e.Speculate(1, nil)
-				e.Split(1, nil)
+				speculate(e, 1, nil)
+				split(e, 1, nil)
 				at = at.Add(time.Millisecond)
 			}
 		}(w)
@@ -363,8 +387,8 @@ func TestEngineShardedRecordDeterminism(t *testing.T) {
 		t.Fatalf("stats diverge: sequential %+v concurrent %+v", s, c)
 	}
 	for doc := webgraph.DocID(1); doc <= 5; doc++ {
-		a := seq.Hints(doc, nil)
-		b := con.Hints(doc, nil)
+		a := hints(seq, doc, nil)
+		b := hints(con, doc, nil)
 		if len(a) != len(b) {
 			t.Fatalf("doc %d: sequential %v vs concurrent %v", doc, a, b)
 		}

@@ -14,7 +14,7 @@
 // service proxies.
 //
 // Both types are safe for concurrent use. The engine's decision path
-// (Speculate/Hints/Split and their *Into variants) is lock-free: decisions
+// (SpeculateInto/HintsInto/SplitInto) is lock-free: decisions
 // read an immutable {frozen matrix, policy, size cache} snapshot published
 // through an atomic pointer, and Record appends to striped shard buffers,
 // so concurrent requests contend on nothing but their own shard.
@@ -231,13 +231,7 @@ type Engine struct {
 	mu         sync.Mutex
 	est        markov.Estimator // exact (*markov.Aging) or bounded (*markov.Bounded)
 	quarantine markov.Estimator // side-ledger for quarantined transitions; nil without a Guard
-	carry      *trace.Trace     // open strides carried across refreshes
-	// deltaBase records whether the currently published frozen matrix was
-	// compiled directly from est's previous Snapshot — the precondition
-	// for patching only dirty rows into it. Trust damping, snapshot
-	// rejection, and warm starts all publish something else, so they clear
-	// it and the next refresh freezes in full.
-	deltaBase bool
+	carry      []trace.Request  // open strides carried across refreshes, time-ordered
 	// lastEstStats is the bounded estimator's ledger captured at the most
 	// recent refresh (nil on exact engines); installLocked copies it into
 	// the published snapshot for lock-free Stats.
@@ -257,6 +251,7 @@ type engineMetrics struct {
 	belowThreshold   *obs.Counter
 	digestSuppressed *obs.Counter
 	deltaFreezes     *obs.Counter
+	refreshPhase     [numRefreshPhases]*obs.Histogram
 	pairs            *obs.Gauge
 	docs             *obs.Gauge
 	estMemory        *obs.Gauge
@@ -266,9 +261,41 @@ type engineMetrics struct {
 	estErrorBound    *obs.Gauge
 }
 
+// The phases of one update cycle, in the order refreshLocked runs them;
+// specweb_engine_refresh_seconds{phase} splits the cycle's cost by them.
+const (
+	phaseDrain      = iota // shard drain, time sort, open-stride split
+	phaseEstimate          // guard partition, decay and fold
+	phaseFreeze            // compile to CSR, snapshot validation
+	phasePublish           // size cache, policy, atomic install
+	phaseCheckpoint        // durable frame; observed only with a store
+	numRefreshPhases
+)
+
+var refreshPhaseNames = [numRefreshPhases]string{"drain", "estimate", "freeze", "publish", "checkpoint"}
+
+// refreshClock times the phases of one cycle: one clock read per phase per
+// cycle, none per request.
+type refreshClock struct {
+	met  *engineMetrics
+	last time.Time
+}
+
+func (c *refreshClock) done(phase int) {
+	now := time.Now()
+	c.met.refreshPhase[phase].Observe(now.Sub(c.last).Seconds())
+	c.last = now
+}
+
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	const decisions = "specweb_engine_decisions_total"
 	const decisionsHelp = "Speculation candidate decisions by outcome."
+	var phases [numRefreshPhases]*obs.Histogram
+	for i, name := range refreshPhaseNames {
+		phases[i] = reg.Histogram("specweb_engine_refresh_seconds",
+			"Time one update cycle spent in each phase, paid by the request that crossed the refresh deadline.",
+			nil, obs.Labels{"phase": name})
+	}
 	return &engineMetrics{
 		recorded:  reg.Counter("specweb_engine_recorded_total", "Client requests observed by the engine.", nil),
 		refreshes: reg.Counter("specweb_engine_refreshes_total", "Dependency-matrix update cycles (the paper's UpdateCycle).", nil),
@@ -294,6 +321,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			"Cumulative rows displaced by the bounded estimator's admission policy.", nil),
 		estErrorBound: reg.Gauge("specweb_estimator_error_bound",
 			"Largest per-entry space-saving overcount currently tracked.", nil),
+		refreshPhase: phases,
 	}
 }
 
@@ -358,7 +386,6 @@ func NewEngine(cfg EngineConfig, size SizeFunc) (*Engine, error) {
 		shards:    make([]recordShard, n),
 		shardMask: uint32(n - 1),
 		est:       newEst(),
-		carry:     &trace.Trace{},
 	}
 	if cfg.Guard != nil {
 		// The quarantined side-ledger ages on the same cadence and with
@@ -474,15 +501,17 @@ func (e *Engine) Refresh(at time.Time) {
 }
 
 func (e *Engine) refreshLocked(at time.Time) {
-	// Drain the shard buffers into one trace, merging with the open
-	// strides carried from the previous refresh. Per-client order is
-	// preserved: a client maps to exactly one shard, and the sort below
-	// is stable.
-	buf := e.carry
+	clock := refreshClock{met: e.met, last: time.Now()}
+	// Drain the shard buffers behind the open strides carried from the
+	// previous refresh and put the lot in time order. Per-client order is
+	// preserved: a client maps to exactly one shard, and the sort is
+	// stable. The buffer is dropped after the cycle, so nothing of a busy
+	// window stays on the heap.
+	buf := append([]trace.Request(nil), e.carry...)
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		buf.Requests = append(buf.Requests, sh.reqs...)
+		buf = append(buf, sh.reqs...)
 		if cap(sh.reqs) > 1<<16 {
 			sh.reqs = nil // don't pin a giant buffer across quiet cycles
 		} else {
@@ -490,12 +519,15 @@ func (e *Engine) refreshLocked(at time.Time) {
 		}
 		sh.mu.Unlock()
 	}
-	buf.SortByTime()
+	trace.SortRequests(buf)
 	// Strides still open at the refresh instant (their last request is
 	// within StrideTimeout of now) are carried into the next buffer
 	// rather than finalized — otherwise a refresh landing mid-stride
 	// would permanently split the dependency pair across buffers.
-	flush, carry := splitOpenStrides(buf, at, e.cfg.StrideTimeout)
+	var finalized []trace.Request
+	finalized, e.carry = splitOpenStrides(buf, at, e.cfg.StrideTimeout, e.carry[:0])
+	flush := &trace.Trace{Requests: finalized}
+	clock.done(phaseDrain)
 
 	// Estimator hardening: classify clients over the sorted flush and
 	// divert quarantined transitions into the side-ledger. The side-ledger
@@ -517,65 +549,57 @@ func (e *Engine) refreshLocked(at time.Time) {
 	if err := e.est.AddDay(flush); err != nil {
 		panic(fmt.Sprintf("core: refresh: %v", err))
 	}
-	e.carry = carry
 	e.lastRefresh.Store(at.UnixNano())
 	e.refreshes.Add(1)
 	e.met.refreshes.Inc()
 	e.captureEstStatsLocked()
+	clock.done(phaseEstimate)
 
-	if g == nil {
-		m := e.est.Snapshot()
-		var frozen *markov.Frozen
-		// Delta-freeze: when the estimator can bound which rows changed
-		// and the published frozen matrix was compiled from its previous
-		// snapshot, patch only the dirty rows — byte-identical to a full
-		// Freeze (see markov.DeltaFreeze), just cheaper.
-		if dirty, ok := e.est.DirtyDocs(); ok && e.deltaBase {
-			frozen = markov.DeltaFreeze(e.snap.Load().frozen, m, dirty)
-			e.deltaFreezes.Add(1)
-			e.met.deltaFreezes.Inc()
-		} else {
-			frozen = markov.Freeze(m)
+	// Confidence damping: under a guard each candidate row is scaled by
+	// its trust — sample support × clean fraction against the side-ledger
+	// — so sparse or poisoned rows sink below the push/hint thresholds
+	// instead of driving speculation.
+	var trust func(webgraph.DocID) float64
+	if g != nil {
+		trust = func(i webgraph.DocID) float64 {
+			return g.RowTrust(e.est.Occurrences(i), e.quarantine.Occurrences(i))
 		}
-		e.deltaBase = true
-		e.installLocked(frozen, e.snapshotSizes(frozen))
-		e.met.pairs.Set(float64(frozen.NumPairs()))
-		e.met.docs.Set(float64(frozen.NumRows()))
-		e.saveCheckpointLocked(at)
-		return
 	}
-
-	// Confidence damping: scale each candidate row by its trust — sample
-	// support × clean fraction against the side-ledger — so sparse or
-	// poisoned rows sink below the push/hint thresholds instead of
-	// driving speculation. The damped matrix is no longer the estimator's
-	// own snapshot, so delta-freezing has no valid base after this.
-	m := e.est.Snapshot()
-	for _, i := range m.Docs() {
-		t := g.RowTrust(e.est.Occurrences(i), e.quarantine.Occurrences(i))
-		m.ScaleRow(i, t)
+	frozen, patched := e.est.Freeze(trust)
+	if patched {
+		e.deltaFreezes.Add(1)
+		e.met.deltaFreezes.Inc()
 	}
-	frozen := markov.Freeze(m)
-	e.deltaBase = false
 
 	// Snapshot validation: a candidate whose predicted interception
 	// regresses past the guard's bound is rejected, and the last-good
 	// frozen matrix keeps serving — the estimator's analogue of the
 	// Replicator's last-good-fit fallback. The aging state still advanced
 	// above, so decay can repair the estimate on later cycles.
-	var fb estguard.Feedback
-	if e.cfg.Feedback != nil {
-		fb.Delivered, fb.Consumed, fb.Wasted = e.cfg.Feedback()
+	accepted := true
+	if g != nil {
+		var fb estguard.Feedback
+		if e.cfg.Feedback != nil {
+			fb.Delivered, fb.Consumed, fb.Wasted = e.cfg.Feedback()
+		}
+		accepted = g.AcceptSnapshot(frozen, e.cfg.Tp, fb)
 	}
-	if !g.AcceptSnapshot(frozen, e.cfg.Tp, fb) {
+	clock.done(phaseFreeze)
+	if !accepted {
 		e.rejectedSnaps.Add(1)
 		e.met.rejectedSnaps.Inc()
 		return
 	}
+
 	e.installLocked(frozen, e.snapshotSizes(frozen))
 	e.met.pairs.Set(float64(frozen.NumPairs()))
 	e.met.docs.Set(float64(frozen.NumRows()))
-	e.saveCheckpointLocked(at)
+	clock.done(phasePublish)
+
+	if e.cfg.Checkpoint != nil {
+		e.saveCheckpointLocked(at)
+		clock.done(phaseCheckpoint)
+	}
 }
 
 // captureEstStatsLocked records the estimator's footprint and eviction
@@ -640,32 +664,63 @@ func (e *Engine) installLocked(frozen *markov.Frozen, sizes map[webgraph.DocID]i
 	})
 }
 
-// splitOpenStrides partitions buf into requests safe to finalize and the
-// per-client trailing strides that may still continue past `at`.
-func splitOpenStrides(buf *trace.Trace, at time.Time, strideTimeout time.Duration) (flush, carry *trace.Trace) {
-	flush = &trace.Trace{}
-	carry = &trace.Trace{}
+// splitOpenStrides partitions the time-ordered reqs into the requests safe
+// to finalize and the per-client trailing strides that may still continue
+// past `at`: one stable partition, so both halves keep reqs' order. flush
+// is compacted in place and aliases reqs; the open strides are appended to
+// carry.
+//
+// A client's trailing stride is open when its last request is within
+// strideTimeout of at, and reaches back while successive gaps stay below
+// strideTimeout. The backward scan stops as soon as no stride can reach the
+// request under it, so a refresh at a quiet instant reads only the tail.
+func splitOpenStrides(reqs []trace.Request, at time.Time, strideTimeout time.Duration, carry []trace.Request) (flush, open []trace.Request) {
 	if strideTimeout <= 0 {
-		flush.Requests = buf.Requests
-		return flush, carry
+		return reqs, carry
 	}
-	for _, reqs := range buf.ByClient() {
-		last := reqs[len(reqs)-1].Time
-		if at.Sub(last) >= strideTimeout {
-			flush.Requests = append(flush.Requests, reqs...)
-			continue
-		}
-		// Walk back to the start of the trailing stride.
-		cut := len(reqs) - 1
-		for cut > 0 && reqs[cut].Time.Sub(reqs[cut-1].Time) < strideTimeout {
-			cut--
-		}
-		flush.Requests = append(flush.Requests, reqs[:cut]...)
-		carry.Requests = append(carry.Requests, reqs[cut:]...)
+	// first is the earliest request found so far of a client's trailing
+	// stride; closed clients stay in the map so an older request of theirs
+	// is not mistaken for a last one.
+	type tail struct {
+		first time.Time
+		open  bool
 	}
-	flush.SortByTime()
-	carry.SortByTime()
-	return flush, carry
+	tails := make(map[trace.ClientID]tail)
+	// reach is the earliest instant any open stride — or the trailing
+	// stride of a client not met yet, which must end within strideTimeout
+	// of at — has got back to.
+	reach := at
+	lo := len(reqs)
+	var carried []bool // for reqs[lo:], filled back to front
+	for lo > 0 && reach.Sub(reqs[lo-1].Time) < strideTimeout {
+		lo--
+		r := &reqs[lo]
+		t, met := tails[r.Client]
+		switch {
+		case !met: // the client's last request
+			t.open = at.Sub(r.Time) < strideTimeout
+		case t.open:
+			t.open = t.first.Sub(r.Time) < strideTimeout
+		}
+		if t.open {
+			t.first = r.Time
+			if r.Time.Before(reach) {
+				reach = r.Time
+			}
+		}
+		tails[r.Client] = t
+		carried = append(carried, t.open)
+	}
+	n := lo
+	for k := lo; k < len(reqs); k++ {
+		if carried[len(reqs)-1-k] {
+			carry = append(carry, reqs[k])
+		} else {
+			reqs[n] = reqs[k]
+			n++
+		}
+	}
+	return reqs[:n], carry
 }
 
 // Decision is a reusable buffer for one request's speculation outcome.
@@ -783,31 +838,6 @@ func (e *Engine) SplitInto(d *Decision, doc webgraph.DocID, have map[webgraph.Do
 	e.decide(e.snap.Load(), d, doc, have, modeSplit)
 	e.met.push.Add(int64(len(d.Push)))
 	e.met.hint.Add(int64(len(d.Hints)))
-}
-
-// Speculate returns the documents to push along with doc, excluding any the
-// caller knows the client has (the cooperative digest; may be nil). The
-// returned slice is owned by the caller; servers on the hot path should
-// prefer SpeculateInto with a pooled Decision.
-func (e *Engine) Speculate(doc webgraph.DocID, have map[webgraph.DocID]bool) []webgraph.DocID {
-	var d Decision
-	e.SpeculateInto(&d, doc, have)
-	return d.Push
-}
-
-// Hints returns the server-assisted prefetching list for doc.
-func (e *Engine) Hints(doc webgraph.DocID, have map[webgraph.DocID]bool) []speculation.Hint {
-	var d Decision
-	e.HintsInto(&d, doc, have)
-	return d.Hints
-}
-
-// Split returns the hybrid response for doc: candidates at or above
-// EmbedThreshold to push, the rest as hints.
-func (e *Engine) Split(doc webgraph.DocID, have map[webgraph.DocID]bool) (push []webgraph.DocID, hints []speculation.Hint) {
-	var d Decision
-	e.SplitInto(&d, doc, have)
-	return d.Push, d.Hints
 }
 
 // SetTp replaces the speculation threshold at runtime — the §3.4 knob an

@@ -104,7 +104,7 @@ func FuzzBoundedEstimator(f *testing.F) {
 			case 4: // large time jump so auto-refresh paths fire on Record
 				at = at.Add(time.Duration(x) * time.Minute)
 			case 5: // read path against whatever snapshot is published
-				e.Speculate(webgraph.DocID(y%48), nil)
+				speculate(e, webgraph.DocID(y%48), nil)
 			}
 		}
 		e.Refresh(at.Add(cfg.RefreshEvery))

@@ -120,6 +120,24 @@ func BenchmarkFreeze(b *testing.B) {
 	b.ReportMetric(float64(m.NumPairs()), "pairs")
 }
 
+// BenchmarkAgingFreeze measures the exact estimator's direct freeze — the
+// accumulator compiled straight to CSR, rows gathered in the previous
+// freeze's order — on the matrix BenchmarkFreeze and BenchmarkDeltaFreeze
+// compile, so the three refresh-path compilers read against each other.
+func BenchmarkAgingFreeze(b *testing.B) {
+	tr := benchTrace(b)
+	a := NewAging(1, DefaultEstimate())
+	if err := a.AddDay(tr); err != nil {
+		b.Fatal(err)
+	}
+	var f *Frozen
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, _ = a.Freeze(nil)
+	}
+	b.ReportMetric(float64(f.NumPairs()), "pairs")
+}
+
 // BenchmarkFrozenThresholdRow measures the zero-alloc binary-search cut on
 // a frozen row — the innermost operation of the request hot path.
 func BenchmarkFrozenThresholdRow(b *testing.B) {

@@ -3,7 +3,7 @@ package markov
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"specweb/internal/trace"
 	"specweb/internal/webgraph"
@@ -123,6 +123,14 @@ type Bounded struct {
 	allDirty     bool
 	lastDirty    []webgraph.DocID
 	lastDirtyAll bool
+	// base is the previous unscaled Freeze, kept while the dirty set still
+	// describes everything that changed since it: the precondition for
+	// patching only dirty rows. A scaled Freeze or a Snapshot taken by
+	// anyone else consumes the dirty set without producing a base, so both
+	// clear it and the next Freeze compiles in full.
+	base *Frozen
+
+	walk pairWalk
 }
 
 // NewBounded returns a bounded estimator with the given decay per refresh
@@ -260,7 +268,7 @@ func (b *Bounded) AddDay(day *trace.Trace) error {
 		b.sketch.scale(b.decay)
 		b.evictedMass *= b.decay
 	}
-	accumulateTrace(day, b.cfg, b.Transitive, b)
+	b.walk.accumulate(day, b.cfg, b.Transitive, b)
 	return nil
 }
 
@@ -271,11 +279,9 @@ func (b *Bounded) AddDay(day *trace.Trace) error {
 // carries the eviction tally. Snapshot also latches the dirty row set for
 // DirtyDocs and starts a fresh one.
 func (b *Bounded) Snapshot() *Matrix {
+	b.base = nil // the dirty set is consumed below; see Freeze
 	m := NewMatrix()
-	min := float64(b.cfg.MinOccurrences)
-	if min < 1 {
-		min = 1
-	}
+	min := b.cfg.minOccurrences()
 	for i, r := range b.rows {
 		if len(r.succ) == 0 || r.occ < min {
 			continue
@@ -300,11 +306,35 @@ func (b *Bounded) Snapshot() *Matrix {
 		for i := range b.dirty {
 			b.lastDirty = append(b.lastDirty, i)
 		}
-		sort.Slice(b.lastDirty, func(a, c int) bool { return b.lastDirty[a] < b.lastDirty[c] })
+		slices.Sort(b.lastDirty)
 	}
 	b.dirty = make(map[webgraph.DocID]struct{})
 	b.allDirty = false
 	return m
+}
+
+// Freeze compiles the current bounded estimate: Snapshot, then a full
+// Freeze — or, when nothing but a known set of rows changed since the
+// previous unscaled Freeze, DeltaFreeze of those rows into it, which is
+// byte-identical and skips the sort of every clean row. Trust-damped
+// output is not the estimator's own snapshot, so a non-nil scale always
+// compiles in full and leaves no base to patch next time.
+func (b *Bounded) Freeze(scale func(webgraph.DocID) float64) (f *Frozen, patched bool) {
+	base := b.base
+	m := b.Snapshot()
+	if scale != nil {
+		for _, i := range m.Docs() {
+			m.ScaleRow(i, scale(i))
+		}
+		return Freeze(m), false
+	}
+	if dirty, ok := b.DirtyDocs(); ok && base != nil {
+		f, patched = DeltaFreeze(base, m, dirty), true
+	} else {
+		f = Freeze(m)
+	}
+	b.base = f
+	return f, patched
 }
 
 // DirtyDocs reports the rows that changed between the two most recent

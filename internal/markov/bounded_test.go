@@ -145,6 +145,7 @@ func TestBoundedSpaceSavingSandwich(t *testing.T) {
 		if st.EvictedPairs == 0 {
 			t.Fatalf("seed=%d: workload too tame — K=%d forced no evictions, test vacuous", seed, k)
 		}
+		truths := exact.acc.counts()
 		for i, r := range bounded.rows {
 			if len(r.succ) > k {
 				t.Fatalf("row %d holds %d > K=%d successors", i, len(r.succ), k)
@@ -153,11 +154,11 @@ func TestBoundedSpaceSavingSandwich(t *testing.T) {
 			// decay=1 every counted (i,j) observation is still in the exact
 			// accumulator, so it equals Σ_j true(i,j).
 			var rowMass float64
-			for _, c := range exact.acc.counts[i] {
+			for _, c := range truths[i] {
 				rowMass += c
 			}
 			for j, e := range r.succ {
-				truth := exact.acc.counts[i][j]
+				truth := truths[i][j]
 				if e.count < truth {
 					t.Errorf("row %d→%d: count %v < true %v (upper bound violated)", i, j, e.count, truth)
 				}
@@ -174,7 +175,7 @@ func TestBoundedSpaceSavingSandwich(t *testing.T) {
 			// Every pair the exact oracle holds but the bounded row dropped
 			// must be covered by the eviction sketch: an untracked pair's
 			// full true mass passed through a space-saving eviction.
-			for j, truth := range exact.acc.counts[i] {
+			for j, truth := range truths[i] {
 				if _, tracked := r.succ[j]; tracked {
 					continue
 				}

@@ -1,7 +1,7 @@
 package markov
 
 import (
-	"sort"
+	"slices"
 
 	"specweb/internal/webgraph"
 )
@@ -28,21 +28,11 @@ func DeltaFreeze(prev *Frozen, m *Matrix, dirty []webgraph.DocID) *Frozen {
 		dirtySet[d] = struct{}{}
 	}
 
-	f := &Frozen{
-		ids: make([]webgraph.DocID, 0, len(m.rows)),
-		off: make([]int32, 1, len(m.rows)+1),
-	}
-	pairs := 0
-	var maxID webgraph.DocID
-	for i, row := range m.rows {
+	f := newFrozen(len(m.rows), m.NumPairs())
+	for i := range m.rows {
 		f.ids = append(f.ids, i)
-		pairs += len(row)
-		if i > maxID {
-			maxID = i
-		}
 	}
-	sort.Slice(f.ids, func(a, b int) bool { return f.ids[a] < f.ids[b] })
-	f.succ = make([]Successor, 0, pairs)
+	slices.Sort(f.ids)
 
 	// Walk prev's rows in lockstep with the new ascending id list so clean
 	// rows resolve to their previous storage without per-row lookups.
@@ -57,24 +47,8 @@ func DeltaFreeze(prev *Frozen, m *Matrix, dirty []webgraph.DocID) *Frozen {
 			f.off = append(f.off, int32(len(f.succ)))
 			continue
 		}
-		start := len(f.succ)
-		for j, p := range m.rows[i] {
-			f.succ = append(f.succ, Successor{Doc: j, P: p})
-		}
-		row := f.succ[start:]
-		sort.Slice(row, func(a, b int) bool {
-			if row[a].P != row[b].P {
-				return row[a].P > row[b].P
-			}
-			return row[a].Doc < row[b].Doc
-		})
-		f.off = append(f.off, int32(len(f.succ)))
+		f.appendRow(m.rows[i])
 	}
-	if n := len(f.ids); n > 0 && maxID >= 0 && int(maxID) < 4*n+1024 {
-		f.dense = make([]int32, int(maxID)+1)
-		for r, id := range f.ids {
-			f.dense[id] = int32(r) + 1
-		}
-	}
+	f.indexDense()
 	return f
 }

@@ -1,6 +1,8 @@
 package markov
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"specweb/internal/webgraph"
@@ -28,45 +30,111 @@ type Frozen struct {
 // Freeze compiles m into its immutable CSR form. The input matrix is not
 // retained; later mutations of m do not affect the snapshot.
 func Freeze(m *Matrix) *Frozen {
-	f := &Frozen{
-		ids: make([]webgraph.DocID, 0, len(m.rows)),
-		off: make([]int32, 1, len(m.rows)+1),
-	}
-	pairs := 0
-	var maxID webgraph.DocID
-	for i, row := range m.rows {
+	f := newFrozen(len(m.rows), m.NumPairs())
+	for i := range m.rows {
 		f.ids = append(f.ids, i)
-		pairs += len(row)
-		if i > maxID {
-			maxID = i
-		}
 	}
-	sort.Slice(f.ids, func(a, b int) bool { return f.ids[a] < f.ids[b] })
-	f.succ = make([]Successor, 0, pairs)
+	slices.Sort(f.ids)
 	for _, i := range f.ids {
-		start := len(f.succ)
-		for j, p := range m.rows[i] {
-			f.succ = append(f.succ, Successor{Doc: j, P: p})
-		}
-		row := f.succ[start:]
-		sort.Slice(row, func(a, b int) bool {
-			if row[a].P != row[b].P {
-				return row[a].P > row[b].P
-			}
-			return row[a].Doc < row[b].Doc
-		})
-		f.off = append(f.off, int32(len(f.succ)))
+		f.appendRow(m.rows[i])
 	}
-	// The dense index trades O(maxID) words for O(1) row lookup; fall back
-	// to binary search when IDs are sparse enough that the table would
-	// dominate the snapshot's footprint.
-	if n := len(f.ids); n > 0 && maxID >= 0 && int(maxID) < 4*n+1024 {
-		f.dense = make([]int32, int(maxID)+1)
-		for r, id := range f.ids {
-			f.dense[id] = int32(r) + 1
-		}
-	}
+	f.indexDense()
 	return f
+}
+
+// newFrozen returns an empty snapshot with room for the given rows and
+// pairs. Every compiler (Freeze, DeltaFreeze, the exact estimator's direct
+// freeze) starts here, appends ids, off and succ row by row in ascending
+// document order, and ends with indexDense.
+func newFrozen(rows, pairs int) *Frozen {
+	return &Frozen{
+		ids:  make([]webgraph.DocID, 0, rows),
+		off:  make([]int32, 1, rows+1),
+		succ: make([]Successor, 0, pairs),
+	}
+}
+
+// appendRow appends one matrix row to succ in frozen order and closes it
+// in off.
+func (f *Frozen) appendRow(row map[webgraph.DocID]float64) {
+	start := len(f.succ)
+	for j, p := range row {
+		f.succ = append(f.succ, Successor{Doc: j, P: p})
+	}
+	sortSuccessors(f.succ[start:])
+	f.off = append(f.off, int32(len(f.succ)))
+}
+
+// indexDense builds the direct DocID → row table once ids is complete.
+// The dense index trades O(maxID) words for O(1) row lookup; lookups fall
+// back to binary search when IDs are sparse enough that the table would
+// dominate the snapshot's footprint, or when any is negative.
+func (f *Frozen) indexDense() {
+	n := len(f.ids)
+	if n == 0 || f.ids[0] < 0 || int(f.ids[n-1]) >= 4*n+1024 {
+		return
+	}
+	f.dense = make([]int32, int(f.ids[n-1])+1)
+	for r, id := range f.ids {
+		f.dense[id] = int32(r) + 1
+	}
+}
+
+// sortSuccessors puts a row in frozen order: decreasing probability, ties
+// by ascending DocID. A document appears once per row, so the order is
+// total and any sorting algorithm yields the same bytes.
+func sortSuccessors(row []Successor) {
+	slices.SortFunc(row, func(a, b Successor) int {
+		switch {
+		case a.P > b.P:
+			return -1
+		case a.P < b.P:
+			return 1
+		}
+		return cmp.Compare(a.Doc, b.Doc)
+	})
+}
+
+// resortSuccessors is sortSuccessors for a row believed to be nearly in
+// order already: an insertion sort, which costs one pass plus one move per
+// inversion, abandoned for the general sort once it has moved more than a
+// general sort would have cost.
+func resortSuccessors(row []Successor) {
+	budget := 16 * len(row)
+	for k := 1; k < len(row); k++ {
+		s := row[k]
+		j := k
+		for j > 0 && (row[j-1].P < s.P || row[j-1].P == s.P && row[j-1].Doc > s.Doc) {
+			row[j] = row[j-1]
+			j--
+		}
+		row[j] = s
+		if budget -= k - j; budget < 0 {
+			sortSuccessors(row)
+			return
+		}
+	}
+}
+
+// scaleSuccessors is Matrix.ScaleRow over a row held as a slice: it damps
+// row in place by f and returns how many leading entries remain.
+func scaleSuccessors(row []Successor, f float64) int {
+	if f <= 0 {
+		return 0
+	}
+	if f >= 1 {
+		return len(row)
+	}
+	n := 0
+	for _, s := range row {
+		s.P *= f
+		if s.P < 1e-9 {
+			continue
+		}
+		row[n] = s
+		n++
+	}
+	return n
 }
 
 // rowIndex resolves a document to its row index; ok is false when the
@@ -131,9 +199,9 @@ func (f *Frozen) TopKRow(i webgraph.DocID, k int, minP float64) []Successor {
 	return row[:cut]
 }
 
-// Get returns p[i,j] in the snapshot (0 when absent). Lookup is a binary
-// search within the row, which is ordered by probability, so this is O(row)
-// only in the worst case of many probability ties.
+// Get returns p[i,j] in the snapshot (0 when absent). A row is ordered by
+// probability, not by successor, so the lookup is a linear scan of it; the
+// decision path reads rows through ThresholdRow and TopKRow instead.
 func (f *Frozen) Get(i, j webgraph.DocID) float64 {
 	for _, s := range f.SortedRow(i) {
 		if s.Doc == j {

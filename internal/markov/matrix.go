@@ -16,7 +16,7 @@ package markov
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -116,12 +116,7 @@ func (m *Matrix) SortedRow(i webgraph.DocID) []Successor {
 	for j, p := range row {
 		out = append(out, Successor{Doc: j, P: p})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].P != out[b].P {
-			return out[a].P > out[b].P
-		}
-		return out[a].Doc < out[b].Doc
-	})
+	sortSuccessors(out)
 	return out
 }
 
@@ -132,7 +127,7 @@ func (m *Matrix) Docs() []webgraph.DocID {
 	for i := range m.rows {
 		out = append(out, i)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 

@@ -8,6 +8,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -56,14 +58,41 @@ func (t *Trace) index() *clientIndex {
 	if t.idx != nil && t.idx.n == len(t.Requests) {
 		return t.idx
 	}
-	idx := &clientIndex{n: len(t.Requests), byClient: make(map[ClientID][]Request)}
+	// Number the clients in first-appearance order and count their
+	// requests, then lay the per-client sequences end to end in one array:
+	// one map lookup per request and three allocations, however many
+	// clients there are.
+	ordinal := make(map[ClientID]int32)
+	of := make([]int32, len(t.Requests)) // request → its client's ordinal
+	var order []ClientID
+	var ends []int // per ordinal: request count, then where its sequence ends
 	for i := range t.Requests {
 		c := t.Requests[i].Client
-		reqs, seen := idx.byClient[c]
+		o, seen := ordinal[c]
 		if !seen {
-			idx.order = append(idx.order, c)
+			o = int32(len(order))
+			ordinal[c] = o
+			order = append(order, c)
+			ends = append(ends, 0)
 		}
-		idx.byClient[c] = append(reqs, t.Requests[i])
+		of[i] = o
+		ends[o]++
+	}
+	for o := 1; o < len(ends); o++ {
+		ends[o] += ends[o-1]
+	}
+	next := make([]int, len(ends)+1) // per ordinal: where its next request goes
+	copy(next[1:], ends)
+	all := make([]Request, len(t.Requests))
+	for i := range t.Requests {
+		all[next[of[i]]] = t.Requests[i]
+		next[of[i]]++
+	}
+	idx := &clientIndex{n: len(t.Requests), order: order, byClient: make(map[ClientID][]Request, len(order))}
+	start := 0
+	for o, c := range order {
+		idx.byClient[c] = all[start:ends[o]:ends[o]]
+		start = ends[o]
 	}
 	t.idx = idx
 	return idx
@@ -94,10 +123,91 @@ func (t *Trace) Span() (first, last time.Time, ok bool) {
 // SortByTime orders requests chronologically (stable, so simultaneous
 // requests keep their relative order).
 func (t *Trace) SortByTime() {
-	sort.SliceStable(t.Requests, func(i, j int) bool {
-		return t.Requests[i].Time.Before(t.Requests[j].Time)
-	})
 	t.Invalidate()
+	SortRequests(t.Requests)
+}
+
+// SortRequests is SortByTime for a bare request slice.
+//
+// Traces arrive as a few time-ordered runs laid end to end — one per
+// session from the generator, one per ingestion shard from the engine — so
+// this is a natural merge sort, and it sorts 16-byte keys rather than the
+// 88-byte requests, which then move once each.
+func SortRequests(reqs []Request) {
+	if len(reqs) < 2 {
+		return
+	}
+	// A key is the request's distance from the first one: Sub, like
+	// Compare, reads the monotonic clock when both times carry it. It
+	// saturates past ±292 years, where keys would tie that times do not;
+	// such a trace takes the general sort.
+	keys := make([]timeKey, len(reqs), 2*len(reqs))
+	bounds := []int{0} // bounds[r] is where run r starts; len(reqs) closes the list
+	for i := range reqs {
+		d := reqs[i].Time.Sub(reqs[0].Time)
+		if d == math.MinInt64 || d == math.MaxInt64 {
+			slices.SortStableFunc(reqs, func(a, b Request) int { return a.Time.Compare(b.Time) })
+			return
+		}
+		keys[i] = timeKey{d: d, from: int32(i)}
+		if i > 0 && d < keys[i-1].d {
+			bounds = append(bounds, i)
+		}
+	}
+	bounds = append(bounds, len(reqs))
+	src, dst := keys, keys[len(reqs):cap(keys)]
+	for len(bounds) > 2 {
+		merged := bounds[:1]
+		for r := 0; r+1 < len(bounds); r += 2 {
+			lo, mid, hi := bounds[r], bounds[r+1], bounds[r+1]
+			if r+2 < len(bounds) {
+				hi = bounds[r+2]
+			}
+			a, b, k := lo, mid, lo
+			for a < mid && b < hi {
+				// Ties go to the left run, which came first.
+				if src[b].d < src[a].d {
+					dst[k] = src[b]
+					b++
+				} else {
+					dst[k] = src[a]
+					a++
+				}
+				k++
+			}
+			k += copy(dst[k:], src[a:mid])
+			copy(dst[k:], src[b:hi])
+			merged = append(merged, hi)
+		}
+		bounds = merged
+		src, dst = dst, src
+	}
+
+	// src[k].from is the request that belongs at k: move each cycle of
+	// that permutation round through one spare request.
+	for start := range src {
+		if int(src[start].from) == start {
+			continue
+		}
+		spare := reqs[start]
+		k := start
+		for {
+			from := int(src[k].from)
+			src[k].from = int32(k)
+			if from == start {
+				reqs[k] = spare
+				break
+			}
+			reqs[k] = reqs[from]
+			k = from
+		}
+	}
+}
+
+// timeKey is a request's sort key and the index it came from.
+type timeKey struct {
+	d    time.Duration
+	from int32
 }
 
 // Validate checks trace invariants: chronological order and non-negative

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -273,5 +276,80 @@ func TestWindowEmptyTrace(t *testing.T) {
 	var tr Trace
 	if w := tr.Window(t0, t0.Add(time.Hour)); w.Len() != 0 {
 		t.Error("window of empty trace not empty")
+	}
+}
+
+// SortByTime's merge of key runs must order exactly as the stable sort of
+// the requests themselves does: on run-shaped input, on shuffled input, on
+// ties, on input already in order, and on a span too wide for its keys.
+func TestSortByTimeMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	base := time.Date(1995, time.May, 1, 0, 0, 0, 0, time.UTC)
+	inputs := map[string][]Request{"empty": nil, "one": {{Time: base}}}
+	var runs, shuffled, ordered []Request
+	for r := 0; r < 40; r++ {
+		at := base.Add(time.Duration(rng.Intn(3600)) * time.Second)
+		for k := 0; k < 1+rng.Intn(12); k++ {
+			at = at.Add(time.Duration(rng.Intn(3)) * time.Second) // 0 s steps make ties
+			runs = append(runs, Request{Time: at})
+		}
+	}
+	for k := 0; k < 300; k++ {
+		shuffled = append(shuffled, Request{Time: base.Add(time.Duration(rng.Intn(100)) * time.Second)})
+		ordered = append(ordered, Request{Time: base.Add(time.Duration(k/2) * time.Second)})
+	}
+	inputs["runs"], inputs["shuffled"], inputs["ordered"] = runs, shuffled, ordered
+	inputs["wide"] = []Request{{Time: base}, {}, {Time: base.Add(-time.Hour)}, {}, {Time: base.Add(time.Hour)}}
+	for name, in := range inputs {
+		for i := range in {
+			in[i].Size = int64(i) // tells equal times apart
+		}
+		want := append([]Request(nil), in...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
+		tr := &Trace{Requests: append([]Request(nil), in...)}
+		tr.SortByTime()
+		if !reflect.DeepEqual(tr.Requests, want) {
+			t.Errorf("%s: SortByTime differs from the stable sort", name)
+		}
+	}
+}
+
+// BenchmarkSortRequests sorts the two shapes SortByTime meets: a generated
+// trace (thousands of short session runs laid end to end) and an engine
+// drain (a few long shard runs covering the same span).
+func BenchmarkSortRequests(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	base := time.Date(1995, time.May, 1, 0, 0, 0, 0, time.UTC)
+	var sessions, shards []Request
+	for r := 0; r < 6600; r++ {
+		at := base.Add(time.Duration(rng.Int63n(int64(30 * 24 * time.Hour))))
+		for k := 0; k < 9; k++ {
+			at = at.Add(time.Duration(rng.Intn(20)) * time.Second)
+			sessions = append(sessions, Request{Time: at, Client: "c"})
+		}
+	}
+	runs := make([][]Request, 4)
+	at := base
+	for k := 0; k < 2000; k++ {
+		at = at.Add(time.Duration(rng.Intn(40)) * time.Second)
+		s := rng.Intn(len(runs))
+		runs[s] = append(runs[s], Request{Time: at, Client: "c"})
+	}
+	for _, r := range runs {
+		shards = append(shards, r...)
+	}
+	for _, tc := range []struct {
+		name string
+		in   []Request
+	}{{"sessions", sessions}, {"shards", shards}} {
+		b.Run(tc.name, func(b *testing.B) {
+			buf := make([]Request, len(tc.in))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(buf, tc.in)
+				SortRequests(buf)
+			}
+			b.ReportMetric(float64(len(tc.in)), "requests")
+		})
 	}
 }
