@@ -59,10 +59,10 @@ bench-short:
 # Hot-path micro-benchmarks under the race detector: a fixed iteration
 # count (-benchtime=100x) makes this a correctness smoke test of the
 # lock-free read path, not a timing run — it catches races and alloc
-# regressions cheaply in CI. The refresh, wire-path, round-trip and span
-# benchmarks each fail above their own allocs/op ceiling and run without
-# the race detector: under it sync.Pool drops what is put back, and the
-# ceiling would blame the code.
+# regressions cheaply in CI. The refresh, wire-path, round-trip, batched
+# prefetch and span benchmarks each fail above their own allocs/op ceiling
+# and run without the race detector: under it sync.Pool drops what is put
+# back, and the ceiling would blame the code.
 bench-smoke:
 	$(GO) test -race -run '^$$' -benchtime=100x -cpu 1,4,8 \
 		-bench 'BenchmarkEngine(Record|Speculate|Hints)' ./internal/core/
@@ -72,7 +72,7 @@ bench-smoke:
 		-bench 'BenchmarkClosureSerial|BenchmarkClosureParallel|BenchmarkFreeze|BenchmarkFrozenThresholdRow' \
 		./internal/markov/
 	$(GO) test -run '^$$' -benchtime=100x -benchmem \
-		-bench 'BenchmarkReadBody|BenchmarkClientIngestBundle|BenchmarkServeBundle|BenchmarkServerRoundTrip' \
+		-bench 'BenchmarkReadBody|BenchmarkClientIngestBundle|BenchmarkServeBundle|BenchmarkServerRoundTrip|BenchmarkPrefetchBatch' \
 		./internal/httpspec/
 	$(GO) test -run '^$$' -benchtime=100x -benchmem -bench 'BenchmarkSpan' ./internal/obs/
 
@@ -171,7 +171,8 @@ fuzz-estimator:
 	$(GO) test -run '^$$' -fuzz FuzzExactAccumulator -fuzztime 30s -fuzzminimizetime 2s ./internal/markov/
 
 # Wire-format fuzzing: the header parsers must degrade garbage to safe
-# zeros, and the in-place bundle walker must never panic, never hand out a
+# zeros (Spec-Want to at most the cap of named, known documents, each once),
+# and the in-place bundle walker must never panic, never hand out a
 # slice outside its input, and agree with mime/multipart.Reader on
 # everything it accepts; the in-place traceparent parser must agree with
 # the strings.Split version, and the hint probability with fmt's %.3f.
@@ -181,6 +182,7 @@ fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzParsePMilli -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzIngestAttrib -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzParseLinkHint -fuzztime 15s ./internal/httpspec/
+	$(GO) test -run '^$$' -fuzz FuzzParseWant -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzWalkBundle -fuzztime 30s ./internal/httpspec/
 
 # Regenerate the golden files pinning the experiments renderers.

@@ -188,7 +188,7 @@ func main() {
 	fmt.Printf("cache hits:  %d (%.1f%%), %d manufactured by speculation\n", sum.CacheHits,
 		100*float64(sum.CacheHits)/float64(max64(sum.Requests, 1)), sum.SpecHits)
 	fmt.Printf("pushed:      %d speculative documents received\n", sum.Pushed)
-	fmt.Printf("prefetched:  %d hint-driven fetches\n", sum.Prefetched)
+	fmt.Printf("prefetched:  %d hinted documents in %d round trips\n", sum.Prefetched, sum.PrefetchRoundTrips)
 	fmt.Printf("bytes in:    %s (baseline %s)\n",
 		experiments.FmtBytes(sum.BytesIn), experiments.FmtBytes(sum.BaselineBytes))
 	fmt.Printf("ratios vs non-speculative (Figs. 5-6):\n")

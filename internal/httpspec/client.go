@@ -7,6 +7,7 @@ import (
 	"mime"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,7 +72,12 @@ type ClientStats struct {
 	CacheHits  int64
 	Pushed     int64 // documents received speculatively
 	Prefetched int64 // documents fetched because of hints
-	BytesIn    int64
+	// PrefetchRoundTrips counts the requests those documents took: one per
+	// followed response when every hinted document arrives in one answer,
+	// and every attempt counts, answered or not. It is what
+	// prefetching adds to the server's load.
+	PrefetchRoundTrips int64
+	BytesIn            int64
 
 	// SpecHits counts cache hits served by a document that arrived
 	// speculatively (pushed or prefetched) and had not been requested
@@ -107,6 +113,7 @@ func (s ClientStats) plus(o ClientStats, sign int64) ClientStats {
 	s.CacheHits += sign * o.CacheHits
 	s.Pushed += sign * o.Pushed
 	s.Prefetched += sign * o.Prefetched
+	s.PrefetchRoundTrips += sign * o.PrefetchRoundTrips
 	s.BytesIn += sign * o.BytesIn
 	s.SpecHits += sign * o.SpecHits
 	s.SpecHitBytes += sign * o.SpecHitBytes
@@ -336,12 +343,7 @@ func (c *Client) GetCtx(ctx context.Context, path string) (body []byte, fromCach
 	c.mu.Unlock()
 	// Hint-driven prefetching happens synchronously so behaviour is
 	// deterministic; a production client would fetch in the background.
-	for _, h := range hints {
-		if h.p < c.cfg.PrefetchThreshold || c.cfg.PrefetchThreshold == 0 {
-			continue
-		}
-		c.prefetch(ctx, sp, h)
-	}
+	c.followHints(ctx, sp, hints)
 	return body, false, nil
 }
 
@@ -463,6 +465,23 @@ func (c *Client) fetchAllowed(ctx context.Context, sp *obs.ActiveSpan, path, dig
 	return body, hints, nil
 }
 
+// openBundle reads a multipart response into one buffer and returns the
+// walker over it.
+func openBundle(resp *http.Response, boundary string) (bundleWalker, error) {
+	if boundary == "" {
+		return bundleWalker{}, fmt.Errorf("httpspec: bundle without boundary")
+	}
+	raw, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return bundleWalker{}, fmt.Errorf("httpspec: reading bundle: %w", err)
+	}
+	bw, err := newBundleWalker(raw, boundary)
+	if err != nil {
+		return bundleWalker{}, fmt.Errorf("httpspec: reading bundle: %w", err)
+	}
+	return bw, nil
+}
+
 // ingestBundle reads a multipart bundle into one buffer and walks it in
 // place, caching every part and returning the part matching the requested
 // path; cached bodies (and the one returned) are capacity-clipped
@@ -471,16 +490,9 @@ func (c *Client) fetchAllowed(ctx context.Context, sp *obs.ActiveSpan, path, dig
 // document already cached is resolved as wasted on the spot (the bytes
 // crossed the wire for nothing).
 func (c *Client) ingestBundle(want string, resp *http.Response, boundary string) ([]byte, error) {
-	if boundary == "" {
-		return nil, fmt.Errorf("httpspec: bundle without boundary")
-	}
-	raw, err := readBody(resp.Body, resp.ContentLength)
+	bw, err := openBundle(resp, boundary)
 	if err != nil {
-		return nil, fmt.Errorf("httpspec: reading bundle: %w", err)
-	}
-	bw, err := newBundleWalker(raw, boundary)
-	if err != nil {
-		return nil, fmt.Errorf("httpspec: reading bundle: %w", err)
+		return nil, err
 	}
 	rung := validRung(resp.Header.Get(HeaderRung))
 	var wanted []byte
@@ -535,19 +547,71 @@ func classOf(pushed bool) string {
 	return ""
 }
 
-// prefetch fetches a hinted path into the cache (no hint recursion).
-// Prefetches are speculative, so they stay single-attempt: a failed
-// prefetch costs nothing the demand path will not recover later. The
-// request announces itself with Spec-Prefetch and continues the demand
-// fetch's trace as a child span.
-func (c *Client) prefetch(ctx context.Context, parent *obs.ActiveSpan, h clientHint) {
-	path := h.path
-	c.mu.Lock()
-	if _, ok := c.cache[path]; ok {
-		c.mu.Unlock()
+// followHints prefetches what a response hinted: every hint at or above
+// the threshold whose document is not cached, each once, in as few requests
+// as carry them (no hint recursion: a prefetch's own hints are not followed).
+// hints is reused as the list of what is still to ask for.
+func (c *Client) followHints(ctx context.Context, parent *obs.ActiveSpan, hints []clientHint) {
+	if c.cfg.PrefetchThreshold == 0 {
 		return
 	}
+	want := hints[:0]
+	c.mu.Lock()
+	for _, h := range hints {
+		if h.p < c.cfg.PrefetchThreshold {
+			continue
+		}
+		if _, ok := c.cache[h.path]; ok {
+			continue
+		}
+		if slices.ContainsFunc(want, func(w clientHint) bool { return w.path == h.path }) {
+			continue
+		}
+		want = append(want, h)
+	}
+	c.mu.Unlock()
+	for len(want) > 0 {
+		want = c.prefetch(ctx, parent, want)
+	}
+}
+
+// prefetch sends one prefetch request and returns what is still to ask
+// for. want[0] heads the request: its path is the URL, its probability goes
+// in Spec-Prefetch. The hints after it ride in Spec-Want, up to maxWant
+// documents in all and stopping short of a path the list cannot name. Every
+// part of the answer that was asked for enters the cache as a prefetch;
+// anything else in it is dropped. Whatever the answer leaves out — the
+// server's cap, a proxy that answered the head from a replica, a failure —
+// stays in the returned list behind the hints not yet asked for, and the
+// head never does, so a hint list is worked off whole and in order whatever
+// the server sends. Prefetches are speculative, so they stay single-attempt:
+// a failed prefetch costs nothing the demand path will not recover later.
+// The request continues the demand fetch's trace as a child span.
+func (c *Client) prefetch(ctx context.Context, parent *obs.ActiveSpan, want []clientHint) []clientHint {
+	var listBuf [512]byte
+	list := listBuf[:0]
+	n := 1
+	for n < len(want) && n < maxWant && wantable(want[n].path) {
+		list = appendWant(list, want[n].path, attrib.PMilli(want[n].p))
+		n++
+	}
+	got := c.fetchWanted(ctx, parent, want[:n], string(list))
+	rest := want[:0]
+	for i := 1; i < len(want); i++ {
+		if i >= n || !got[i] {
+			rest = append(rest, want[i])
+		}
+	}
+	return rest
+}
+
+// fetchWanted performs the request for asked (asked[0] in the URL, the rest
+// named by list) and admits what arrives; got marks which of asked did.
+func (c *Client) fetchWanted(ctx context.Context, parent *obs.ActiveSpan, asked []clientHint, list string) (got [maxWant]bool) {
+	path := asked[0].path
+	c.mu.Lock()
 	digest := c.digestLocked()
+	c.stats.PrefetchRoundTrips++
 	c.mu.Unlock()
 
 	sp := c.tracer.StartChild("client.prefetch", parent)
@@ -558,7 +622,7 @@ func (c *Client) prefetch(ctx context.Context, parent *obs.ActiveSpan, h clientH
 	defer cancel()
 	req, err := c.newRequest(cctx, path)
 	if err != nil {
-		return
+		return got
 	}
 	if tp := sp.Traceparent(); tp != "" {
 		req.Header.Set(obs.TraceparentHeader, tp)
@@ -569,24 +633,57 @@ func (c *Client) prefetch(ctx context.Context, parent *obs.ActiveSpan, h clientH
 	if c.cfg.Cooperative && digest != "" {
 		req.Header.Set(HeaderHave, digest)
 	}
-	req.Header.Set(HeaderPrefetch, strconv.FormatInt(attrib.PMilli(h.p), 10))
+	req.Header.Set(HeaderPrefetch, strconv.FormatInt(attrib.PMilli(asked[0].p), 10))
+	if list != "" {
+		req.Header.Set(HeaderWant, list)
+	}
 	resp, err := c.cfg.HTTP.Do(req)
 	if err != nil {
-		return
+		return got
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return
+		return got
 	}
-	body, err := readBody(resp.Body, resp.ContentLength)
+	rung := validRung(resp.Header.Get(HeaderRung))
+	ct := resp.Header.Get("Content-Type")
+	if !strings.HasPrefix(ct, "multipart/") {
+		// The head alone: all a batch of one asks for, and all a hop that
+		// does not read Spec-Want sends.
+		if body, err := readBody(resp.Body, resp.ContentLength); err == nil {
+			got[0] = true
+			c.admitPrefetch(asked[0], body, rung)
+		}
+		return got
+	}
+	_, params, _ := mime.ParseMediaType(ct)
+	bw, err := openBundle(resp, params["boundary"])
 	if err != nil {
-		return
+		return got
 	}
+	for {
+		part, ok, err := bw.next()
+		if err != nil || !ok {
+			return got
+		}
+		// The client classifies by what it asked for: whatever the part
+		// says of itself, one that was not asked for is not cached.
+		for i, h := range asked {
+			if !got[i] && h.path == string(part.loc) {
+				got[i] = true
+				c.admitPrefetch(h, part.body, rung)
+				break
+			}
+		}
+	}
+}
+
+// admitPrefetch caches one prefetched document as a speculative delivery.
+func (c *Client) admitPrefetch(h clientHint, body []byte, rung string) {
 	c.mu.Lock()
-	if _, ok := c.cache[path]; !ok {
-		c.cfg.Attrib.Delivered(path, attrib.ClassPrefetch, int64(len(body)),
-			attrib.PMilli(h.p), validRung(resp.Header.Get(HeaderRung)))
-		c.cache[path] = cacheEntry{body: body, spec: true, class: attrib.ClassPrefetch}
+	if _, ok := c.cache[h.path]; !ok {
+		c.cfg.Attrib.Delivered(h.path, attrib.ClassPrefetch, int64(len(body)), attrib.PMilli(h.p), rung)
+		c.cache[h.path] = cacheEntry{body: body, spec: true, class: attrib.ClassPrefetch}
 		c.stats.Prefetched++
 		c.stats.BytesIn += int64(len(body))
 	}

@@ -149,7 +149,7 @@ func TestReplaySummaryRatios(t *testing.T) {
 		Requests:     10,
 		CacheHits:    4,
 		SpecHits:     2,
-		Prefetched:   1,
+		Prefetched:   3,
 		Pushed:       2,
 		BytesIn:      9000,
 		SpecHitBytes: 2000,
@@ -158,6 +158,8 @@ func TestReplaySummaryRatios(t *testing.T) {
 		latencies:    []float64{0.001, 0.002, 0.003, 0.004, 0.010, 0.001},
 		missDurSum:   0.019,
 		missCount:    4,
+
+		PrefetchRoundTrips: 1,
 	}
 	sum := s.Summary()
 	// baseline bytes = 6000 + 2000 = 8000
@@ -167,7 +169,8 @@ func TestReplaySummaryRatios(t *testing.T) {
 	if got, want := sum.Ratios.Bandwidth, 9000.0/8000.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("bandwidth ratio = %g, want %g", got, want)
 	}
-	// server load: (10-4+1)/(10-4+2) = 7/8
+	// server load counts the one round trip the three prefetched
+	// documents took, not the documents: (10-4+1)/(10-4+2) = 7/8
 	if got, want := sum.Ratios.ServerLoad, 7.0/8.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("server load ratio = %g, want %g", got, want)
 	}

@@ -79,8 +79,10 @@ type ReplayStats struct {
 	SpecHits   int64 // cache hits manufactured by speculation
 	Pushed     int64
 	Prefetched int64
-	BytesIn    int64
-	Errors     int64
+	// PrefetchRoundTrips is the requests the prefetched documents took.
+	PrefetchRoundTrips int64
+	BytesIn            int64
+	Errors             int64
 
 	// SpecHitBytes, DemandBytes and MissBytes feed the paper's ratios;
 	// see ClientStats for their definitions.
@@ -129,7 +131,8 @@ type PaperRatios struct {
 	// Bandwidth: bytes over the wire / bytes a non-speculative client
 	// would have fetched.
 	Bandwidth float64 `json:"bandwidth"`
-	// ServerLoad: server requests issued / server requests a
+	// ServerLoad: server requests issued — demand misses plus prefetch
+	// round trips, what Server.ServeHTTP sees — / server requests a
 	// non-speculative client would have issued (spec hits would each
 	// have been a request).
 	ServerLoad float64 `json:"server_load"`
@@ -171,7 +174,7 @@ func (s ClientStats) PaperRatios(serviceSum, missSum float64, misses int64) Pape
 	demand := s.Fetches - s.CacheHits // requests the session cache did not absorb
 	return PaperRatios{
 		Bandwidth:    ratio(float64(s.BytesIn), float64(s.BaselineBytes())),
-		ServerLoad:   ratio(float64(demand+s.Prefetched), float64(demand+s.SpecHits)),
+		ServerLoad:   ratio(float64(demand+s.PrefetchRoundTrips), float64(demand+s.SpecHits)),
 		ServiceTime:  ratio(serviceSum, serviceSum+float64(s.SpecHits)*meanMiss),
 		ByteMissRate: ratio(float64(s.MissBytes), float64(s.BaselineBytes())),
 	}
@@ -249,20 +252,21 @@ type OverloadSummary struct {
 // open-loop (-rate) runs, keeping fault-free closed-loop output
 // byte-identical to earlier versions.
 type ReplaySummary struct {
-	Clients       int              `json:"clients"`
-	Requests      int64            `json:"requests"`
-	Errors        int64            `json:"errors"`
-	CacheHits     int64            `json:"cache_hits"`
-	SpecHits      int64            `json:"spec_hits"`
-	Pushed        int64            `json:"pushed"`
-	Prefetched    int64            `json:"prefetched"`
-	BytesIn       int64            `json:"bytes_in"`
-	DemandBytes   int64            `json:"demand_bytes"`
-	BaselineBytes int64            `json:"baseline_bytes"`
-	Ratios        PaperRatios      `json:"ratios"`
-	LatencyMS     LatencySummary   `json:"latency_ms"`
-	Chaos         *ChaosSummary    `json:"chaos,omitempty"`
-	Overload      *OverloadSummary `json:"overload,omitempty"`
+	Clients            int              `json:"clients"`
+	Requests           int64            `json:"requests"`
+	Errors             int64            `json:"errors"`
+	CacheHits          int64            `json:"cache_hits"`
+	SpecHits           int64            `json:"spec_hits"`
+	Pushed             int64            `json:"pushed"`
+	Prefetched         int64            `json:"prefetched"`
+	PrefetchRoundTrips int64            `json:"prefetch_round_trips"`
+	BytesIn            int64            `json:"bytes_in"`
+	DemandBytes        int64            `json:"demand_bytes"`
+	BaselineBytes      int64            `json:"baseline_bytes"`
+	Ratios             PaperRatios      `json:"ratios"`
+	LatencyMS          LatencySummary   `json:"latency_ms"`
+	Chaos              *ChaosSummary    `json:"chaos,omitempty"`
+	Overload           *OverloadSummary `json:"overload,omitempty"`
 	// Attrib breaks the speculative bytes down into consumed vs wasted
 	// per delivery class, with top-K per-doc rows (present with -attrib).
 	Attrib *attrib.Report `json:"attrib,omitempty"`
@@ -273,7 +277,7 @@ type ReplaySummary struct {
 func (s *ReplayStats) Summary() ReplaySummary {
 	totals := ClientStats{
 		Fetches: s.Requests, CacheHits: s.CacheHits, SpecHits: s.SpecHits,
-		Prefetched: s.Prefetched, BytesIn: s.BytesIn,
+		Prefetched: s.Prefetched, PrefetchRoundTrips: s.PrefetchRoundTrips, BytesIn: s.BytesIn,
 		MissBytes: s.MissBytes, SpecHitBytes: s.SpecHitBytes,
 	}
 	var durSum float64
@@ -299,18 +303,19 @@ func (s *ReplayStats) Summary() ReplaySummary {
 	}
 
 	sum := ReplaySummary{
-		Clients:       s.Clients,
-		Requests:      s.Requests,
-		Errors:        s.Errors,
-		CacheHits:     s.CacheHits,
-		SpecHits:      s.SpecHits,
-		Pushed:        s.Pushed,
-		Prefetched:    s.Prefetched,
-		BytesIn:       s.BytesIn,
-		DemandBytes:   s.DemandBytes,
-		BaselineBytes: totals.BaselineBytes(),
-		Ratios:        totals.PaperRatios(durSum, s.missDurSum, s.missCount),
-		LatencyMS:     lat,
+		Clients:            s.Clients,
+		Requests:           s.Requests,
+		Errors:             s.Errors,
+		CacheHits:          s.CacheHits,
+		SpecHits:           s.SpecHits,
+		Pushed:             s.Pushed,
+		Prefetched:         s.Prefetched,
+		PrefetchRoundTrips: s.PrefetchRoundTrips,
+		BytesIn:            s.BytesIn,
+		DemandBytes:        s.DemandBytes,
+		BaselineBytes:      totals.BaselineBytes(),
+		Ratios:             totals.PaperRatios(durSum, s.missDurSum, s.missCount),
+		LatencyMS:          lat,
 	}
 	if s.Chaos {
 		reqs := float64(s.Requests)
@@ -454,6 +459,7 @@ func (rr *replayRun) finish() *ReplayStats {
 	stats.SpecHits = total.SpecHits
 	stats.Pushed = total.Pushed
 	stats.Prefetched = total.Prefetched
+	stats.PrefetchRoundTrips = total.PrefetchRoundTrips
 	stats.BytesIn = total.BytesIn
 	stats.SpecHitBytes = total.SpecHitBytes
 	stats.DemandBytes = total.DemandBytes

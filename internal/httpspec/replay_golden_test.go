@@ -23,12 +23,13 @@ const replaySummaryGolden = `{
   "spec_hits": 321,
   "pushed": 33,
   "prefetched": 757,
+  "prefetch_round_trips": 71,
   "bytes_in": 4512609,
   "demand_bytes": 2525556,
   "baseline_bytes": 2177715,
   "ratios": {
     "bandwidth": 2.072176111199124,
-    "server_load": 2.092731829573935,
+    "server_load": 0.37343358395989973,
     "service_time": 0,
     "byte_miss_rate": 0.29003978941229686
   },

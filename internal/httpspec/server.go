@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,6 +55,12 @@ const (
 	// carries the hint probability in thousandths, letting the server's
 	// ledger record the delivery.
 	HeaderPrefetch = "Spec-Prefetch"
+	// HeaderWant names, on a prefetch request, further hinted documents
+	// the client wants in the same answer: "path;p" items separated by
+	// spaces, p in thousandths like Spec-Prefetch's. The answer is a bundle
+	// of the requested document and the named ones the server sends (at
+	// most MaxPush; unknown paths and repeats are skipped).
+	HeaderWant = "Spec-Want"
 	// HeaderAttrib piggybacks attribution feedback on demand requests:
 	// space-separated "c:<class>:<path>" (consumed) and
 	// "w:<class>:<path>" (wasted) tokens resolving earlier speculative
@@ -100,7 +107,8 @@ func ParseMode(name string) (Mode, error) {
 type ServerConfig struct {
 	Engine core.EngineConfig
 	Mode   Mode
-	// MaxPush bounds the number of documents pushed per response.
+	// MaxPush bounds the number of documents sent per response besides
+	// the requested one: pushed, or named by a prefetch's Spec-Want.
 	MaxPush int
 	// Clock supplies request times; nil means time.Now. Tests and
 	// trace replays inject their own.
@@ -371,8 +379,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderQuarantine, quarReason)
 	}
 
-	var push []webgraph.DocID
-	var pushP []float64
+	// docs is what the response carries: the requested document and, in a
+	// bundle behind it, what is pushed or what a prefetch asked for.
+	var docBuf [1 + maxWant]bundleDoc // a default MaxPush fits; more spill to the heap
+	docs := append(docBuf[:0], bundleDoc{doc: id})
+	prefetchP := r.Header.Get(HeaderPrefetch)
+	if prefetchP != "" {
+		// A hint-driven prefetch announces itself (with the hint's
+		// probability); the bytes it pulls are a speculative delivery.
+		// Clamped parse: a forged or malformed probability must not
+		// poison the ledger's confidence sums.
+		docs[0].class = attrib.ClassPrefetch
+		docs[0].pMilli, _ = parsePMilli(prefetchP)
+	}
 	var hintBuf [8]hint // the usual response hints a handful; more spill to the heap
 	hints := hintBuf[:0]
 	switch {
@@ -386,6 +405,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.embedSuppressed.Add(1)
 		s.met.embedSuppressed.Inc()
 		sp.SetAttr("speculation", "suppressed")
+	case prefetchP != "":
+		// The client follows no hints from a prefetch's answer, so none
+		// are computed. What rides behind the document is what Spec-Want
+		// names, each served as the request of its own it replaces would
+		// have been: recorded as this client's next access, counted for
+		// dissemination, delivered as a prefetch.
+		docs = parseWant(docs, r.Header.Get(HeaderWant), s.store, s.cfg.MaxPush)
+		for _, d := range docs[1:] {
+			s.engine.Record(client, d.doc, at)
+			wsize, _ := s.store.Size(d.doc)
+			s.repl.Record(d.doc, wsize, isRemote(client))
+		}
 	default:
 		// The engine never speculates the requested document itself, so
 		// the digest holds only what the client sent: nil for most.
@@ -398,6 +429,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		d := core.AcquireDecision()
 		defer core.ReleaseDecision(d)
 		spec := s.tracer.StartChild("server.speculate", sp)
+		var push []webgraph.DocID
+		var pushP []float64
 		switch s.cfg.Mode {
 		case ModePush:
 			s.engine.SpeculateInto(d, id, have)
@@ -429,6 +462,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			push, pushP = nil, nil
 		}
+		// A client that takes no bundles is pushed nothing.
+		if strings.Contains(r.Header.Get(HeaderAccept), acceptBundle) {
+			for i, d := range push {
+				docs = append(docs, bundleDoc{doc: d, class: attrib.ClassPush, pMilli: attrib.PMilli(pushP[i])})
+			}
+		}
 		spec.SetAttr("push", strconv.Itoa(len(push)))
 		spec.SetAttr("hints", strconv.Itoa(len(hints)))
 		spec.Finish()
@@ -443,23 +482,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	wantBundle := strings.Contains(r.Header.Get(HeaderAccept), acceptBundle)
 	var written int64
-	if wantBundle && len(push) > 0 {
+	if len(docs) > 1 {
 		bsp := s.tracer.StartChild("server.bundle", sp)
-		written = s.serveBundle(w, id, push, pushP, rungName)
+		written = s.serveBundle(w, docs, rungName)
 		bsp.Finish()
 		sp.SetAttr("kind", "bundle")
 	} else {
 		written = s.serveDoc(w, id)
 		sp.SetAttr("kind", "doc")
-		// A hint-driven prefetch announces itself (with the hint's
-		// probability); the bytes it pulls are a speculative delivery.
-		if pm := r.Header.Get(HeaderPrefetch); pm != "" && s.cfg.Attrib != nil {
-			// Clamped parse: a forged or malformed probability must not
-			// poison the ledger's confidence sums.
-			pMilli, _ := parsePMilli(pm)
-			s.cfg.Attrib.Delivered(r.URL.Path, attrib.ClassPrefetch, written, pMilli, rungName)
+		if prefetchP != "" {
+			s.cfg.Attrib.Delivered(r.URL.Path, attrib.ClassPrefetch, written, docs[0].pMilli, rungName)
 		}
 	}
 	s.met.respBytes.Observe(float64(written))
@@ -608,14 +641,43 @@ func (s *Server) serveDoc(w http.ResponseWriter, id webgraph.DocID) int64 {
 	return int64(n)
 }
 
-// framedPart is one gathered bundle part: its body and where its framed
-// delimiter-and-headers end in the scratch.
+// bundleDoc is one document of a response: what it is delivered as — ""
+// for a plain demand answer, attrib.ClassPush for a part the server chose,
+// attrib.ClassPrefetch for what a prefetch asked for — and the probability
+// behind a speculative delivery, in thousandths.
+type bundleDoc struct {
+	doc    webgraph.DocID
+	class  string
+	pMilli int64
+}
+
+// parseWant resolves a Spec-Want list onto docs, whose first entry is the
+// requested document: at most limit more, in list order, skipping paths the
+// store does not know and documents already in docs. The header crosses the
+// wire like the others parse.go guards, so only maxWantItems items are
+// looked at and probabilities arrive clamped.
+func parseWant(docs []bundleDoc, list string, store Store, limit int) []bundleDoc {
+	limit += len(docs)
+	for items := 0; list != "" && items < maxWantItems && len(docs) < limit; items++ {
+		var path string
+		var pMilli int64
+		path, pMilli, list = nextWant(list)
+		id, ok := store.Lookup(path)
+		if !ok || slices.ContainsFunc(docs, func(d bundleDoc) bool { return d.doc == id }) {
+			continue
+		}
+		docs = append(docs, bundleDoc{doc: id, class: attrib.ClassPrefetch, pMilli: pMilli})
+	}
+	return docs
+}
+
+// framedPart is one gathered bundle part: its document, its body and where
+// its framed delimiter-and-headers end in the scratch.
 type framedPart struct {
+	bundleDoc
 	path   string
 	body   []byte
 	hdrEnd int
-	pushed bool
-	pMilli int64
 }
 
 // bundleScratch holds one response's part list and framing bytes; pooled,
@@ -628,12 +690,13 @@ type bundleScratch struct {
 var bundleScratchPool = sync.Pool{New: func() any { return new(bundleScratch) }}
 
 // serveBundle writes a multipart/mixed response: the requested document
-// first, then each speculative document, every part carrying its
+// first, then each document riding behind it, every part carrying its
 // Content-Location and Content-Length (and, when pushed, the Spec-P
-// probability that drove the push). The parts are gathered before anything
-// is written, so the response declares its Content-Length and net/http
-// does not chunk it. Returns the body bytes written.
-func (s *Server) serveBundle(w http.ResponseWriter, id webgraph.DocID, push []webgraph.DocID, pushP []float64, rung string) int64 {
+// probability that drove the push; what a prefetch asked for goes unmarked).
+// The parts are gathered before anything is written, so the response
+// declares its Content-Length and net/http does not chunk it. Returns the
+// body bytes written.
+func (s *Server) serveBundle(w http.ResponseWriter, docs []bundleDoc, rung string) int64 {
 	sc := bundleScratchPool.Get().(*bundleScratch)
 	defer func() {
 		clear(sc.parts) // the pool must not pin document bodies
@@ -641,26 +704,18 @@ func (s *Server) serveBundle(w http.ResponseWriter, id webgraph.DocID, push []we
 		bundleScratchPool.Put(sc)
 	}()
 	size := 0
-	gather := func(doc webgraph.DocID, pushed bool, pMilli int64) {
-		path, ok := s.store.Path(doc)
+	for _, d := range docs {
+		path, ok := s.store.Path(d.doc)
 		if !ok {
-			return
+			continue
 		}
-		body, ok := s.store.Content(doc)
+		body, ok := s.store.Content(d.doc)
 		if !ok {
-			return
+			continue
 		}
-		sc.hdr = appendPartHeader(sc.hdr, len(sc.parts) == 0, path, len(body), pushed, pMilli)
-		sc.parts = append(sc.parts, framedPart{path: path, body: body, hdrEnd: len(sc.hdr), pushed: pushed, pMilli: pMilli})
+		sc.hdr = appendPartHeader(sc.hdr, len(sc.parts) == 0, path, len(body), d.class == attrib.ClassPush, d.pMilli)
+		sc.parts = append(sc.parts, framedPart{bundleDoc: d, path: path, body: body, hdrEnd: len(sc.hdr)})
 		size += len(body)
-	}
-	gather(id, false, 0)
-	for i, d := range push {
-		var pMilli int64
-		if i < len(pushP) {
-			pMilli = attrib.PMilli(pushP[i])
-		}
-		gather(d, true, pMilli)
 	}
 	sc.hdr = appendBundleClose(sc.hdr, len(sc.parts) == 0)
 
@@ -678,12 +733,15 @@ func (s *Server) serveBundle(w http.ResponseWriter, id webgraph.DocID, push []we
 		total += int64(n)
 		s.bytesSent.Add(int64(n))
 		s.met.bytesSent.Add(int64(n))
-		if p.pushed {
+		if p.class == "" {
+			continue
+		}
+		if p.class == attrib.ClassPush {
 			s.docsPushed.Add(1)
 			s.met.pushedDocs.Inc()
 			s.met.pushedBytes.Add(int64(n))
-			s.cfg.Attrib.Delivered(p.path, attrib.ClassPush, int64(n), p.pMilli, rung)
 		}
+		s.cfg.Attrib.Delivered(p.path, p.class, int64(n), p.pMilli, rung)
 	}
 	_, _ = w.Write(sc.hdr[from:])
 	return total

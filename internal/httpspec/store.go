@@ -8,7 +8,8 @@
 //     Link: rel="prefetch" hints (server-assisted prefetching), or both
 //     (the hybrid protocol). Cooperative clients piggyback a cache digest
 //     in a Spec-Have header.
-//   - Client consumes bundles and hints, keeps a session cache, and
+//   - Client consumes bundles and hints (what one response hints it
+//     prefetches in one Spec-Want request), keeps a session cache, and
 //     reports whether a fetch was served locally.
 //   - Proxy is a dissemination service proxy: it pulls a server's most
 //     popular documents and fronts it, forwarding misses.

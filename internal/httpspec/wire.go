@@ -259,3 +259,56 @@ func parseLength(s []byte, limit int) (int, bool) {
 	n, err := strconv.ParseUint(string(s), 10, 63)
 	return int(n), err == nil && n <= uint64(limit)
 }
+
+// Spec-Want: the documents a prefetch request asks for besides the one in
+// its URL, as "path;p" items separated by single spaces, p the hint's
+// probability in thousandths. The answer is a bundle of the requested
+// document and as many of the named ones as the server chose to send, none
+// marked pushed: the client knows what it asked for.
+
+// maxWant is how many documents one prefetch request asks for, the URL's
+// included; maxWantItems is how many list items a server will look at
+// (what it sends is capped by ServerConfig.MaxPush). Constants, not options:
+// a longer hint list is asked for in further requests, never truncated.
+const (
+	maxWant      = 16
+	maxWantItems = 4 * maxWant
+)
+
+// wantable reports whether path can be named in a Spec-Want list: absolute,
+// and no byte that would end the item or the header. One that cannot is
+// asked for in a request of its own.
+func wantable(path string) bool {
+	if path == "" || path[0] != '/' {
+		return false
+	}
+	for i := 0; i < len(path); i++ {
+		if c := path[i]; c <= ' ' || c == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
+// appendWant renders one more list item onto dst.
+func appendWant(dst []byte, path string, pMilli int64) []byte {
+	if len(dst) > 0 {
+		dst = append(dst, ' ')
+	}
+	dst = append(dst, path...)
+	dst = append(dst, ';')
+	return strconv.AppendInt(dst, pMilli, 10)
+}
+
+// nextWant cuts the first item off a Spec-Want list. The probability is
+// what follows the item's last semicolon, clamped like every probability
+// that crosses the wire; garbage, or none, reads as 0.
+func nextWant(list string) (path string, pMilli int64, rest string) {
+	item, rest, _ := strings.Cut(list, " ")
+	path = item
+	if i := strings.LastIndexByte(item, ';'); i >= 0 {
+		path = item[:i]
+		pMilli, _ = parsePMilli(item[i+1:])
+	}
+	return path, pMilli, rest
+}

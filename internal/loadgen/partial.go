@@ -55,21 +55,22 @@ func (a *PartialArm) result(hist *Hist) *Result {
 	}
 	return &Result{
 		Counts: Counts{
-			Requests:      s.Fetches,
-			WarmupErrors:  a.WarmupErrors,
-			CacheHits:     s.CacheHits,
-			SpecHits:      s.SpecHits,
-			Pushed:        s.Pushed,
-			Prefetched:    s.Prefetched,
-			Errors:        a.Errors,
-			Shed:          s.Shed,
-			Retries:       s.Retries,
-			StaleServes:   s.StaleServes,
-			BytesIn:       s.BytesIn,
-			DemandBytes:   s.DemandBytes,
-			MissBytes:     s.MissBytes,
-			SpecHitBytes:  s.SpecHitBytes,
-			BaselineBytes: s.BaselineBytes(),
+			Requests:           s.Fetches,
+			WarmupErrors:       a.WarmupErrors,
+			CacheHits:          s.CacheHits,
+			SpecHits:           s.SpecHits,
+			Pushed:             s.Pushed,
+			Prefetched:         s.Prefetched,
+			PrefetchRoundTrips: s.PrefetchRoundTrips,
+			Errors:             a.Errors,
+			Shed:               s.Shed,
+			Retries:            s.Retries,
+			StaleServes:        s.StaleServes,
+			BytesIn:            s.BytesIn,
+			DemandBytes:        s.DemandBytes,
+			MissBytes:          s.MissBytes,
+			SpecHitBytes:       s.SpecHitBytes,
+			BaselineBytes:      s.BaselineBytes(),
 		},
 		Ratios: Ratios{Bandwidth: pr.Bandwidth, ServerLoad: pr.ServerLoad, ByteMissRate: pr.ByteMissRate},
 		Timing: timing,

@@ -131,21 +131,22 @@ type EstguardInfo struct {
 // (warmup activity is subtracted out). All are deterministic under the
 // virtual clock.
 type Counts struct {
-	Requests      int64 `json:"requests"`
-	WarmupErrors  int64 `json:"warmup_errors"`
-	CacheHits     int64 `json:"cache_hits"`
-	SpecHits      int64 `json:"spec_hits"`
-	Pushed        int64 `json:"pushed"`
-	Prefetched    int64 `json:"prefetched"`
-	Errors        int64 `json:"errors"`
-	Shed          int64 `json:"shed"`
-	Retries       int64 `json:"retries"`
-	StaleServes   int64 `json:"stale_serves"`
-	BytesIn       int64 `json:"bytes_in"`
-	DemandBytes   int64 `json:"demand_bytes"`
-	MissBytes     int64 `json:"miss_bytes"`
-	SpecHitBytes  int64 `json:"spec_hit_bytes"`
-	BaselineBytes int64 `json:"baseline_bytes"`
+	Requests           int64 `json:"requests"`
+	WarmupErrors       int64 `json:"warmup_errors"`
+	CacheHits          int64 `json:"cache_hits"`
+	SpecHits           int64 `json:"spec_hits"`
+	Pushed             int64 `json:"pushed"`
+	Prefetched         int64 `json:"prefetched"`
+	PrefetchRoundTrips int64 `json:"prefetch_round_trips"`
+	Errors             int64 `json:"errors"`
+	Shed               int64 `json:"shed"`
+	Retries            int64 `json:"retries"`
+	StaleServes        int64 `json:"stale_serves"`
+	BytesIn            int64 `json:"bytes_in"`
+	DemandBytes        int64 `json:"demand_bytes"`
+	MissBytes          int64 `json:"miss_bytes"`
+	SpecHitBytes       int64 `json:"spec_hit_bytes"`
+	BaselineBytes      int64 `json:"baseline_bytes"`
 }
 
 // Ratios are the count-based paper ratios (Figs. 5–6): speculative
