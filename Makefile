@@ -37,7 +37,7 @@ chaos:
 	$(GO) test -race ./internal/resilience/... \
 		-run 'Test' -count=1
 	$(GO) test -race ./internal/httpspec/ -count=1 \
-		-run 'TestProxyPartialDisseminate|TestProxyServesStaleWhenOriginDown|TestProxyBreakerOpensAndRecovers|TestProxyStripsHopByHopHeaders|TestStripHopByHop|TestChaosReplayAvailability|TestReplaySummaryChaosFieldOptIn|TestClientCountsStaleServes|TestClientRetriesThroughFaults|TestServerDegradationLadder'
+		-run 'TestProxyPartialDisseminate|TestProxyServesStaleWhenOriginDown|TestProxyBreakerOpensAndRecovers|TestProxyStripsHopByHopHeaders|TestStripHopByHop|TestChaosReplayAvailability|TestReplaySummaryChaosFieldOptIn|TestClientCountsStaleServes|TestClientRetriesThroughFaults|TestFailedFetchKeepsItsTokens|TestServerDegradationLadder'
 
 # Overload-control suite: the admission controller and governor unit
 # tests, the server degradation ladder, and the open-loop acceptance run
@@ -59,15 +59,15 @@ bench-short:
 # Hot-path micro-benchmarks under the race detector: a fixed iteration
 # count (-benchtime=100x) makes this a correctness smoke test of the
 # lock-free read path, not a timing run — it catches races and alloc
-# regressions cheaply in CI. The refresh, wire-path, round-trip, batched
-# prefetch and span benchmarks each fail above their own allocs/op ceiling
-# and run without the race detector: under it sync.Pool drops what is put
-# back, and the ceiling would blame the code.
+# regressions cheaply in CI. The refresh, offer/settle, wire-path,
+# round-trip, batched prefetch and span benchmarks each fail above their own
+# allocs/op ceiling and run without the race detector: under it sync.Pool
+# drops what is put back, and the ceiling would blame the code.
 bench-smoke:
 	$(GO) test -race -run '^$$' -benchtime=100x -cpu 1,4,8 \
 		-bench 'BenchmarkEngine(Record|Speculate|Hints)' ./internal/core/
 	$(GO) test -run '^$$' -benchtime=20x -benchmem \
-		-bench 'BenchmarkEngineRefresh' ./internal/core/
+		-bench 'BenchmarkEngineRefresh|BenchmarkEngineOfferSettle' ./internal/core/
 	$(GO) test -race -run '^$$' -benchtime=5x \
 		-bench 'BenchmarkClosureSerial|BenchmarkClosureParallel|BenchmarkFreeze|BenchmarkFrozenThresholdRow' \
 		./internal/markov/

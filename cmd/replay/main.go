@@ -73,7 +73,7 @@ func main() {
 		prioLow = flag.Float64("priority-low", 0, "fraction of clients tagged Spec-Priority: low (shed first under overload)")
 
 		attribOn = flag.Bool("attrib", false, "track speculation attribution (consumed vs wasted bytes per class) and add it to the summary")
-		feedback = flag.Bool("attrib-feedback", false, "piggyback Spec-Attrib resolution tokens so the server's /debug/attrib ledger learns delivery fates")
+		feedback = flag.Bool("attrib-feedback", false, "piggyback Spec-Attrib resolution tokens for pushed documents too, so the server's /debug/attrib ledger learns their fates (tokens for prefetched documents are always sent: they train its estimator)")
 
 		chaos   = flag.Bool("chaos", false, "inject faults into the replay transport and report availability")
 		retries = flag.Int("retries", 4, "max attempts per demand fetch under -chaos (1 = no retries)")

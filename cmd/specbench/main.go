@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"specweb/internal/attrib"
 	"specweb/internal/experiments"
 	"specweb/internal/loadgen"
 	"specweb/internal/obs"
@@ -421,6 +422,14 @@ func summarize(rep *loadgen.Report, took time.Duration) {
 			experiments.FmtBytes(at.Totals.DeliveredBytes),
 			experiments.FmtBytes(at.Totals.ConsumedBytes),
 			experiments.FmtBytes(at.Totals.WastedBytes), at.TrackedDocs)
+		// Consumed over delivered per decile of the advertised probability:
+		// a decile read against its own lower edge says whether the
+		// engine's probabilities come true.
+		for _, class := range []string{attrib.ClassPush, attrib.ClassPrefetch} {
+			if cal, ok := at.Calibration[class]; ok {
+				fmt.Fprintf(os.Stderr, "  calib    %-8s  %s\n", class, cal)
+			}
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"specweb/internal/obs"
@@ -61,6 +62,48 @@ func ClampPMilli(pMilli int64) int64 {
 		return 1000
 	}
 	return pMilli
+}
+
+// PUnknown stands in for the advertised probability when whoever resolves
+// a delivery does not know it; such a resolution stays out of the
+// calibration table.
+const PUnknown int64 = -1
+
+// CalBucket is one decile of a class's calibration table: the deliveries
+// advertised at a probability inside it whose fate is known, and how many
+// of those were consumed. Consumed/Deliveries set against the decile's
+// bounds says whether the probabilities the engine advertises come true.
+type CalBucket struct {
+	Deliveries int64 `json:"deliveries"`
+	Consumed   int64 `json:"consumed"`
+}
+
+// Calibration is the reliability table of one class: bucket i holds the
+// deliveries advertised at p in [i/10, (i+1)/10), the last one p = 1 too.
+type Calibration [10]CalBucket
+
+// String renders the occupied deciles, each as its lower edge and consumed
+// over deliveries: "0.2 163/353=0.46  0.3 254/499=0.51".
+func (c Calibration) String() string {
+	var b strings.Builder
+	for i, k := range c {
+		if k.Deliveries == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString("  ")
+		}
+		fmt.Fprintf(&b, "%.1f %d/%d=%.2f", float64(i)/10, k.Consumed, k.Deliveries,
+			float64(k.Consumed)/float64(k.Deliveries))
+	}
+	return b.String()
+}
+
+func (c *Calibration) add(o Calibration) {
+	for i := range c {
+		c[i].Deliveries += o[i].Deliveries
+		c[i].Consumed += o[i].Consumed
+	}
 }
 
 // Totals aggregates one slice of the ledger (overall, or one class).
@@ -120,6 +163,11 @@ type Report struct {
 	// Rungs tallies deliveries by the governor rung they were decided
 	// under — the degradation ladder's footprint on speculation.
 	Rungs map[string]int64 `json:"rungs,omitempty"`
+	// Calibration holds, per class, the resolved deliveries by the decile
+	// of the probability they were advertised at. A delivery enters it
+	// when it is resolved by someone who knows that probability (Resolved),
+	// so a bucket's ratio is never diluted by deliveries still outstanding.
+	Calibration map[string]Calibration `json:"calibration,omitempty"`
 	// Docs are the heaviest documents by delivered bytes (ties broken by
 	// path), at most the requested top-N.
 	Docs []DocStat `json:"docs,omitempty"`
@@ -139,6 +187,7 @@ type Ledger struct {
 	total   Totals
 	classes map[string]*Totals
 	rungs   map[string]int64
+	calib   map[string]*Calibration
 	docs    map[string]*entry
 	evicted int64
 
@@ -162,6 +211,7 @@ func NewLedger(capacity int, reg *obs.Registry) *Ledger {
 		capacity:   capacity,
 		classes:    make(map[string]*Totals, 3),
 		rungs:      make(map[string]int64, 4),
+		calib:      make(map[string]*Calibration, 3),
 		docs:       make(map[string]*entry, capacity),
 		deliveredC: make(map[string]*obs.Counter, 3),
 		consumedC:  make(map[string]*obs.Counter, 3),
@@ -267,16 +317,20 @@ func (l *Ledger) TotalsSnapshot() Totals {
 // Consumed resolves one outstanding delivery of doc as consumed: a
 // demand request was served from the speculative copy.
 func (l *Ledger) Consumed(doc, class string, bytes int64) {
-	l.resolve(doc, class, bytes, true)
+	l.Resolved(doc, class, bytes, PUnknown, true)
 }
 
 // Wasted resolves one outstanding delivery of doc as wasted: the copy
 // was evicted, replaced, or the session ended without it being used.
 func (l *Ledger) Wasted(doc, class string, bytes int64) {
-	l.resolve(doc, class, bytes, false)
+	l.Resolved(doc, class, bytes, PUnknown, false)
 }
 
-func (l *Ledger) resolve(doc, class string, bytes int64, consumed bool) {
+// Resolved resolves one outstanding delivery of doc, consumed or wasted,
+// for a caller that knows the probability it was advertised at (in
+// thousandths, as given to Delivered; PUnknown otherwise): the delivery
+// also enters its class's calibration table.
+func (l *Ledger) Resolved(doc, class string, bytes, pMilli int64, consumed bool) {
 	if l == nil {
 		return
 	}
@@ -284,6 +338,18 @@ func (l *Ledger) resolve(doc, class string, bytes int64, consumed bool) {
 		bytes = 0
 	}
 	l.mu.Lock()
+	if pMilli >= 0 {
+		cal, ok := l.calib[class]
+		if !ok {
+			cal = new(Calibration)
+			l.calib[class] = cal
+		}
+		b := &cal[min(ClampPMilli(pMilli)/100, 9)]
+		b.Deliveries++
+		if consumed {
+			b.Consumed++
+		}
+	}
 	tot := []*Totals{&l.total, l.classTotals(class)}
 	for _, t := range tot {
 		if consumed {
@@ -350,6 +416,7 @@ func (l *Ledger) Report(topN int) *Report {
 			r.Rungs[k] = v
 		}
 	}
+	r.Calibration = l.calibrationLocked()
 	rows := make([]DocStat, 0, len(l.docs))
 	for _, e := range l.docs {
 		s := e.stats
@@ -369,6 +436,19 @@ func (l *Ledger) Report(topN int) *Report {
 	}
 	r.Docs = rows
 	return r
+}
+
+// calibrationLocked copies the calibration tables out; nil when no
+// resolution has named its probability yet. Callers hold mu.
+func (l *Ledger) calibrationLocked() map[string]Calibration {
+	if len(l.calib) == 0 {
+		return nil
+	}
+	out := make(map[string]Calibration, len(l.calib))
+	for k, v := range l.calib {
+		out[k] = *v
+	}
+	return out
 }
 
 // DocExport is one document's raw attribution row in a ledger export:
@@ -394,7 +474,10 @@ type Export struct {
 	Totals  Totals            `json:"totals"`
 	Classes map[string]Totals `json:"classes,omitempty"`
 	Rungs   map[string]int64  `json:"rungs,omitempty"`
-	Docs    []DocExport       `json:"docs,omitempty"`
+	// Calibration is integer counts per class and decile, so it sums
+	// across shards like the totals.
+	Calibration map[string]Calibration `json:"calibration,omitempty"`
+	Docs        []DocExport            `json:"docs,omitempty"`
 	// Evicted > 0 marks the per-doc rows approximate; such exports are
 	// rejected by MergeExports (size shard ledgers to the site).
 	Evicted int64 `json:"evicted,omitempty"`
@@ -421,6 +504,7 @@ func (l *Ledger) Export() *Export {
 			e.Rungs[k] = v
 		}
 	}
+	e.Calibration = l.calibrationLocked()
 	for _, en := range l.docs {
 		s := en.stats
 		e.Docs = append(e.Docs, DocExport{
@@ -462,6 +546,7 @@ func MergeExports(parts []*Export, topN int) (*Report, error) {
 	var total Totals
 	classes := make(map[string]Totals)
 	rungs := make(map[string]int64)
+	calib := make(map[string]Calibration)
 	docs := make(map[string]*DocExport)
 	addTotals := func(dst *Totals, src Totals) {
 		dst.Deliveries += src.Deliveries
@@ -481,6 +566,11 @@ func MergeExports(parts []*Export, topN int) (*Report, error) {
 		}
 		for k, v := range p.Rungs {
 			rungs[k] += v
+		}
+		for k, v := range p.Calibration {
+			c := calib[k]
+			c.add(v)
+			calib[k] = c
 		}
 		for i := range p.Docs {
 			d := p.Docs[i]
@@ -509,6 +599,9 @@ func MergeExports(parts []*Export, topN int) (*Report, error) {
 	}
 	if len(rungs) > 0 {
 		r.Rungs = rungs
+	}
+	if len(calib) > 0 {
+		r.Calibration = calib
 	}
 	rows := make([]DocStat, 0, len(docs))
 	for _, d := range docs {

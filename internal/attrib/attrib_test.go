@@ -127,7 +127,7 @@ func TestLedgerDeterministicAcrossOrders(t *testing.T) {
 		for j := 0; j < 4; j++ {
 			ops = append(ops, op{d, ClassPush, int64(100 + 10*i + j), int64(500 + i), 0})
 			if j%2 == 0 {
-				ops = append(ops, op{d, ClassPush, int64(100 + 10*i + j), 0, 1})
+				ops = append(ops, op{d, ClassPush, int64(100 + 10*i + j), int64(500 + i), 1})
 			} else {
 				ops = append(ops, op{d, ClassPush, int64(100 + 10*i + j), 0, 2})
 			}
@@ -137,8 +137,8 @@ func TestLedgerDeterministicAcrossOrders(t *testing.T) {
 		switch o.kind {
 		case 0:
 			l.Delivered(o.doc, o.class, o.bytes, o.pm, "normal")
-		case 1:
-			l.Consumed(o.doc, o.class, o.bytes)
+		case 1: // by someone who knows the probability: the calibration table commutes too
+			l.Resolved(o.doc, o.class, o.bytes, o.pm, true)
 		case 2:
 			l.Wasted(o.doc, o.class, o.bytes)
 		}
@@ -181,11 +181,65 @@ func TestLedgerDeterministicAcrossOrders(t *testing.T) {
 	}
 }
 
+// TestLedgerCalibration: a delivery enters its class's table when it is
+// resolved with its probability, in the decile that probability falls in
+// (p = 1 in the last); a resolution that does not know it stays out; shard
+// exports sum to the single ledger's table.
+func TestLedgerCalibration(t *testing.T) {
+	type res struct {
+		class    string
+		pMilli   int64
+		consumed bool
+	}
+	all := []res{
+		{ClassPrefetch, 0, false}, {ClassPrefetch, 99, true}, {ClassPrefetch, 100, true},
+		{ClassPrefetch, 549, false}, {ClassPrefetch, 550, true}, {ClassPrefetch, 999, true},
+		{ClassPrefetch, 1000, true}, {ClassPrefetch, 5000, false}, // clamped like Delivered's
+		{ClassPrefetch, PUnknown, true},
+		{ClassPush, 950, true}, {ClassPush, PUnknown, false},
+	}
+	var want Calibration
+	want[0] = CalBucket{Deliveries: 2, Consumed: 1}
+	want[1] = CalBucket{Deliveries: 1, Consumed: 1}
+	want[5] = CalBucket{Deliveries: 2, Consumed: 1}
+	want[9] = CalBucket{Deliveries: 3, Consumed: 2}
+
+	whole := NewLedger(4, obs.NewRegistry())
+	shards := []*Ledger{NewLedger(4, obs.NewRegistry()), NewLedger(4, obs.NewRegistry())}
+	for i, r := range all {
+		for _, l := range []*Ledger{whole, shards[i%2]} {
+			l.Delivered("/d", r.class, 10, r.pMilli, "")
+			l.Resolved("/d", r.class, 10, r.pMilli, r.consumed)
+		}
+	}
+	rep := whole.Report(0)
+	if got := rep.Calibration[ClassPrefetch]; got != want {
+		t.Errorf("prefetch table\n got %+v\nwant %+v", got, want)
+	}
+	if got := rep.Calibration[ClassPush]; got[9] != (CalBucket{Deliveries: 1, Consumed: 1}) {
+		t.Errorf("push table %+v", got)
+	}
+	if rep.Totals.Consumed+rep.Totals.Wasted != int64(len(all)) || rep.Outstanding != 0 {
+		t.Errorf("resolutions without a probability must still count: %+v", rep.Totals)
+	}
+	merged, err := MergeExports([]*Export{shards[0].Export(), shards[1].Export()}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(merged.Calibration, rep.Calibration) {
+		t.Errorf("merged shards\n got %+v\nwant %+v", merged.Calibration, rep.Calibration)
+	}
+	if rep := NewLedger(4, obs.NewRegistry()).Report(0); rep.Calibration != nil {
+		t.Errorf("empty ledger renders a calibration section: %+v", rep.Calibration)
+	}
+}
+
 func TestLedgerNilSafe(t *testing.T) {
 	var l *Ledger
 	l.Delivered("/a", ClassPush, 1, 1, "normal")
 	l.Consumed("/a", ClassPush, 1)
 	l.Wasted("/a", ClassPush, 1)
+	l.Resolved("/a", ClassPush, 1, 500, true)
 	if l.Report(5) != nil {
 		t.Error("nil ledger produced a report")
 	}

@@ -41,6 +41,48 @@ func BenchmarkEngineRecord(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineOfferSettle measures what a followed hint costs the
+// engine: the offer made when the prefetch is served and its settlement
+// when the client's report arrives, every other one used (logged) and the
+// rest forgotten. In steady state — the shards' offer tables at size, the
+// log growing by doubling — it allocates nothing; `make bench-smoke` holds
+// it to that.
+func BenchmarkEngineOfferSettle(b *testing.B) {
+	e, err := NewEngine(DefaultEngineConfig(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	at := time.Date(1995, time.May, 1, 0, 0, 0, 0, time.UTC)
+	clients := make([]trace.ClientID, 64)
+	for i := range clients {
+		clients[i] = trace.ClientID(fmt.Sprintf("c%02d", i))
+	}
+	i := 0
+	op := func() {
+		client, doc := clients[i%len(clients)], webgraph.DocID(i%500)
+		e.Offer(client, doc, at, 500)
+		if _, ok := e.Settle(client, doc, i%2 == 0); !ok {
+			b.Fatal("the offer just made is not outstanding")
+		}
+		i++
+	}
+	for range clients {
+		op() // every shard's table exists
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		op()
+	}
+	b.StopTimer()
+	if got := testing.AllocsPerRun(2000, op); got > 0 {
+		b.Fatalf("%v allocs per offer and settle, want none", got)
+	}
+	if st := e.Stats(); st.OffersOutstanding != 0 || st.Recorded == 0 {
+		b.Fatalf("engine %+v", st)
+	}
+}
+
 func benchEngine(b *testing.B) *Engine {
 	b.Helper()
 	cfg := DefaultEngineConfig()

@@ -189,13 +189,29 @@ type snapshot struct {
 	estStats *markov.EstimatorStats
 }
 
-// recordShard is one striped ingestion buffer. The padding keeps adjacent
-// shards on separate cache lines so uncontended shard locks do not falsely
-// share.
+// recordShard is one striped ingestion buffer, and the outstanding offers
+// of the clients that hash onto it. The padding keeps adjacent shards on
+// separate cache lines so uncontended shard locks do not falsely share.
 type recordShard struct {
-	mu   sync.Mutex
-	reqs []trace.Request
-	_    [64]byte
+	mu     sync.Mutex
+	reqs   []trace.Request
+	offers map[offerKey]offer // nil until the first Offer
+	_      [64]byte
+}
+
+// offerKey names an outstanding offer: one per client and document.
+type offerKey struct {
+	client trace.ClientID
+	doc    webgraph.DocID
+}
+
+// offer is a document delivered ahead of demand whose fate the client has
+// yet to report: when it was delivered — the time its access is logged
+// under should it turn out used — and the probability it was advertised at,
+// in thousandths, for whoever settles it to hold the outcome against.
+type offer struct {
+	at     time.Time
+	pMilli int64
 }
 
 // Engine is the online speculative-service engine.
@@ -216,6 +232,9 @@ type Engine struct {
 	recorded    atomic.Int64
 	lastRefresh atomic.Int64 // unix nanos; 0 = never
 	started     atomic.Bool
+
+	offersOut     atomic.Int64 // offers made and not yet settled or expired
+	offersExpired atomic.Int64
 
 	// Estimator-hardening counters (all zero without a Guard).
 	refreshes      atomic.Int64
@@ -418,28 +437,94 @@ func (e *Engine) Record(client trace.ClientID, doc webgraph.DocID, at time.Time)
 		}
 		e.mu.Unlock()
 	}
-	var size int64
-	if e.size != nil {
-		if s, ok := e.size(doc); ok {
-			size = s
-		}
-	}
+	size := e.sizeOf(doc)
 	sh := &e.shards[shardOf(client)&e.shardMask]
 	sh.mu.Lock()
-	sh.reqs = append(sh.reqs, trace.Request{
-		Time: at, Client: client, Doc: doc, Size: size,
-	})
+	sh.reqs = append(sh.reqs, trace.Request{Time: at, Client: client, Doc: doc, Size: size})
 	sh.mu.Unlock()
-	e.recorded.Add(1)
-	e.met.recorded.Inc()
-	if g := e.cfg.Guard; g != nil {
-		g.NoteRequest(doc)
-	}
+	e.noteRecorded(doc)
 	if at.Sub(e.lastRefreshTime()) >= e.cfg.RefreshEvery {
 		e.maybeRefresh(at)
 	} else if e.cfg.Guard != nil {
 		e.maybeEarlyRefresh(at)
 	}
+}
+
+// sizeOf asks the store for doc's size, 0 when there is no store or it does
+// not know the document. It calls out of the engine, so never under a lock.
+func (e *Engine) sizeOf(doc webgraph.DocID) int64 {
+	if e.size != nil {
+		if s, ok := e.size(doc); ok {
+			return s
+		}
+	}
+	return 0
+}
+
+// noteRecorded counts one access appended to a shard log.
+func (e *Engine) noteRecorded(doc webgraph.DocID) {
+	e.recorded.Add(1)
+	e.met.recorded.Inc()
+	if g := e.cfg.Guard; g != nil {
+		g.NoteRequest(doc)
+	}
+}
+
+// Offer notes that doc went to client at `at` without its user having asked
+// for it — a prefetch the client made on a hint advertised at pMilli
+// thousandths. An offer counts for nothing: speculation must not become its
+// own training data, so the access is observed only once Settle hears that
+// the document was used. A later offer of the same document to the same
+// client replaces the earlier one. Offers live in the client's record shard
+// and are dropped by the refresh that finds them older than RefreshEvery.
+func (e *Engine) Offer(client trace.ClientID, doc webgraph.DocID, at time.Time, pMilli int64) {
+	key := offerKey{client, doc}
+	sh := &e.shards[shardOf(client)&e.shardMask]
+	sh.mu.Lock()
+	if sh.offers == nil {
+		sh.offers = make(map[offerKey]offer)
+	}
+	before := len(sh.offers)
+	sh.offers[key] = offer{at: at, pMilli: pMilli}
+	added := len(sh.offers) > before
+	sh.mu.Unlock()
+	if added {
+		e.offersOut.Add(1)
+	}
+}
+
+// Settle closes client's outstanding offer of doc with the client's report.
+// Used, the access enters the log stamped with the offer's delivery time —
+// where Record would have put it had the prefetch been a click — so the
+// pairs it forms depend on when the document was delivered, not on when the
+// report arrived; unused, the offer is forgotten. It returns the probability
+// the offer was advertised at. ok is false, and nothing changes, when no
+// such offer is outstanding: never made, settled already, or expired.
+func (e *Engine) Settle(client trace.ClientID, doc webgraph.DocID, used bool) (pMilli int64, ok bool) {
+	var size int64
+	if used {
+		size = e.sizeOf(doc)
+	}
+	key := offerKey{client, doc}
+	sh := &e.shards[shardOf(client)&e.shardMask]
+	sh.mu.Lock()
+	o, ok := sh.offers[key]
+	if ok {
+		delete(sh.offers, key)
+		if used {
+			// Out of time order in the log; the refresh sorts it.
+			sh.reqs = append(sh.reqs, trace.Request{Time: o.at, Client: client, Doc: doc, Size: size})
+		}
+	}
+	sh.mu.Unlock()
+	if !ok {
+		return 0, false
+	}
+	e.offersOut.Add(-1)
+	if used {
+		e.noteRecorded(doc)
+	}
+	return o.pMilli, true
 }
 
 // maybeEarlyRefresh re-freezes before the regular deadline when the guard
@@ -508,6 +593,7 @@ func (e *Engine) refreshLocked(at time.Time) {
 	// stable. The buffer is dropped after the cycle, so nothing of a busy
 	// window stays on the heap.
 	buf := append([]trace.Request(nil), e.carry...)
+	var expired int64
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
@@ -517,7 +603,20 @@ func (e *Engine) refreshLocked(at time.Time) {
 		} else {
 			sh.reqs = sh.reqs[:0]
 		}
+		// An offer nobody reported on within one cycle is given up: the
+		// client is gone or its report was lost, and the set stays bounded
+		// by what one RefreshEvery can deliver.
+		for key, o := range sh.offers {
+			if at.Sub(o.at) > e.cfg.RefreshEvery {
+				delete(sh.offers, key)
+				expired++
+			}
+		}
 		sh.mu.Unlock()
+	}
+	if expired > 0 {
+		e.offersOut.Add(-expired)
+		e.offersExpired.Add(expired)
 	}
 	trace.SortRequests(buf)
 	// Strides still open at the refresh instant (their last request is
@@ -900,6 +999,12 @@ type Stats struct {
 	// previous frozen matrix instead of rebuilding it.
 	DeltaFreezes int64 `json:",omitempty"`
 
+	// OffersOutstanding counts prefetched documents whose clients have not
+	// yet reported them used or unused; OffersExpired those a refresh gave
+	// up on after one RefreshEvery without a report.
+	OffersOutstanding int64 `json:",omitempty"`
+	OffersExpired     int64 `json:",omitempty"`
+
 	// Estimator is the bounded estimator's footprint and eviction ledger
 	// as of the last refresh; nil (and omitted) on exact-estimator
 	// engines, so stats payloads are byte-identical to pre-bounding
@@ -925,6 +1030,8 @@ func (e *Engine) Stats() Stats {
 		SnapshotsRejected:   e.rejectedSnaps.Load(),
 		QuarantinedRequests: e.quarReqs.Load(),
 		DeltaFreezes:        e.deltaFreezes.Load(),
+		OffersOutstanding:   e.offersOut.Load(),
+		OffersExpired:       e.offersExpired.Load(),
 		Estimator:           snap.estStats,
 	}
 	if st := e.cfg.Checkpoint; st != nil {

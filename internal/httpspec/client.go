@@ -60,9 +60,11 @@ type ClientConfig struct {
 	// Attrib, when non-nil, records speculative deliveries into this
 	// client's cache and their consumed/wasted resolution.
 	Attrib *attrib.Ledger
-	// AttribFeedback piggybacks Spec-Attrib resolution tokens on demand
-	// requests, so a remote server's ledger learns the fate of the bytes
-	// it speculated (best-effort: tokens on failed requests are lost).
+	// AttribFeedback piggybacks Spec-Attrib resolution tokens for pushed
+	// documents on demand requests, so a remote server's ledger learns the
+	// fate of the bytes it pushed. Tokens for prefetched documents are sent
+	// whatever this says: they are what the server's estimator learns a
+	// prefetched document's use from.
 	AttribFeedback bool
 }
 
@@ -127,12 +129,14 @@ func (s ClientStats) plus(o ClientStats, sign int64) ClientStats {
 
 // cacheEntry is one cached document; spec marks it as having arrived
 // speculatively and not yet been requested. class is the delivery class
-// for attribution; resolved marks the delivery as already attributed
+// for attribution and pMilli the probability the delivery was advertised
+// at, in thousandths; resolved marks the delivery as already attributed
 // (consumed or wasted) so it resolves exactly once.
 type cacheEntry struct {
 	body     []byte
-	spec     bool
 	class    string
+	pMilli   int16
+	spec     bool
 	resolved bool
 }
 
@@ -149,7 +153,15 @@ type Client struct {
 	mu      sync.Mutex
 	cache   map[string]cacheEntry
 	stats   ClientStats
-	pending []string // Spec-Attrib feedback tokens awaiting a demand request
+	pending []report // Spec-Attrib feedback awaiting a demand request
+}
+
+// report is one queued Spec-Attrib token: what became of a speculative
+// delivery. It goes on the wire as "c:<class>:<path>" or "w:<class>:<path>".
+type report struct {
+	consumed bool
+	class    string
+	path     string
 }
 
 // NewClient builds a client for the server at base (e.g. the URL of an
@@ -234,11 +246,7 @@ func (c *Client) Cached(path string) bool {
 func (c *Client) EndSession() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for path, e := range c.cache {
-		if e.spec {
-			c.resolveLocked(path, &e)
-		}
-	}
+	c.resolveUnusedLocked()
 	c.cache = make(map[string]cacheEntry)
 }
 
@@ -249,11 +257,25 @@ func (c *Client) EndSession() {
 func (c *Client) ResolveOutstanding() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.resolveUnusedLocked()
+}
+
+// resolveUnusedLocked resolves the speculative entries nobody asked for, in
+// path order: their tokens train the server, so the order they queue in
+// must not be the map's. Callers hold mu.
+func (c *Client) resolveUnusedLocked() {
+	var buf [16]string // a session rarely leaves more unused; more spill to the heap
+	unused := buf[:0]
 	for path, e := range c.cache {
 		if e.spec && !e.resolved {
-			c.resolveLocked(path, &e)
-			c.cache[path] = e
+			unused = append(unused, path)
 		}
+	}
+	slices.Sort(unused)
+	for _, path := range unused {
+		e := c.cache[path]
+		c.resolveLocked(path, &e)
+		c.cache[path] = e
 	}
 }
 
@@ -267,17 +289,9 @@ func (c *Client) resolveLocked(path string, e *cacheEntry) {
 	}
 	e.resolved = true
 	consumed := !e.spec
-	if consumed {
-		c.cfg.Attrib.Consumed(path, e.class, int64(len(e.body)))
-	} else {
-		c.cfg.Attrib.Wasted(path, e.class, int64(len(e.body)))
-	}
-	if c.cfg.AttribFeedback {
-		kind := "w:"
-		if consumed {
-			kind = "c:"
-		}
-		c.pending = append(c.pending, kind+e.class+":"+path)
+	c.cfg.Attrib.Resolved(path, e.class, int64(len(e.body)), int64(e.pMilli), consumed)
+	if c.cfg.AttribFeedback || e.class == attrib.ClassPrefetch {
+		c.pending = append(c.pending, report{consumed: consumed, class: e.class, path: path})
 	}
 }
 
@@ -335,6 +349,11 @@ func (c *Client) GetCtx(ctx context.Context, path string) (body []byte, fromCach
 		body, hints, err = c.fetch(ctx, sp, path, digest, feedback)
 	}
 	if err != nil {
+		// The fetch failed for good and its tokens may not have arrived:
+		// back to the head of the queue, for the next fetch to carry. A
+		// token the server did get is harmless to repeat to its engine (an
+		// offer settles once).
+		c.requeueFeedback(feedback)
 		return nil, false, err
 	}
 	c.mu.Lock()
@@ -348,20 +367,51 @@ func (c *Client) GetCtx(ctx context.Context, path string) (body []byte, fromCach
 }
 
 // drainFeedbackLocked takes the queued Spec-Attrib tokens (bounded per
-// request so one demand fetch never carries an unbounded header).
-// Callers hold mu.
+// request so one demand fetch never carries an unbounded header) and
+// renders them as the header. Callers hold mu.
 func (c *Client) drainFeedbackLocked() string {
 	if len(c.pending) == 0 {
 		return ""
 	}
 	const maxTokens = 32
-	n := len(c.pending)
-	if n > maxTokens {
-		n = maxTokens
+	n := min(len(c.pending), maxTokens)
+	var buf [1024]byte // 32 tokens of the sites' path lengths fit; longer ones spill to the heap
+	out := buf[:0]
+	for i, r := range c.pending[:n] {
+		if i > 0 {
+			out = append(out, ' ')
+		}
+		if r.consumed {
+			out = append(out, "c:"...)
+		} else {
+			out = append(out, "w:"...)
+		}
+		out = append(out, r.class...)
+		out = append(out, ':')
+		out = append(out, r.path...)
 	}
-	out := strings.Join(c.pending[:n], " ")
 	c.pending = append(c.pending[:0], c.pending[n:]...)
-	return out
+	return string(out)
+}
+
+// requeueFeedback puts the tokens of a header back at the head of the queue.
+func (c *Client) requeueFeedback(header string) {
+	var back []report
+	for {
+		var tok string
+		if tok, header = nextAttribToken(header); tok == "" {
+			break
+		}
+		if consumed, class, path, ok := parseAttribToken(tok); ok {
+			back = append(back, report{consumed: consumed, class: class, path: path})
+		}
+	}
+	if len(back) == 0 {
+		return
+	}
+	c.mu.Lock()
+	c.pending = append(back, c.pending...)
+	c.mu.Unlock()
 }
 
 type clientHint struct {
@@ -518,13 +568,13 @@ func (c *Client) ingestBundle(want string, resp *http.Response, boundary string)
 			c.cfg.Attrib.Delivered(loc, attrib.ClassPush, int64(len(body)), pMilli, rung)
 		}
 		if _, ok := c.cache[loc]; !ok {
-			c.cache[loc] = cacheEntry{body: body, spec: pushed, class: classOf(pushed)}
+			c.cache[loc] = cacheEntry{body: body, spec: pushed, class: classOf(pushed), pMilli: int16(pMilli)}
 			if pushed {
 				c.stats.Pushed++
 			}
 		} else if pushed {
 			// Duplicate push: discarded immediately, pure waste.
-			c.cfg.Attrib.Wasted(loc, attrib.ClassPush, int64(len(body)))
+			c.cfg.Attrib.Resolved(loc, attrib.ClassPush, int64(len(body)), pMilli, false)
 		}
 		c.stats.BytesIn += int64(len(body))
 		c.mu.Unlock()
@@ -565,6 +615,13 @@ func (c *Client) followHints(ctx context.Context, parent *obs.ActiveSpan, hints 
 			continue
 		}
 		if slices.ContainsFunc(want, func(w clientHint) bool { return w.path == h.path }) {
+			continue
+		}
+		// The server keeps one offer per client and document. While the
+		// report on an earlier prefetch of this one is still queued (only
+		// when more tokens were owed than the last fetch could carry),
+		// prefetching it again would have that report settle the new offer.
+		if slices.ContainsFunc(c.pending, func(r report) bool { return r.class == attrib.ClassPrefetch && r.path == h.path }) {
 			continue
 		}
 		want = append(want, h)
@@ -682,8 +739,9 @@ func (c *Client) fetchWanted(ctx context.Context, parent *obs.ActiveSpan, asked 
 func (c *Client) admitPrefetch(h clientHint, body []byte, rung string) {
 	c.mu.Lock()
 	if _, ok := c.cache[h.path]; !ok {
-		c.cfg.Attrib.Delivered(h.path, attrib.ClassPrefetch, int64(len(body)), attrib.PMilli(h.p), rung)
-		c.cache[h.path] = cacheEntry{body: body, spec: true, class: attrib.ClassPrefetch}
+		pMilli := attrib.PMilli(h.p)
+		c.cfg.Attrib.Delivered(h.path, attrib.ClassPrefetch, int64(len(body)), pMilli, rung)
+		c.cache[h.path] = cacheEntry{body: body, spec: true, class: attrib.ClassPrefetch, pMilli: int16(pMilli)}
 		c.stats.Prefetched++
 		c.stats.BytesIn += int64(len(body))
 	}

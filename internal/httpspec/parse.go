@@ -4,6 +4,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"specweb/internal/attrib"
 	"specweb/internal/overload"
@@ -77,28 +78,34 @@ func validAttribClass(class string) bool {
 	return false
 }
 
+// nextAttribToken cuts the first whitespace-separated token off a
+// Spec-Attrib header, the way strings.Fields would, without the slice.
+func nextAttribToken(header string) (tok, rest string) {
+	header = strings.TrimLeftFunc(header, unicode.IsSpace)
+	if i := strings.IndexFunc(header, unicode.IsSpace); i >= 0 {
+		return header[:i], header[i:]
+	}
+	return header, ""
+}
+
 // parseAttribToken validates one Spec-Attrib token ("c:<class>:<path>"
 // consumed, "w:<class>:<path>" wasted). ok is false for anything
 // malformed: unknown kind, unknown class, or an implausible path.
 func parseAttribToken(tok string) (consumed bool, class, path string, ok bool) {
-	parts := strings.SplitN(tok, ":", 3)
-	if len(parts) != 3 {
-		return false, "", "", false
-	}
-	switch parts[0] {
+	kind, rest, _ := strings.Cut(tok, ":")
+	class, path, _ = strings.Cut(rest, ":")
+	switch kind {
 	case "c":
 		consumed = true
 	case "w":
-		consumed = false
 	default:
 		return false, "", "", false
 	}
-	if !validAttribClass(parts[1]) {
+	if !validAttribClass(class) {
 		return false, "", "", false
 	}
-	path = parts[2]
 	if path == "" || path[0] != '/' || len(path) > maxAttribPathLen {
 		return false, "", "", false
 	}
-	return consumed, parts[1], path, true
+	return consumed, class, path, true
 }

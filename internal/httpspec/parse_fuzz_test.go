@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"specweb/internal/attrib"
 	"specweb/internal/obs"
@@ -101,7 +102,10 @@ func FuzzParseAttribToken(f *testing.F) {
 // FuzzIngestAttrib drives raw header bytes through the server's full
 // Spec-Attrib ingestion path and asserts the ledger stays well-formed: no
 // panic, class-map cardinality bounded to the known delivery classes, and
-// no negative totals — regardless of what a hostile client sends.
+// no negative totals — regardless of what a hostile client sends. The
+// tokens also train the estimator, so the same goes for the engine: a
+// header records at most the accesses the server offered that client, and
+// nothing on behalf of a client it offered nothing.
 func FuzzIngestAttrib(f *testing.F) {
 	site, err := webgraph.Generate(webgraph.TinySite(), stats.NewRNG(5))
 	if err != nil {
@@ -109,8 +113,11 @@ func FuzzIngestAttrib(f *testing.F) {
 	}
 	store := NewSiteStore(site)
 	realPath, _ := store.Path(site.Entries[0])
+	other := &site.Docs[len(site.Docs)-1]
+	at := time.Date(1995, time.May, 1, 0, 0, 0, 0, time.UTC)
 
 	cfg := DefaultServerConfig()
+	cfg.Metrics = obs.NewRegistry()
 	cfg.Attrib = attrib.NewLedger(64, obs.NewRegistry())
 	srv, err := NewServer(store, cfg)
 	if err != nil {
@@ -123,8 +130,39 @@ func FuzzIngestAttrib(f *testing.F) {
 	f.Add("c:evil:" + realPath + " w:push:/no/such/doc")
 	f.Add("c:push:" + realPath + "\x00 w:::")
 	f.Add(strings.Repeat("\t x", 5000))
+	f.Add("c:prefetch:" + realPath + " c:prefetch:" + realPath + " w:prefetch:" + other.Path + " c:prefetch:" + other.Path)
 	f.Fuzz(func(t *testing.T, header string) {
-		srv.ingestAttrib(header)
+		// The in-place tokenizer reads what strings.Fields would.
+		fields, rest := strings.Fields(header), header
+		for i := 0; ; i++ {
+			var tok string
+			if tok, rest = nextAttribToken(rest); tok == "" {
+				if i != len(fields) {
+					t.Fatalf("tokenizer stopped after %d of %d fields of %q", i, len(fields), header)
+				}
+				break
+			}
+			if i >= len(fields) || tok != fields[i] {
+				t.Fatalf("token %d of %q is %q, strings.Fields has %q", i, header, tok, fields)
+			}
+		}
+		eng := srv.Engine()
+		eng.Offer("offered", site.Entries[0], at, 500)
+		eng.Offer("offered", other.ID, at, 250)
+		before := eng.Stats()
+		srv.ingestAttrib("stranger", header)
+		if got := eng.Stats(); got.Recorded != before.Recorded || got.OffersOutstanding != before.OffersOutstanding {
+			t.Fatalf("a client offered nothing moved the engine: %+v, was %+v", got, before)
+		}
+		srv.ingestAttrib("offered", header)
+		after := eng.Stats()
+		if grew := after.Recorded - before.Recorded; grew < 0 || grew > before.OffersOutstanding {
+			t.Fatalf("engine recorded %d accesses against %d offers outstanding", grew, before.OffersOutstanding)
+		}
+		if settled := before.OffersOutstanding - after.OffersOutstanding; settled < 0 || after.OffersOutstanding < 0 ||
+			settled < after.Recorded-before.Recorded {
+			t.Fatalf("offers outstanding %d, were %d; %d recorded", after.OffersOutstanding, before.OffersOutstanding, after.Recorded-before.Recorded)
+		}
 		rep := cfg.Attrib.Report(8)
 		for class := range rep.Classes {
 			if !validAttribClass(class) {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 
 	"specweb/internal/attrib"
 	"specweb/internal/checkpoint"
+	"specweb/internal/core"
 	"specweb/internal/estguard"
 	"specweb/internal/obs"
 	"specweb/internal/resilience"
@@ -69,6 +71,20 @@ func hintedWorld(t *testing.T, mode Mode, succs int, mutate func(*ServerConfig))
 	return w, page, succ
 }
 
+// unhinted is a document the warm-started estimate says nothing about:
+// neither page nor one of succ, so fetching it brings no hints.
+func unhinted(t *testing.T, site *webgraph.Site, page *webgraph.Document, succ []*webgraph.Document) *webgraph.Document {
+	t.Helper()
+	for i := len(site.Docs) - 1; i >= 0; i-- {
+		d := &site.Docs[i]
+		if d.ID != page.ID && !slices.Contains(succ, d) {
+			return d
+		}
+	}
+	t.Fatal("every document is hinted")
+	return nil
+}
+
 // hintSnapshot is an estimate in which succ follow page, the i-th (from 0)
 // with probability 0.89 − i/100: above any threshold the tests follow, below
 // the embedding bar, in row order.
@@ -83,7 +99,8 @@ func hintSnapshot(page *webgraph.Document, succ []*webgraph.Document) *checkpoin
 
 // prefetchPerDocument is the prefetch loop batching replaced, kept as the
 // reference: one request per hint, each its own round trip. It reports
-// whether it sent one.
+// whether it sent one. What it caches is a prefetch-class entry like the
+// batched client's, so the client reports its fate in the same token.
 func prefetchPerDocument(c *Client, h clientHint) bool {
 	path := h.path
 	c.mu.Lock()
@@ -130,7 +147,7 @@ func prefetchPerDocument(c *Client, h clientHint) bool {
 	if _, ok := c.cache[path]; !ok {
 		c.cfg.Attrib.Delivered(path, attrib.ClassPrefetch, int64(len(body)),
 			attrib.PMilli(h.p), validRung(resp.Header.Get(HeaderRung)))
-		c.cache[path] = cacheEntry{body: body, spec: true, class: attrib.ClassPrefetch}
+		c.cache[path] = cacheEntry{body: body, spec: true, class: attrib.ClassPrefetch, pMilli: int16(attrib.PMilli(h.p))}
 		c.stats.Prefetched++
 		c.stats.BytesIn += int64(len(body))
 	}
@@ -154,8 +171,10 @@ func (l *linkTap) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // recordingStore logs every size the engine or the server asks for, with
-// the client being served and the clock: Engine.Record asks first thing, so
-// the log holds each (client, doc, at) that reached it, in order.
+// the client being served and the clock: the engine asks for each access it
+// logs (Record, or Settle of a used offer) and the server for each token it
+// resolves, so the log holds each (client, doc, at) that reached them, in
+// order.
 type recordingStore struct {
 	*SiteStore
 	w      *testWorld
@@ -177,14 +196,17 @@ type prefetchArm struct {
 	serverLedger   attrib.Totals
 	clientPrefetch attrib.Totals
 	serverPrefetch attrib.Totals
+	clientCalib    map[string]attrib.Calibration
+	serverCalib    map[string]attrib.Calibration
 	server         ServerStats
-	recorded       int64
+	engine         core.Stats
 	sizeLog        []string
 }
 
 // runPrefetchArm replays tr, hybrid and prefetching at 0.3, against a fresh
 // server that learns as it serves (the trace crosses refresh boundaries, so
-// some prefetches trip a refresh), sessions purged at 30-minute gaps.
+// some reports arrive a cycle after their offer and some offers expire),
+// sessions purged at 30-minute gaps.
 // perDocument swaps the client's own hint following for the reference loop.
 func runPrefetchArm(t *testing.T, site *webgraph.Site, tr *trace.Trace, perDocument bool) prefetchArm {
 	t.Helper()
@@ -253,8 +275,9 @@ func runPrefetchArm(t *testing.T, site *webgraph.Site, tr *trace.Trace, perDocum
 	cr, sr := cliLed.Report(0), srvLed.Report(0)
 	arm.clientLedger, arm.clientPrefetch = cr.Totals, cr.Classes[attrib.ClassPrefetch]
 	arm.serverLedger, arm.serverPrefetch = sr.Totals, sr.Classes[attrib.ClassPrefetch]
+	arm.clientCalib, arm.serverCalib = cr.Calibration, sr.Calibration
 	arm.server = srv.Stats()
-	arm.recorded = srv.Engine().Stats().Recorded
+	arm.engine = srv.Engine().Stats()
 	return arm
 }
 
@@ -264,7 +287,9 @@ func runPrefetchArm(t *testing.T, site *webgraph.Site, tr *trace.Trace, perDocum
 // following and through the per-document loop it replaced, each against a
 // fresh learning server: every client counter, both ledgers and the sequence
 // of accesses the engine recorded are the same, and the server handled
-// fewer requests by exactly the round trips saved.
+// fewer requests by exactly the round trips saved. Either way a prefetched
+// document is an offer to the engine and an access only once its client has
+// reported it consumed.
 func TestBatchedPrefetchMatchesPerDocument(t *testing.T) {
 	site, err := webgraph.Generate(webgraph.TinySite(), stats.NewRNG(5))
 	if err != nil {
@@ -282,7 +307,7 @@ func TestBatchedPrefetchMatchesPerDocument(t *testing.T) {
 	ref := runPrefetchArm(t, site, res.Trace, true)
 	got := runPrefetchArm(t, site, res.Trace, false)
 
-	t.Logf("per document: %+v, %d round trips, engine %d; batched: %d round trips", ref.clients, ref.trips, ref.recorded, got.trips)
+	t.Logf("per document: %+v, %d round trips, engine %+v; batched: %d round trips", ref.clients, ref.trips, ref.engine, got.trips)
 	if ref.clients.Prefetched == 0 || ref.clients.Pushed == 0 || ref.clients.SpecHits == 0 {
 		t.Fatalf("trace exercises too little: %+v", ref.clients)
 	}
@@ -298,6 +323,7 @@ func TestBatchedPrefetchMatchesPerDocument(t *testing.T) {
 	if saved, fewer := ref.trips-got.trips, ref.server.Requests-got.server.Requests; saved != fewer {
 		t.Errorf("server handled %d fewer requests, %d round trips were saved", fewer, saved)
 	}
+	demand := ref.server.Requests - ref.trips
 	got.server.Requests, ref.server.Requests = 0, 0
 	got.server.BundlesBuilt, ref.server.BundlesBuilt = 0, 0 // a batch's answer is a bundle
 	if got.server != ref.server {
@@ -319,8 +345,23 @@ func TestBatchedPrefetchMatchesPerDocument(t *testing.T) {
 	if got.serverPrefetch.Deliveries != ref.clients.Prefetched {
 		t.Errorf("server ledger has %d prefetch deliveries, clients prefetched %d", got.serverPrefetch.Deliveries, ref.clients.Prefetched)
 	}
-	if got.recorded != ref.recorded {
-		t.Errorf("engine recorded %d accesses batched, %d per document", got.recorded, ref.recorded)
+	if !reflect.DeepEqual(got.clientCalib, ref.clientCalib) || !reflect.DeepEqual(got.serverCalib, ref.serverCalib) {
+		t.Errorf("calibration tables differ:\nbatched      %+v %+v\nper document %+v %+v", got.clientCalib, got.serverCalib, ref.clientCalib, ref.serverCalib)
+	}
+	if !reflect.DeepEqual(got.engine, ref.engine) {
+		t.Errorf("engine stats differ:\nbatched      %+v\nper document %+v", got.engine, ref.engine)
+	}
+	// One record per demand request the server handled and one per prefetch
+	// reported consumed while its offer stood; one offer per prefetched
+	// document, each by now used, forgotten, expired or still waiting for
+	// the report the run's last sessions never got to send.
+	learned := ref.engine.Recorded - demand
+	if learned <= 0 || learned > ref.serverPrefetch.Consumed || ref.engine.Recorded >= demand+ref.clients.Prefetched {
+		t.Errorf("engine recorded %d accesses over %d demand requests: %d prefetched, %d reported consumed",
+			ref.engine.Recorded, demand, ref.clients.Prefetched, ref.serverPrefetch.Consumed)
+	}
+	if ref.engine.OffersOutstanding <= 0 || ref.engine.OffersOutstanding+ref.engine.OffersExpired+ref.serverPrefetch.Consumed+ref.serverPrefetch.Wasted < ref.clients.Prefetched {
+		t.Errorf("offers unaccounted for: %+v against %d prefetched, server ledger %+v", ref.engine, ref.clients.Prefetched, ref.serverPrefetch)
 	}
 	if !reflect.DeepEqual(got.sizeLog, ref.sizeLog) {
 		for i := range got.sizeLog {
@@ -373,7 +414,8 @@ func TestPrefetchAnswerCarriesNoHints(t *testing.T) {
 
 // TestLongHintListArrivesWhole: more hints than one request asks for, or
 // than one answer carries, take further requests — headed by the next path
-// each time — and never lose a document.
+// each time — and never lose a document. Each is an offer to the engine,
+// however many requests brought them, and an access once reported consumed.
 func TestLongHintListArrivesWhole(t *testing.T) {
 	const hinted = 20
 	for _, tc := range []struct {
@@ -409,8 +451,23 @@ func TestLongHintListArrivesWhole(t *testing.T) {
 			if got := led.Report(0).Totals; got.Deliveries != hinted || got.PMilliSum != pSum {
 				t.Errorf("ledger has %d deliveries, p sum %d; want %d, %d", got.Deliveries, got.PMilliSum, hinted, pSum)
 			}
-			if got := w.server.Engine().Stats().Recorded; got != 1+hinted {
-				t.Errorf("engine recorded %d accesses, want %d", got, 1+hinted)
+			if got := w.server.Engine().Stats(); got.Recorded != 1 || got.OffersOutstanding != hinted {
+				t.Errorf("engine recorded %d accesses and holds %d offers, want 1 and %d", got.Recorded, got.OffersOutstanding, hinted)
+			}
+			// The user opens three of them; the reports ride on the next
+			// fetch that reaches the server.
+			const used = 3
+			for _, d := range succ[:used] {
+				if _, hit, err := c.Get(d.Path); err != nil || !hit {
+					t.Fatalf("%s: hit %v, err %v", d.Path, hit, err)
+				}
+			}
+			c.ResolveOutstanding()
+			if _, _, err := c.Get(unhinted(t, w.site, page, succ).Path); err != nil {
+				t.Fatal(err)
+			}
+			if got := w.server.Engine().Stats(); got.Recorded != 1+used+1 || got.OffersOutstanding != 0 || got.OffersExpired != 0 {
+				t.Errorf("engine recorded %d accesses and holds %d offers (%d expired), want %d and none", got.Recorded, got.OffersOutstanding, got.OffersExpired, 1+used+1)
 			}
 		})
 	}
@@ -581,7 +638,9 @@ func wantAnswer(t *testing.T, w *testWorld, client, page, want string) []string 
 // parse.go guards. Whatever it holds, the answer carries the head, then only
 // known documents the list named, each once, at most MaxPush of them, and
 // only clamped probabilities reach the ledger; a quarantined client gets the
-// head alone and nothing is recorded for the rest.
+// head alone. Every part sent is one offer to the engine (each case asks as
+// a client of its own: a repeated offer would replace, not add) and none is
+// an access.
 func TestSpecWantHardening(t *testing.T) {
 	led := attrib.NewLedger(64, obs.NewRegistry())
 	w, page, succ := hintedWorld(t, ModeHints, 8, func(cfg *ServerConfig) {
@@ -611,7 +670,10 @@ func TestSpecWantHardening(t *testing.T) {
 		{"more items than the server reads", "h", strings.Repeat("/nowhere;1 ", maxWantItems) + a + ";500", []string{page.Path}, 0},
 		{"quarantined", "crawler", a + ";700 " + b + ";300", []string{page.Path}, 0},
 	} {
-		before, recorded := led.Report(0).Totals, w.server.Engine().Stats().Recorded
+		if tc.client == "h" {
+			tc.client = "h-" + tc.name
+		}
+		before, engine := led.Report(0).Totals, w.server.Engine().Stats()
 		parts := wantAnswer(t, w, tc.client, page.Path, tc.want)
 		if !reflect.DeepEqual(parts, tc.parts) {
 			t.Errorf("%s: answer carries %q, want %q", tc.name, parts, tc.parts)
@@ -623,8 +685,9 @@ func TestSpecWantHardening(t *testing.T) {
 		if got := after.PMilliSum - before.PMilliSum - 500; got != tc.pSum {
 			t.Errorf("%s: ledger p sum moved by %d behind the head, want %d", tc.name, got, tc.pSum)
 		}
-		if got := w.server.Engine().Stats().Recorded - recorded; got != int64(len(tc.parts)) {
-			t.Errorf("%s: engine recorded %d accesses, want %d", tc.name, got, len(tc.parts))
+		if got := w.server.Engine().Stats(); got.Recorded != engine.Recorded || got.OffersOutstanding-engine.OffersOutstanding != int64(len(tc.parts)) {
+			t.Errorf("%s: engine recorded %d accesses and took %d offers, want 0 and %d", tc.name,
+				got.Recorded-engine.Recorded, got.OffersOutstanding-engine.OffersOutstanding, len(tc.parts))
 		}
 	}
 }

@@ -65,9 +65,10 @@ type ReplayConfig struct {
 	// class, with top-K per-doc rows. Opt-in so summaries from earlier
 	// versions stay byte-identical.
 	Attrib bool
-	// AttribFeedback piggybacks Spec-Attrib resolution tokens on demand
-	// requests so the server's own ledger (specd /debug/attrib) learns
-	// the fate of what it speculated.
+	// AttribFeedback piggybacks Spec-Attrib resolution tokens for pushed
+	// documents on demand requests so the server's own ledger (specd
+	// /debug/attrib) learns the fate of what it pushed; tokens for
+	// prefetched documents are sent regardless (ClientConfig.AttribFeedback).
 	AttribFeedback bool
 }
 

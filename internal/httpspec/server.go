@@ -354,14 +354,33 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve attribution feedback the client piggybacked before counting
 	// this request's own speculation.
-	s.ingestAttrib(r.Header.Get(HeaderAttrib))
+	client := clientID(r)
+	s.ingestAttrib(client, r.Header.Get(HeaderAttrib))
 
 	s.requests.Add(1)
 	s.met.requests.Inc()
 
-	client := clientID(r)
+	// docs is what the response carries: the requested document and, in a
+	// bundle behind it, what is pushed or what a prefetch asked for.
+	var docBuf [1 + maxWant]bundleDoc // a default MaxPush fits; more spill to the heap
+	docs := append(docBuf[:0], bundleDoc{doc: id})
 	at := s.now()
-	s.engine.Record(client, id, at)
+	prefetchP := r.Header.Get(HeaderPrefetch)
+	if prefetchP != "" {
+		// A hint-driven prefetch announces itself (with the hint's
+		// probability); the bytes it pulls are a speculative delivery, and
+		// the user has not asked for them: the engine is offered the
+		// document and learns of an access only if the client reports one.
+		// Clamped parse: a forged or malformed probability must not poison
+		// the ledger's confidence sums.
+		docs[0].class = attrib.ClassPrefetch
+		docs[0].pMilli, _ = parsePMilli(prefetchP)
+		s.engine.Offer(client, id, at, docs[0].pMilli)
+	} else {
+		s.engine.Record(client, id, at)
+	}
+	// Dissemination counts deliveries, prefetched ones included: a proxy
+	// holding the replica intercepts those too.
 	size, _ := s.store.Size(id)
 	s.repl.Record(id, size, isRemote(client))
 
@@ -379,19 +398,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderQuarantine, quarReason)
 	}
 
-	// docs is what the response carries: the requested document and, in a
-	// bundle behind it, what is pushed or what a prefetch asked for.
-	var docBuf [1 + maxWant]bundleDoc // a default MaxPush fits; more spill to the heap
-	docs := append(docBuf[:0], bundleDoc{doc: id})
-	prefetchP := r.Header.Get(HeaderPrefetch)
-	if prefetchP != "" {
-		// A hint-driven prefetch announces itself (with the hint's
-		// probability); the bytes it pulls are a speculative delivery.
-		// Clamped parse: a forged or malformed probability must not
-		// poison the ledger's confidence sums.
-		docs[0].class = attrib.ClassPrefetch
-		docs[0].pMilli, _ = parsePMilli(prefetchP)
-	}
 	var hintBuf [8]hint // the usual response hints a handful; more spill to the heap
 	hints := hintBuf[:0]
 	switch {
@@ -409,11 +415,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// The client follows no hints from a prefetch's answer, so none
 		// are computed. What rides behind the document is what Spec-Want
 		// names, each served as the request of its own it replaces would
-		// have been: recorded as this client's next access, counted for
-		// dissemination, delivered as a prefetch.
+		// have been: offered to the engine, counted for dissemination,
+		// delivered as a prefetch.
 		docs = parseWant(docs, r.Header.Get(HeaderWant), s.store, s.cfg.MaxPush)
 		for _, d := range docs[1:] {
-			s.engine.Record(client, d.doc, at)
+			s.engine.Offer(client, d.doc, at, d.pMilli)
 			wsize, _ := s.store.Size(d.doc)
 			s.repl.Record(d.doc, wsize, isRemote(client))
 		}
@@ -747,21 +753,23 @@ func (s *Server) serveBundle(w http.ResponseWriter, docs []bundleDoc, rung strin
 	return total
 }
 
-// ingestAttrib resolves client Spec-Attrib feedback tokens
-// ("c:<class>:<path>" consumed, "w:<class>:<path>" wasted) against the
-// server's ledger, using the store's current size for the byte amount.
-// Tokens are validated (known kind, known class, plausible path) and
-// capped, so a hostile header cannot poison the ledger's class map or
-// grind the store with lookups.
-func (s *Server) ingestAttrib(header string) {
-	if header == "" || s.cfg.Attrib == nil {
-		return
-	}
-	toks := strings.Fields(header)
-	if len(toks) > maxAttribTokens {
-		toks = toks[:maxAttribTokens]
-	}
-	for _, tok := range toks {
+// ingestAttrib resolves client's Spec-Attrib feedback tokens
+// ("c:<class>:<path>" consumed, "w:<class>:<path>" wasted). A prefetch-class
+// token settles the engine's offer of that document to that client — this
+// is what trains the estimator for prefetched documents: consumed, the
+// access is recorded as of its delivery; wasted, or naming a document never
+// offered, nothing is. Every token also resolves a delivery in the server's
+// ledger, when it keeps one, using the store's current size for the byte
+// amount and the offer's probability for the calibration table. Tokens are
+// validated (known kind, known class, plausible path) and capped, so a
+// hostile header cannot poison the ledger's class map or grind the store
+// with lookups.
+func (s *Server) ingestAttrib(client trace.ClientID, header string) {
+	for n := 0; n < maxAttribTokens; n++ {
+		var tok string
+		if tok, header = nextAttribToken(header); tok == "" {
+			return
+		}
 		consumed, class, path, ok := parseAttribToken(tok)
 		if !ok {
 			continue
@@ -770,12 +778,14 @@ func (s *Server) ingestAttrib(header string) {
 		if !ok {
 			continue
 		}
-		size, _ := s.store.Size(id)
-		if consumed {
-			s.cfg.Attrib.Consumed(path, class, size)
-		} else {
-			s.cfg.Attrib.Wasted(path, class, size)
+		pMilli := attrib.PUnknown
+		if class == attrib.ClassPrefetch {
+			if p, ok := s.engine.Settle(client, id, consumed); ok {
+				pMilli = p
+			}
 		}
+		size, _ := s.store.Size(id)
+		s.cfg.Attrib.Resolved(path, class, size, pMilli, consumed)
 	}
 }
 

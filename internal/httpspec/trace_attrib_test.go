@@ -1,10 +1,14 @@
 package httpspec
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"specweb/internal/attrib"
+	"specweb/internal/core"
 	"specweb/internal/obs"
 )
 
@@ -226,6 +230,41 @@ func TestAttribPrefetch(t *testing.T) {
 	}
 	if got := cliLed.Report(10).Totals.Consumed; got != 1 {
 		t.Errorf("consumed = %d after demand hit, want 1", got)
+	}
+
+	// Nobody asked this client for feedback (AttribFeedback is off); it
+	// reports on its prefetches all the same, because that is what the
+	// server's estimator learns from. Once the leftovers are resolved and
+	// a fetch has carried the tokens, /spec/stats shows the server's
+	// calibration table equal to the client's and no offer outstanding.
+	c.ResolveOutstanding()
+	var carrier string
+	for i := len(w.site.Docs) - 1; i >= 0 && carrier == ""; i-- {
+		if d := &w.site.Docs[i]; !c.Cached(d.Path) && !slices.Contains(page.Embedded, d.ID) {
+			carrier = d.Path // untrained: its answer brings no hints, so no new offers
+		}
+	}
+	if _, _, err := c.Get(carrier); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(w.ts.URL + "/spec/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Engine core.Stats
+		Attrib *attrib.Report
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	want := cliLed.Report(0).Calibration[attrib.ClassPrefetch]
+	if got := st.Attrib.Calibration[attrib.ClassPrefetch]; got != want || got == (attrib.Calibration{}) {
+		t.Errorf("/spec/stats prefetch calibration\n got %v\nwant %v", got, want)
+	}
+	if st.Engine.OffersOutstanding != 0 || st.Engine.Recorded == 0 {
+		t.Errorf("/spec/stats engine %+v: want every offer settled", st.Engine)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"specweb/internal/attrib"
 	"specweb/internal/experiments"
 	"specweb/internal/httpspec"
 	"specweb/internal/leakcheck"
@@ -188,5 +189,49 @@ func TestThinkTimeSlowsClosedLoop(t *testing.T) {
 	if slow.Timing.Throughput >= fast.Timing.Throughput {
 		t.Errorf("think time did not lower throughput: %v >= %v",
 			slow.Timing.Throughput, fast.Timing.Throughput)
+	}
+}
+
+// TestPrefetchHintsAreCalibrated holds the engine to the probabilities it
+// advertises, on the default operating point (small department site, hybrid,
+// hints followed from 0.25): of the prefetches delivered on hints of one
+// decile, the share consumed may not fall more than 0.05 short of the
+// decile's lower edge. An estimator fed its own prefetches as if users had
+// made them fails this — a followed hint confirms itself, and hints
+// advertised at 0.5 come true a fifth of the time.
+func TestPrefetchHintsAreCalibrated(t *testing.T) {
+	leakcheck.Check(t)
+	res := mustRun(t, Config{
+		Workload:          experiments.SmallWorkload(),
+		Speculate:         true,
+		Mode:              httpspec.ModeHybrid,
+		PrefetchThreshold: 0.25,
+	})
+	cal, ok := res.Attrib.Calibration[attrib.ClassPrefetch]
+	if !ok {
+		t.Fatalf("no prefetch calibration in %+v", res.Attrib)
+	}
+	var total, judged int64
+	for i, b := range cal {
+		total += b.Deliveries
+		if b.Deliveries < 200 {
+			continue // too few to hold a frequency against a probability
+		}
+		judged++
+		lower := float64(i) / 10
+		got := float64(b.Consumed) / float64(b.Deliveries)
+		t.Logf("advertised [%.1f, %.1f): %d of %d consumed = %.3f", lower, lower+0.1, b.Consumed, b.Deliveries, got)
+		if got < lower-0.05 {
+			t.Errorf("hints advertised at [%.1f, %.1f) were consumed %.3f of the time (%d of %d)",
+				lower, lower+0.1, got, b.Consumed, b.Deliveries)
+		}
+	}
+	if judged < 4 {
+		t.Errorf("only %d deciles hold 200 deliveries: the run exercises too little", judged)
+	}
+	// Every prefetch is in the table: drained, resolved by a client that
+	// knows what its hint said.
+	if pf := res.Attrib.Classes[attrib.ClassPrefetch]; total != pf.Deliveries || res.Attrib.Outstanding != 0 {
+		t.Errorf("table holds %d prefetches, ledger %d (outstanding %d)", total, pf.Deliveries, res.Attrib.Outstanding)
 	}
 }
