@@ -60,9 +60,11 @@ bench-short:
 # count (-benchtime=100x) makes this a correctness smoke test of the
 # lock-free read path, not a timing run — it catches races and alloc
 # regressions cheaply in CI. The refresh, offer/settle, wire-path,
-# round-trip, batched prefetch and span benchmarks each fail above their own
-# allocs/op ceiling and run without the race detector: under it sync.Pool
-# drops what is put back, and the ceiling would blame the code.
+# round-trip, batched and inline prefetch and span benchmarks each fail above
+# their own allocs/op ceiling (BenchmarkServeBundle also unless a bundle leaves
+# in one Write below the gather bound and piece by piece above it) and run
+# without the race detector: under it sync.Pool drops what is put back, and
+# the ceiling would blame the code.
 bench-smoke:
 	$(GO) test -race -run '^$$' -benchtime=100x -cpu 1,4,8 \
 		-bench 'BenchmarkEngine(Record|Speculate|Hints)' ./internal/core/
@@ -72,7 +74,7 @@ bench-smoke:
 		-bench 'BenchmarkClosureSerial|BenchmarkClosureParallel|BenchmarkFreeze|BenchmarkFrozenThresholdRow' \
 		./internal/markov/
 	$(GO) test -run '^$$' -benchtime=100x -benchmem \
-		-bench 'BenchmarkReadBody|BenchmarkClientIngestBundle|BenchmarkServeBundle|BenchmarkServerRoundTrip|BenchmarkPrefetchBatch' \
+		-bench 'BenchmarkReadBody|BenchmarkClientIngestBundle|BenchmarkServeBundle|BenchmarkServerRoundTrip|BenchmarkPrefetchBatch|BenchmarkInlineBundle' \
 		./internal/httpspec/
 	$(GO) test -run '^$$' -benchtime=100x -benchmem -bench 'BenchmarkSpan' ./internal/obs/
 
@@ -171,8 +173,9 @@ fuzz-estimator:
 	$(GO) test -run '^$$' -fuzz FuzzExactAccumulator -fuzztime 30s -fuzzminimizetime 2s ./internal/markov/
 
 # Wire-format fuzzing: the header parsers must degrade garbage to safe
-# zeros (Spec-Want to at most the cap of named, known documents, each once),
-# and the in-place bundle walker must never panic, never hand out a
+# zeros (Spec-Want to at most the cap of named, known documents, each once;
+# Spec-Accept to what its strings.Split reference reads), and the in-place
+# bundle walker must never panic, never hand out a
 # slice outside its input, and agree with mime/multipart.Reader on
 # everything it accepts; the in-place traceparent parser must agree with
 # the strings.Split version, and the hint probability with fmt's %.3f.
@@ -183,6 +186,7 @@ fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzIngestAttrib -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzParseLinkHint -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzParseWant -fuzztime 15s ./internal/httpspec/
+	$(GO) test -run '^$$' -fuzz FuzzParseAccept -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzWalkBundle -fuzztime 30s ./internal/httpspec/
 
 # Regenerate the golden files pinning the experiments renderers.

@@ -68,9 +68,9 @@ func BenchmarkServerRoundTrip(b *testing.B) {
 		op()
 	}
 	b.ReportMetric(float64(len(page.Embedded)), "embedded_docs")
-	// Measured 98, some eighty of them net/http's on either side of the
+	// Measured 96, some eighty of them net/http's on either side of the
 	// loopback connection; one to spare.
-	allocCeiling(b, 99, op)
+	allocCeiling(b, 97, op)
 }
 
 // BenchmarkPrefetchBatch is one followed response: a demand fetch whose
@@ -120,12 +120,63 @@ func BenchmarkPrefetchBatch(b *testing.B) {
 	if st := srv.Engine().Stats(); st.OffersOutstanding != 3 || st.Recorded != transport.served.Load()/2 {
 		b.Fatalf("engine %+v after %d requests", st, transport.served.Load())
 	}
-	// Measured 91: 47 for the demand fetch and its three hints — two of them
-	// the Spec-Attrib header reporting the three prefetches the session
-	// before left unused, which the server settles in place — and 44 for the
+	// Measured 85: some 44 for the demand fetch and its three hints — two of
+	// them the Spec-Attrib header reporting the three prefetches the session
+	// before left unused, which the server settles in place — and 41 for the
 	// one request that brings the three documents back, where a prefetch
 	// request of its own costs some 34 a document. One to spare.
-	allocCeiling(b, 92, op)
+	allocCeiling(b, 86, op)
+}
+
+// BenchmarkInlineBundle is BenchmarkPrefetchBatch's followed response for a
+// client that stated its threshold to a hybrid server: the three documents
+// ride behind the demand answer — client → in-process server → cache, one
+// round trip for four documents.
+func BenchmarkInlineBundle(b *testing.B) {
+	site, err := webgraph.Generate(webgraph.TinySite(), stats.NewRNG(5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := time.Date(1995, time.June, 1, 9, 0, 0, 0, time.UTC)
+	cfg := DefaultServerConfig()
+	cfg.Clock = func() time.Time { return now }
+	cfg.Metrics = obs.NewRegistry()
+	srv, err := NewServer(NewSiteStore(site), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	page := &site.Docs[0]
+	hinted := []*webgraph.Document{&site.Docs[1], &site.Docs[2], &site.Docs[3]}
+	if err := srv.Engine().WarmStart(hintSnapshot(page, hinted), now); err != nil {
+		b.Fatal(err)
+	}
+	transport := &handlerTransport{h: srv}
+	c := NewClient("http://origin", ClientConfig{ID: "bench", AcceptBundles: true, PrefetchThreshold: 0.3,
+		HTTP: &http.Client{Transport: transport}, Tracer: obs.NewTracer(64)})
+	op := func() {
+		c.EndSession()
+		if _, _, err := c.Get(page.Path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op()
+	if st := c.Stats(); st.Prefetched != 3 || st.PrefetchRoundTrips != 0 || transport.served.Load() != 1 {
+		b.Fatalf("one followed response took %d requests: %+v", transport.served.Load(), st)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	// As in BenchmarkPrefetchBatch, every session's three offers were settled
+	// by the next one's only fetch.
+	if st := srv.Engine().Stats(); st.OffersOutstanding != 3 || st.Recorded != transport.served.Load() {
+		b.Fatalf("engine %+v after %d requests", st, transport.served.Load())
+	}
+	// Measured 44, against BenchmarkPrefetchBatch's 85 for the same four
+	// documents in two round trips: the second request and its answer are
+	// what is saved. One to spare.
+	allocCeiling(b, 45, op)
 }
 
 // allocCeiling fails a benchmark whose op allocates more than max times a
@@ -174,7 +225,11 @@ func benchBundle() []byte {
 	body := bytes.Repeat([]byte("y"), 8<<10)
 	var raw []byte
 	for i := 0; i < 4; i++ {
-		raw = appendPartHeader(raw, i == 0, "/doc/"+strconv.Itoa(i), len(body), i > 0, 420)
+		var part bundleDoc
+		if i > 0 {
+			part = bundleDoc{class: attrib.ClassPush, pMilli: 420}
+		}
+		raw = appendPartHeader(raw, i == 0, "/doc/"+strconv.Itoa(i), len(body), part)
 		raw = append(raw, body...)
 	}
 	return appendBundleClose(raw, false)
@@ -207,15 +262,25 @@ func BenchmarkClientIngestBundle(b *testing.B) {
 	allocCeiling(b, 10, op)
 }
 
-// discardResponse is a ResponseWriter that keeps only the headers.
-type discardResponse struct{ h http.Header }
+// discardResponse is a ResponseWriter that keeps only the headers and counts
+// the writes.
+type discardResponse struct {
+	h      http.Header
+	writes int
+}
 
-func (d *discardResponse) Header() http.Header         { return d.h }
-func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
-func (d *discardResponse) WriteHeader(int)             {}
+func (d *discardResponse) Header() http.Header { return d.h }
+func (d *discardResponse) WriteHeader(int)     {}
+func (d *discardResponse) Write(p []byte) (int, error) {
+	d.writes++
+	return len(p), nil
+}
 
-// BenchmarkServeBundle frames and writes a page with its embedded objects
-// as pushes, store warm, into a discarding writer.
+// BenchmarkServeBundle frames and writes a bundle, store warm, into a
+// discarding writer, on either side of gatherMax: a page with its embedded
+// objects as pushes leaves in one Write, the same with the site's largest
+// document behind it piece by piece — a delimiter-and-headers and a body per
+// part, and the closing delimiter.
 func BenchmarkServeBundle(b *testing.B) {
 	site, err := webgraph.Generate(webgraph.TinySite(), stats.NewRNG(5))
 	if err != nil {
@@ -226,29 +291,47 @@ func BenchmarkServeBundle(b *testing.B) {
 		b.Fatal(err)
 	}
 	var page *webgraph.Document
+	big := &site.Docs[0]
 	for i := range site.Docs {
-		if site.Docs[i].Kind == webgraph.Page && len(site.Docs[i].Embedded) >= 2 {
-			page = &site.Docs[i]
-			break
+		d := &site.Docs[i]
+		if page == nil && d.Kind == webgraph.Page && len(d.Embedded) >= 2 {
+			page = d
+		}
+		if d.Size > big.Size {
+			big = d
 		}
 	}
-	if page == nil {
-		b.Fatal("no page with two embedded objects")
+	if page == nil || big.Size <= gatherMax {
+		b.Fatalf("need a page with two embedded objects and a document above %d bytes", gatherMax)
 	}
 	docs := []bundleDoc{{doc: page.ID}}
 	for _, e := range page.Embedded {
 		docs = append(docs, bundleDoc{doc: e, class: attrib.ClassPush, pMilli: 900})
 	}
-	w := &discardResponse{h: http.Header{}}
-	var written int64
-	op := func() { written = srv.serveBundle(w, docs, "") }
-	op()
-	b.ReportAllocs()
-	b.SetBytes(written)
-	for i := 0; i < b.N; i++ {
-		op()
+	for _, tc := range []struct {
+		name   string
+		docs   []bundleDoc
+		writes int
+	}{
+		{"gathered", docs, 1},
+		{"piecewise", append(docs[:len(docs):len(docs)], bundleDoc{doc: big.ID, class: attrib.ClassPush, pMilli: 800}), 2*(len(docs)+1) + 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			w := &discardResponse{h: http.Header{}}
+			var written int64
+			op := func() { written = srv.serveBundle(w, tc.docs, "") }
+			op()
+			if w.writes != tc.writes {
+				b.Fatalf("%d writes for %d parts of %d bytes, want %d", w.writes, len(tc.docs), written, tc.writes)
+			}
+			b.ReportAllocs()
+			b.SetBytes(written)
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			// Two header values and the formatted Content-Length; the framing
+			// scratch is pooled.
+			allocCeiling(b, 3, op)
+		})
 	}
-	// Two header values and the formatted Content-Length; the framing
-	// scratch is pooled.
-	allocCeiling(b, 3, op)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"mime"
 	"net/http"
 	"net/url"
 	"slices"
@@ -30,7 +29,10 @@ var ErrShed = errors.New("httpspec: request shed by overload control")
 type ClientConfig struct {
 	// ID identifies the client to the server (Spec-Client header).
 	ID string
-	// AcceptBundles announces multipart bundle support.
+	// AcceptBundles announces multipart bundle support — and, with a
+	// PrefetchThreshold, that threshold, so that a hybrid server sends what
+	// its hints would have had this client fetch behind the document asked
+	// for.
 	AcceptBundles bool
 	// Cooperative piggybacks the cache digest on every request.
 	Cooperative bool
@@ -74,7 +76,8 @@ type ClientStats struct {
 	CacheHits  int64
 	Pushed     int64 // documents received speculatively
 	Prefetched int64 // documents fetched because of hints
-	// PrefetchRoundTrips counts the requests those documents took: one per
+	// PrefetchRoundTrips counts the requests those documents took: none for
+	// the ones a server sent behind the demand answer, otherwise one per
 	// followed response when every hinted document arrives in one answer,
 	// and every attempt counts, answered or not. It is what
 	// prefetching adds to the server's load.
@@ -131,11 +134,14 @@ func (s ClientStats) plus(o ClientStats, sign int64) ClientStats {
 // speculatively and not yet been requested. class is the delivery class
 // for attribution and pMilli the probability the delivery was advertised
 // at, in thousandths; resolved marks the delivery as already attributed
-// (consumed or wasted) so it resolves exactly once.
+// (consumed or wasted) so it resolves exactly once. owed counts the copies
+// of an unresolved prefetch that arrived again since: each is reported wasted
+// once the entry itself has been reported.
 type cacheEntry struct {
 	body     []byte
 	class    string
 	pMilli   int16
+	owed     int16
 	spec     bool
 	resolved bool
 }
@@ -147,6 +153,7 @@ type Client struct {
 	cfg     ClientConfig
 	base    string
 	baseURL *url.URL // base parsed once; nil when appending a path to it is not just string concatenation
+	accept  string   // the Spec-Accept header of a demand request; "" sends none
 	retrier *resilience.Retrier
 	tracer  *obs.Tracer
 
@@ -179,6 +186,12 @@ func NewClient(base string, cfg ClientConfig) *Client {
 	}
 	c := &Client{cfg: cfg, base: strings.TrimRight(base, "/"),
 		retrier: retrier, tracer: cfg.Tracer, cache: make(map[string]cacheEntry)}
+	if cfg.AcceptBundles {
+		c.accept = acceptBundle
+		if m := prefetchMilli(cfg.PrefetchThreshold); m > 0 {
+			c.accept += "; " + acceptPrefetch + strconv.FormatInt(m, 10)
+		}
+	}
 	// A base that is literally scheme://host[:port][/plain/prefix], which
 	// is what every caller passes, is parsed here once; anything else keeps
 	// parsing base+path per request.
@@ -292,6 +305,9 @@ func (c *Client) resolveLocked(path string, e *cacheEntry) {
 	c.cfg.Attrib.Resolved(path, e.class, int64(len(e.body)), int64(e.pMilli), consumed)
 	if c.cfg.AttribFeedback || e.class == attrib.ClassPrefetch {
 		c.pending = append(c.pending, report{consumed: consumed, class: e.class, path: path})
+	}
+	for ; e.owed > 0; e.owed-- {
+		c.pending = append(c.pending, report{class: attrib.ClassPrefetch, path: path})
 	}
 }
 
@@ -453,8 +469,8 @@ func (c *Client) fetchAllowed(ctx context.Context, sp *obs.ActiveSpan, path, dig
 	if c.cfg.ID != "" {
 		req.Header.Set(HeaderClient, c.cfg.ID)
 	}
-	if c.cfg.AcceptBundles {
-		req.Header.Set(HeaderAccept, acceptBundle)
+	if c.accept != "" {
+		req.Header.Set(HeaderAccept, c.accept)
 	}
 	if c.cfg.Cooperative && digest != "" {
 		req.Header.Set(HeaderHave, digest)
@@ -498,10 +514,8 @@ func (c *Client) fetchAllowed(ctx context.Context, sp *obs.ActiveSpan, path, dig
 		}
 	}
 
-	ct := resp.Header.Get("Content-Type")
-	mt, params, _ := mime.ParseMediaType(ct)
-	if mt == "multipart/mixed" {
-		body, err := c.ingestBundle(path, resp, params["boundary"])
+	if boundary, ok := bundleBoundaryOf(resp.Header.Get("Content-Type")); ok {
+		body, err := c.ingestBundle(path, resp, boundary)
 		return body, hints, err
 	}
 	body, err := readBody(resp.Body, resp.ContentLength)
@@ -535,10 +549,12 @@ func openBundle(resp *http.Response, boundary string) (bundleWalker, error) {
 // ingestBundle reads a multipart bundle into one buffer and walks it in
 // place, caching every part and returning the part matching the requested
 // path; cached bodies (and the one returned) are capacity-clipped
-// sub-slices of that buffer, read-only like every cached body. Pushed
-// parts are recorded in the attribution ledger; a pushed copy of a
-// document already cached is resolved as wasted on the spot (the bytes
-// crossed the wire for nothing).
+// sub-slices of that buffer, read-only like every cached body. A part says
+// what it is: Spec-Pushed marks a push, Spec-P alone a prefetch the server
+// sent in place of a hint this client would have followed, and both are
+// recorded in the attribution ledger; a speculative copy of a document
+// already cached is resolved as wasted on the spot (the bytes crossed the
+// wire for nothing).
 func (c *Client) ingestBundle(want string, resp *http.Response, boundary string) ([]byte, error) {
 	bw, err := openBundle(resp, boundary)
 	if err != nil {
@@ -556,27 +572,41 @@ func (c *Client) ingestBundle(want string, resp *http.Response, boundary string)
 			break
 		}
 		loc, body := string(part.loc), part.body
-		pushed := len(part.pushed) > 0
+		class := ""
+		switch {
+		case len(part.pushed) > 0:
+			class = attrib.ClassPush
+		case len(part.specP) > 0:
+			class = attrib.ClassPrefetch
+		}
 		var pMilli int64
-		if pushed {
+		if class != "" {
 			// Clamped parse: Spec-P crosses the wire, so garbage or
 			// oversized values must not reach the ledger's sums.
 			pMilli, _ = parsePMilli(string(part.specP))
 		}
 		c.mu.Lock()
-		if pushed {
-			c.cfg.Attrib.Delivered(loc, attrib.ClassPush, int64(len(body)), pMilli, rung)
-		}
-		if _, ok := c.cache[loc]; !ok {
-			c.cache[loc] = cacheEntry{body: body, spec: pushed, class: classOf(pushed), pMilli: int16(pMilli)}
-			if pushed {
-				c.stats.Pushed++
-			}
-		} else if pushed {
-			// Duplicate push: discarded immediately, pure waste.
-			c.cfg.Attrib.Resolved(loc, attrib.ClassPush, int64(len(body)), pMilli, false)
-		}
 		c.stats.BytesIn += int64(len(body))
+		if class != "" {
+			c.cfg.Attrib.Delivered(loc, class, int64(len(body)), pMilli, rung)
+		}
+		switch held, dup := c.cache[loc]; {
+		case !dup:
+			c.cache[loc] = cacheEntry{body: body, spec: class != "", class: class, pMilli: int16(pMilli)}
+			switch class {
+			case attrib.ClassPush:
+				c.stats.Pushed++
+			case attrib.ClassPrefetch:
+				c.stats.Prefetched++
+			}
+		case class != "":
+			// A speculative copy of a document already held: discarded
+			// immediately, pure waste.
+			c.cfg.Attrib.Resolved(loc, class, int64(len(body)), pMilli, false)
+			if class == attrib.ClassPrefetch {
+				c.reportDuplicateLocked(loc, held)
+			}
+		}
 		c.mu.Unlock()
 		if loc == want {
 			wanted, found = body, true
@@ -588,13 +618,21 @@ func (c *Client) ingestBundle(want string, resp *http.Response, boundary string)
 	return wanted, nil
 }
 
-// classOf maps a pushed flag to its attribution class ("" for the demand
-// document itself, which is not a speculative delivery).
-func classOf(pushed bool) string {
-	if pushed {
-		return attrib.ClassPush
+// reportDuplicateLocked tells the server that the prefetch of path it sent
+// unasked reached a client holding the document as held, so that its offer
+// does not stand until it expires. The server keeps one offer per client and
+// document: while the held copy is itself a prefetch whose fate is still to
+// be reported, that report must be the first the server hears — or a copy
+// used later would settle nothing and teach it nothing — and this one
+// follows it (resolveLocked); otherwise it rides on the next fetch. Callers
+// hold mu.
+func (c *Client) reportDuplicateLocked(path string, held cacheEntry) {
+	if held.class == attrib.ClassPrefetch && !held.resolved {
+		held.owed++
+		c.cache[path] = held
+		return
 	}
-	return ""
+	c.pending = append(c.pending, report{class: attrib.ClassPrefetch, path: path})
 }
 
 // followHints prefetches what a response hinted: every hint at or above
@@ -703,8 +741,8 @@ func (c *Client) fetchWanted(ctx context.Context, parent *obs.ActiveSpan, asked 
 		return got
 	}
 	rung := validRung(resp.Header.Get(HeaderRung))
-	ct := resp.Header.Get("Content-Type")
-	if !strings.HasPrefix(ct, "multipart/") {
+	boundary, ok := bundleBoundaryOf(resp.Header.Get("Content-Type"))
+	if !ok {
 		// The head alone: all a batch of one asks for, and all a hop that
 		// does not read Spec-Want sends.
 		if body, err := readBody(resp.Body, resp.ContentLength); err == nil {
@@ -713,8 +751,7 @@ func (c *Client) fetchWanted(ctx context.Context, parent *obs.ActiveSpan, asked 
 		}
 		return got
 	}
-	_, params, _ := mime.ParseMediaType(ct)
-	bw, err := openBundle(resp, params["boundary"])
+	bw, err := openBundle(resp, boundary)
 	if err != nil {
 		return got
 	}

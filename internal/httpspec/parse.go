@@ -34,6 +34,56 @@ func parsePMilli(s string) (int64, bool) {
 	return attrib.ClampPMilli(v), true
 }
 
+// Spec-Accept is `token *( ";" parameter )` with optional blanks around
+// each piece: the one token is "bundle", the one parameter "prefetch=<p>",
+// p the threshold in thousandths at or above which the client follows a
+// hint — stated so that a hybrid server can send those documents behind the
+// requested one instead of naming them.
+const (
+	acceptBundle   = "bundle"
+	acceptPrefetch = "prefetch="
+)
+
+// parseAccept reads a Spec-Accept header. bundle is whether the client takes
+// bundles: the token must be the known one, whatever follows it. prefetch is
+// the threshold it stated, clamped like every probability off the wire, 0
+// when it stated none: an unknown or malformed parameter is no parameter,
+// never no bundle, and of several well-formed ones the last counts.
+func parseAccept(header string) (bundle bool, prefetch int64) {
+	token, params, _ := strings.Cut(header, ";")
+	if strings.Trim(token, " \t") != acceptBundle {
+		return false, 0
+	}
+	for params != "" {
+		var param string
+		param, params, _ = strings.Cut(params, ";")
+		if v, ok := strings.CutPrefix(strings.Trim(param, " \t"), acceptPrefetch); ok {
+			if p, ok := parsePMilli(v); ok {
+				prefetch = p
+			}
+		}
+	}
+	return true, prefetch
+}
+
+// prefetchMilli is the lowest probability in thousandths that, advertised
+// as a hint's three decimals and read back, is at or above the threshold a
+// client follows hints at: what it states in Spec-Accept, so that the server
+// applies the rule followHints does. 0 for a client that follows none.
+func prefetchMilli(threshold float64) int64 {
+	if !(threshold > 0 && threshold <= 1) {
+		return 0
+	}
+	// The product is rounded, so it can land on the wrong side of an integer.
+	m := int64(math.Ceil(threshold * 1000))
+	if float64(m-1)/1000 >= threshold {
+		m--
+	} else if float64(m)/1000 < threshold {
+		m++
+	}
+	return m
+}
+
 // validRung filters an externally supplied rung name against the known
 // degradation ladder, returning "" for anything else so forged values
 // never become ledger keys or metric labels.

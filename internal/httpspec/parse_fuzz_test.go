@@ -2,6 +2,7 @@ package httpspec
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +39,113 @@ func FuzzParsePMilli(f *testing.F) {
 			t.Fatalf("parsePMilli(%q) not deterministic", s)
 		}
 	})
+}
+
+// splitAccept is parseAccept as one would write it over strings.Split: the
+// reference the in-place parser is held to.
+func splitAccept(header string) (bundle bool, prefetch int64) {
+	pieces := strings.Split(header, ";")
+	if strings.Trim(pieces[0], " \t") != "bundle" {
+		return false, 0
+	}
+	for _, param := range pieces[1:] {
+		name, value, found := strings.Cut(strings.Trim(param, " \t"), "=")
+		if !found || name != "prefetch" || value == "" || len(value) > 20 {
+			continue
+		}
+		if v, err := strconv.ParseInt(value, 10, 64); err == nil {
+			prefetch = min(max(v, 0), 1000)
+		}
+	}
+	return true, prefetch
+}
+
+var acceptCases = []struct {
+	header   string
+	bundle   bool
+	prefetch int64
+}{
+	{"", false, 0},
+	{"bundle", true, 0},
+	{"nobundle", false, 0}, // strings.Contains used to send this client bundles
+	{"bundles", false, 0},
+	{"Bundle", false, 0},
+	{"bundle, chunked", false, 0},
+	{"bundle; prefetch=250", true, 250},
+	{" bundle\t;prefetch=250 ", true, 250},
+	{"bundle;;; prefetch=7;", true, 7},
+	{"bundle; q=1; prefetch=300; later=x", true, 300},
+	{"bundle; prefetch=100; prefetch=x", true, 100},
+	{"bundle; prefetch=100; prefetch=200", true, 200},
+	{"bundle; prefetch=", true, 0},
+	{"bundle; prefetch=abc", true, 0},
+	{"bundle; prefetch=0.25", true, 0},
+	{"bundle; prefetch = 250", true, 0},
+	{"bundle; Prefetch=250", true, 0},
+	{"bundle; prefetch=99999", true, 1000},
+	{"bundle; prefetch=-5", true, 0},
+	{"bundle; prefetch=123456789012345678901", true, 0}, // 21 bytes
+	{"prefetch=250", false, 0},
+	{"prefetch=250; bundle", false, 0},
+}
+
+func TestParseAccept(t *testing.T) {
+	for _, tc := range acceptCases {
+		if bundle, prefetch := parseAccept(tc.header); bundle != tc.bundle || prefetch != tc.prefetch {
+			t.Errorf("parseAccept(%q) = %v, %d; want %v, %d", tc.header, bundle, prefetch, tc.bundle, tc.prefetch)
+		}
+	}
+}
+
+func FuzzParseAccept(f *testing.F) {
+	for _, tc := range acceptCases {
+		f.Add(tc.header)
+	}
+	f.Add(strings.Repeat(";", 4096) + "prefetch=1")
+	f.Add("bundle;prefetch=\x00")
+	f.Fuzz(func(t *testing.T, header string) {
+		bundle, prefetch := parseAccept(header)
+		if prefetch < 0 || prefetch > 1000 || !bundle && prefetch != 0 {
+			t.Fatalf("parseAccept(%q) = %v, %d", header, bundle, prefetch)
+		}
+		if wantBundle, wantPrefetch := splitAccept(header); bundle != wantBundle || prefetch != wantPrefetch {
+			t.Fatalf("parseAccept(%q) = %v, %d; over strings.Split it is %v, %d", header, bundle, prefetch, wantBundle, wantPrefetch)
+		}
+	})
+}
+
+// TestPrefetchMilli: the threshold a client states selects exactly the
+// hints it would have followed — p advertised in three decimals, read back
+// as a float, compared with the threshold — whichever side of a thousandth
+// the threshold sits on.
+func TestPrefetchMilli(t *testing.T) {
+	check := func(threshold float64) {
+		t.Helper()
+		m := prefetchMilli(threshold)
+		for k := int64(0); k <= 1000; k++ {
+			if follows := float64(k)/1000 >= threshold; follows != (m > 0 && k >= m) {
+				t.Fatalf("threshold %v [%#x]: stated %d, but the client follows a hint at 0.%03d: %v",
+					threshold, math.Float64bits(threshold), m, k, follows)
+			}
+		}
+	}
+	for k := 1; k <= 1000; k++ {
+		at := float64(k) / 1000
+		if got := prefetchMilli(at); got != int64(k) {
+			t.Errorf("prefetchMilli(%v) = %d", at, got)
+		}
+		check(at)
+		check(math.Nextafter(at, 0))
+		check(math.Nextafter(at, 2))
+		check(at - 0.0005)
+	}
+	for _, off := range []float64{0, -0.25, math.NaN(), 1.0000001, 2, math.Inf(1)} {
+		if got := prefetchMilli(off); got != 0 {
+			t.Errorf("prefetchMilli(%v) = %d, want none stated", off, got)
+		}
+	}
+	check(math.SmallestNonzeroFloat64)
+	check(1e-9)
 }
 
 func FuzzValidRung(f *testing.F) {

@@ -20,6 +20,7 @@ import (
 	"specweb/internal/core"
 	"specweb/internal/estguard"
 	"specweb/internal/obs"
+	"specweb/internal/overload"
 	"specweb/internal/resilience"
 	"specweb/internal/stats"
 	"specweb/internal/synth"
@@ -170,6 +171,18 @@ func (l *linkTap) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
+// bareAccept is a hop that knows Spec-Accept as the bare token it used to be
+// and forwards it as such.
+type bareAccept struct{ next http.RoundTripper }
+
+func (b bareAccept) RoundTrip(req *http.Request) (*http.Response, error) {
+	if token, _, params := strings.Cut(req.Header.Get(HeaderAccept), ";"); params {
+		req = req.Clone(req.Context())
+		req.Header.Set(HeaderAccept, token)
+	}
+	return b.next.RoundTrip(req)
+}
+
 // recordingStore logs every size the engine or the server asks for, with
 // the client being served and the clock: the engine asks for each access it
 // logs (Record, or Settle of a used offer) and the server for each token it
@@ -207,8 +220,11 @@ type prefetchArm struct {
 // server that learns as it serves (the trace crosses refresh boundaries, so
 // some reports arrive a cycle after their offer and some offers expire),
 // sessions purged at 30-minute gaps.
-// perDocument swaps the client's own hint following for the reference loop.
-func runPrefetchArm(t *testing.T, site *webgraph.Site, tr *trace.Trace, perDocument bool) prefetchArm {
+// perDocument swaps the client's own hint following for the reference loop;
+// legacyHop puts a hop that drops the Spec-Accept parameter between client
+// and server, so hinted documents travel by Spec-Want as they did before a
+// client could state its threshold.
+func runPrefetchArm(t *testing.T, site *webgraph.Site, tr *trace.Trace, perDocument, legacyHop bool) prefetchArm {
 	t.Helper()
 	const threshold = 0.3
 	var arm prefetchArm
@@ -230,6 +246,9 @@ func runPrefetchArm(t *testing.T, site *webgraph.Site, tr *trace.Trace, perDocum
 	}
 	tap := &linkTap{next: &handlerTransport{h: srv}}
 	hc := &http.Client{Transport: tap}
+	if legacyHop {
+		hc.Transport = bareAccept{tap}
+	}
 
 	clients := map[trace.ClientID]*Client{}
 	last := map[trace.ClientID]time.Time{}
@@ -281,15 +300,17 @@ func runPrefetchArm(t *testing.T, site *webgraph.Site, tr *trace.Trace, perDocum
 	return arm
 }
 
-// TestBatchedPrefetchMatchesPerDocument is the tentpole's contract: batching
-// changes how many requests carry the prefetched documents and nothing
-// else. One department-profile trace goes through the client's batched hint
-// following and through the per-document loop it replaced, each against a
-// fresh learning server: every client counter, both ledgers and the sequence
-// of accesses the engine recorded are the same, and the server handled
-// fewer requests by exactly the round trips saved. Either way a prefetched
-// document is an offer to the engine and an access only once its client has
-// reported it consumed.
+// TestBatchedPrefetchMatchesPerDocument is the contract of the two ways a
+// hinted document travels. Behind a hop that drops the Spec-Accept parameter
+// it is asked for: batching changes how many requests carry the prefetched
+// documents and nothing else. One department-profile trace goes through the
+// client's batched hint following and through the per-document loop it
+// replaced, each against a fresh learning server: every client counter, both
+// ledgers and the sequence of accesses the engine recorded are the same, and
+// the server handled fewer requests by exactly the round trips saved. Either
+// way a prefetched document is an offer to the engine and an access only
+// once its client has reported it consumed. With the parameter the same
+// documents arrive behind the demand answers (inlinePrefetchMatches).
 func TestBatchedPrefetchMatchesPerDocument(t *testing.T) {
 	site, err := webgraph.Generate(webgraph.TinySite(), stats.NewRNG(5))
 	if err != nil {
@@ -304,8 +325,9 @@ func TestBatchedPrefetchMatchesPerDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := runPrefetchArm(t, site, res.Trace, true)
-	got := runPrefetchArm(t, site, res.Trace, false)
+	ref := runPrefetchArm(t, site, res.Trace, true, true)
+	got := runPrefetchArm(t, site, res.Trace, false, true)
+	inlinePrefetchMatches(t, runPrefetchArm(t, site, res.Trace, false, false), got)
 
 	t.Logf("per document: %+v, %d round trips, engine %+v; batched: %d round trips", ref.clients, ref.trips, ref.engine, got.trips)
 	if ref.clients.Prefetched == 0 || ref.clients.Pushed == 0 || ref.clients.SpecHits == 0 {
@@ -370,6 +392,85 @@ func TestBatchedPrefetchMatchesPerDocument(t *testing.T) {
 			}
 		}
 		t.Fatalf("recorded accesses: batched log is a prefix (%d of %d)", len(got.sizeLog), len(ref.sizeLog))
+	}
+}
+
+// inlinePrefetchMatches holds the arm whose clients stated their threshold
+// against the batched one: no prefetch request was sent, and the documents
+// arrived all the same — every client counter but the bytes is equal, hits
+// and consumed deliveries included, and the engine learned from as many
+// accesses. What differs is what the server cannot know: it sent some
+// documents to clients that held them, and each of those deliveries is
+// accounted for, in bytes and in both ledgers, as wasted. (The calibration
+// tables differ by those, and by the few deliveries whose offer a duplicate
+// re-stamped: an access learned at the later of two delivery times moves an
+// estimate by a pair.)
+func inlinePrefetchMatches(t *testing.T, inl, batched prefetchArm) {
+	t.Helper()
+	t.Logf("inline: %+v, %d round trips, engine %+v", inl.clients, inl.trips, inl.engine)
+	if inl.trips != 0 {
+		t.Errorf("clients that stated their threshold still sent %d prefetch requests", inl.trips)
+	}
+	if want := batched.server.Requests - batched.trips; inl.server.Requests != want {
+		t.Errorf("server handled %d requests, want the %d demand ones", inl.server.Requests, want)
+	}
+	if inl.server.HintsSent >= batched.server.HintsSent {
+		t.Errorf("server still sent %d hints, %d when it had to name every document", inl.server.HintsSent, batched.server.HintsSent)
+	}
+	dup := inl.clientPrefetch.Deliveries - batched.clientPrefetch.Deliveries
+	dupBytes := inl.clients.BytesIn - batched.clients.BytesIn
+	if dup <= 0 || dupBytes <= 0 {
+		t.Fatalf("trace exercises no duplicate delivery: %d more deliveries, %d more bytes", dup, dupBytes)
+	}
+	inl.clients.BytesIn = batched.clients.BytesIn
+	if inl.clients != batched.clients {
+		t.Errorf("client counters differ:\ninline  %+v\nbatched %+v", inl.clients, batched.clients)
+	}
+	for _, side := range []struct {
+		name      string
+		got, want attrib.Totals
+	}{
+		{"client", inl.clientPrefetch, batched.clientPrefetch},
+		{"server", inl.serverPrefetch, batched.serverPrefetch},
+	} {
+		got, want := side.got, side.want
+		if got.Consumed != want.Consumed || got.ConsumedBytes != want.ConsumedBytes {
+			t.Errorf("%s ledger: %d prefetches consumed (%d bytes), batched %d (%d)", side.name, got.Consumed, got.ConsumedBytes, want.Consumed, want.ConsumedBytes)
+		}
+		if got.Deliveries != want.Deliveries+dup || got.DeliveredBytes != want.DeliveredBytes+dupBytes {
+			t.Errorf("%s ledger: %d prefetch deliveries of %d bytes, want batched's %d of %d and the %d duplicates of %d",
+				side.name, got.Deliveries, got.DeliveredBytes, want.Deliveries, want.DeliveredBytes, dup, dupBytes)
+		}
+	}
+	// Every client resolved all it held, so there every duplicate shows as
+	// wasted; the server hears of those reported before the run's last fetch.
+	if got, want := inl.clientPrefetch, batched.clientPrefetch; got.Wasted != want.Wasted+dup || got.WastedBytes != want.WastedBytes+dupBytes {
+		t.Errorf("client ledger: %d prefetches wasted (%d bytes), want batched's %d (%d) and the duplicates", got.Wasted, got.WastedBytes, want.Wasted, want.WastedBytes)
+	}
+	if got, want := inl.serverPrefetch.Wasted, batched.serverPrefetch.Wasted; got <= want || got > want+dup {
+		t.Errorf("server ledger: %d prefetches wasted, batched %d, %d duplicates", got, want, dup)
+	}
+	if inl.engine.Recorded != batched.engine.Recorded || inl.engine.OffersExpired != batched.engine.OffersExpired {
+		t.Errorf("engine learned from %d accesses (%d offers expired), batched from %d (%d)",
+			inl.engine.Recorded, inl.engine.OffersExpired, batched.engine.Recorded, batched.engine.OffersExpired)
+	}
+	for _, side := range []struct {
+		name      string
+		got, want map[string]attrib.Calibration
+	}{{"client", inl.clientCalib, batched.clientCalib}, {"server", inl.serverCalib, batched.serverCalib}} {
+		var got, want attrib.CalBucket
+		for i := range side.got[attrib.ClassPrefetch] {
+			got.Deliveries += side.got[attrib.ClassPrefetch][i].Deliveries
+			got.Consumed += side.got[attrib.ClassPrefetch][i].Consumed
+			want.Deliveries += side.want[attrib.ClassPrefetch][i].Deliveries
+			want.Consumed += side.want[attrib.ClassPrefetch][i].Consumed
+		}
+		if got.Consumed != want.Consumed || got.Deliveries < want.Deliveries || got.Deliveries > want.Deliveries+dup {
+			t.Errorf("%s calibration, prefetch class: %+v resolved, batched %+v and %d duplicates", side.name, got, want, dup)
+		}
+		if !reflect.DeepEqual(side.got[attrib.ClassPush], side.want[attrib.ClassPush]) {
+			t.Errorf("%s calibration, push class: %v, batched %v", side.name, side.got[attrib.ClassPush], side.want[attrib.ClassPush])
+		}
 	}
 }
 
@@ -566,7 +667,11 @@ func TestUnaskedBundlePartIsNotCached(t *testing.T) {
 		}
 		var raw []byte
 		for i, p := range []string{"/a", "/evil", "/b", "/evil-pushed", "/a"} {
-			raw = appendPartHeader(raw, i == 0, p, len(body), p == "/evil-pushed", 999)
+			var mark bundleDoc
+			if p == "/evil-pushed" {
+				mark = bundleDoc{class: attrib.ClassPush, pMilli: 999}
+			}
+			raw = appendPartHeader(raw, i == 0, p, len(body), mark)
 			raw = append(raw, body...)
 		}
 		raw = appendBundleClose(raw, false)
@@ -802,5 +907,283 @@ func TestUnwantablePathHeadsItsOwnRequest(t *testing.T) {
 	}
 	if st := c.Stats(); st.Prefetched != 3 || st.PrefetchRoundTrips != 3 {
 		t.Errorf("stats %+v", st)
+	}
+}
+
+// answer is one demand response as a client's transport sees it.
+type answer struct {
+	header http.Header
+	body   []byte
+}
+
+// demand sends one demand request for path as client, stating accept, and
+// returns the answer without the one header that is the wall clock's.
+func demand(t *testing.T, w *testWorld, client, path, accept string) answer {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, w.ts.URL+path, nil)
+	req.Header.Set(HeaderClient, client)
+	if accept != "" {
+		req.Header.Set(HeaderAccept, accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s as %s: %s", path, client, resp.Status)
+	}
+	body, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Header.Del("Date")
+	return answer{resp.Header, body}
+}
+
+// inlineParts walks a demand answer and returns, in order, the documents
+// riding behind the requested one with what each part says of itself.
+func inlineParts(t *testing.T, a answer) (parts []string) {
+	t.Helper()
+	boundary, ok := bundleBoundaryOf(a.header.Get("Content-Type"))
+	if !ok {
+		return nil
+	}
+	walked, err := walkParts(a.body, boundary)
+	if err != nil || len(walked) == 0 {
+		t.Fatalf("bundle of %d parts: %v", len(walked), err)
+	}
+	for _, part := range walked[1:] {
+		parts = append(parts, fmt.Sprintf("%s p=%s pushed=%s", part.loc, part.specP, part.pushed))
+	}
+	return parts
+}
+
+// TestInlinePrefetch: a hybrid server that is still pushing answers a client
+// that stated its threshold with the documents its hints at or above that
+// threshold would have had the client fetch, up to MaxPush, each an offer to
+// the engine and a prefetch delivery in the ledger, and hints the rest. Every
+// other server, rung and client answers exactly as it does without the
+// parameter, which is as it did before there was one.
+func TestInlinePrefetch(t *testing.T) {
+	noPush := func(cfg *ServerConfig) {
+		// One overloaded sample past the hold window: up a rung, then held.
+		now := time.Date(1996, time.February, 26, 9, 0, 0, 0, time.UTC)
+		gov := overload.NewGovernor(overload.GovernorConfig{Target: time.Millisecond, Alpha: 1, Hold: time.Hour,
+			Clock: func() time.Time { return now }, Metrics: cfg.Metrics})
+		now = now.Add(2 * time.Hour)
+		gov.Observe(time.Second)
+		cfg.Governor = gov
+	}
+	guarded := func(cfg *ServerConfig) {
+		cfg.Engine.Guard = estguard.New(estguard.Config{Seed: 1, MinRequests: 1 << 20, DriftThreshold: 100})
+	}
+	for _, tc := range []struct {
+		name   string
+		mode   Mode
+		succs  int
+		mutate func(*ServerConfig)
+		client string
+		accept string
+		inline []int // which successors ride behind the page, by their place in the row
+		links  int
+		rung   string
+	}{
+		{name: "every hint is at or above the threshold", mode: ModeHybrid, succs: 3, accept: "bundle; prefetch=300", inline: []int{0, 1, 2}},
+		{name: "the threshold cuts the row", mode: ModeHybrid, succs: 3, accept: "bundle; prefetch=875", inline: []int{0, 1}, links: 1},
+		{name: "the threshold is above the row", mode: ModeHybrid, succs: 3, accept: "bundle; prefetch=900", links: 3},
+		{name: "more candidates than MaxPush", mode: ModeHybrid, succs: 6, mutate: func(cfg *ServerConfig) { cfg.MaxPush = 4 },
+			accept: "bundle; prefetch=300", inline: []int{0, 1, 2, 3}, links: 2},
+		{name: "no threshold stated", mode: ModeHybrid, succs: 3, accept: "bundle", links: 3},
+		{name: "malformed threshold", mode: ModeHybrid, succs: 3, accept: "bundle; prefetch=0.3", links: 3},
+		{name: "no bundles taken", mode: ModeHybrid, succs: 3, accept: "", links: 3},
+		{name: "unknown token", mode: ModeHybrid, succs: 3, accept: "nobundle; prefetch=300", links: 3},
+		{name: "hints-mode server", mode: ModeHints, succs: 3, accept: "bundle; prefetch=300", links: 3},
+		{name: "no_push rung", mode: ModeHybrid, succs: 3, mutate: noPush, accept: "bundle; prefetch=300", links: 3, rung: "no_push"},
+		{name: "quarantined client", mode: ModeHybrid, succs: 3, mutate: guarded, client: "crawler", accept: "bundle; prefetch=300"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			led := attrib.NewLedger(64, obs.NewRegistry())
+			w, page, succ := hintedWorld(t, tc.mode, tc.succs, func(cfg *ServerConfig) {
+				cfg.Attrib = led
+				if tc.mutate != nil {
+					tc.mutate(cfg)
+				}
+			})
+			if tc.client == "" {
+				tc.client = "stated"
+			}
+			got := demand(t, w, tc.client, page.Path, tc.accept)
+			var want []string
+			var pSum int64
+			for _, i := range tc.inline {
+				pMilli := attrib.PMilli(0.9 - 0.01*float64(i+1))
+				want = append(want, fmt.Sprintf("%s p=%d pushed=", succ[i].Path, pMilli))
+				pSum += pMilli
+			}
+			if parts := inlineParts(t, got); !reflect.DeepEqual(parts, want) {
+				t.Errorf("behind the page ride %q, want %q", parts, want)
+			}
+			if rung := got.header.Get(HeaderRung); rung != tc.rung {
+				t.Fatalf("answered at rung %q, want %q", rung, tc.rung)
+			}
+			if links := got.header.Values("Link"); len(links) != tc.links {
+				t.Errorf("%d hints, want %d: %q", len(links), tc.links, links)
+			}
+			if st := w.server.Stats(); st.HintsSent != int64(tc.links) || st.DocsPushed != 0 {
+				t.Errorf("server counted %d hints and %d pushes, want %d and none", st.HintsSent, st.DocsPushed, tc.links)
+			}
+			if st := w.server.Engine().Stats(); st.Recorded != 1 || st.OffersOutstanding != int64(len(tc.inline)) {
+				t.Errorf("engine recorded %d accesses and holds %d offers, want 1 and %d", st.Recorded, st.OffersOutstanding, len(tc.inline))
+			}
+			rep := led.Report(0)
+			if tot := rep.Classes[attrib.ClassPrefetch]; rep.Totals != tot || tot.Deliveries != int64(len(tc.inline)) || tot.PMilliSum != pSum {
+				t.Errorf("server ledger %+v (prefetch class %+v), want %d prefetch deliveries, p sum %d", rep.Totals, tot, len(tc.inline), pSum)
+			}
+			if len(tc.inline) > 0 {
+				return
+			}
+			// Nothing rode along: the parameter changed not a byte.
+			bare, _, _ := strings.Cut(tc.accept, ";")
+			if plain := demand(t, w, tc.client, page.Path, bare); !reflect.DeepEqual(got, plain) {
+				t.Errorf("answer to Spec-Accept %q: %v and %d bytes; to %q: %v and %d bytes", tc.accept, got.header, len(got.body), bare, plain.header, len(plain.body))
+			}
+		})
+	}
+}
+
+// TestPushModeIgnoresThreshold: a push-mode server has no hints to replace;
+// its bundle is the same with the parameter and without.
+func TestPushModeIgnoresThreshold(t *testing.T) {
+	w, page, _ := hintedWorld(t, ModePush, 3, nil)
+	got := demand(t, w, "p", page.Path, "bundle; prefetch=300")
+	if parts := inlineParts(t, got); len(parts) != 3 || !strings.HasSuffix(parts[0], "pushed=1") {
+		t.Fatalf("push-mode bundle carries %q", parts)
+	}
+	if plain := demand(t, w, "p", page.Path, "bundle"); !reflect.DeepEqual(got, plain) {
+		t.Errorf("push-mode answers differ:\n%v\n%v", got.header, plain.header)
+	}
+}
+
+// twoPageWorld is a hybrid world in which the same three documents follow
+// two different pages.
+func twoPageWorld(t *testing.T, led *attrib.Ledger) (w *testWorld, pages [2]*webgraph.Document, succ []*webgraph.Document) {
+	t.Helper()
+	w, pages[0], succ = hintedWorld(t, ModeHybrid, 3, func(cfg *ServerConfig) { cfg.Attrib = led })
+	pages[1] = unhinted(t, w.site, pages[0], succ)
+	snap := hintSnapshot(pages[0], succ)
+	second := hintSnapshot(pages[1], succ).Rows[0]
+	snap.Rows = append(snap.Rows, second)
+	slices.SortFunc(snap.Rows, func(a, b checkpoint.Row) int { return int(a.Doc) - int(b.Doc) })
+	if err := w.server.Engine().WarmStart(snap, w.clock()); err != nil {
+		t.Fatal(err)
+	}
+	return w, pages, succ
+}
+
+// TestClientAdmitsInlinePrefetch: what rides behind a demand answer enters
+// the cache as the prefetch it replaces would have — counted, ledgered at the
+// part's stated probability, its fate reported — in no round trip of its
+// own. A copy of a document the client already holds is bytes in for
+// nothing, and the server hears so: at once for a document whose own fate is
+// already reported, behind that report for one still unused, so that the one
+// offer the server keeps is settled by the copy that can still be used.
+func TestClientAdmitsInlinePrefetch(t *testing.T) {
+	srvLed := attrib.NewLedger(64, obs.NewRegistry())
+	cliLed := attrib.NewLedger(64, obs.NewRegistry())
+	w, pages, succ := twoPageWorld(t, srvLed)
+	var sizes int64
+	for _, d := range succ {
+		sizes += d.Size
+	}
+	c := NewClient(w.ts.URL, ClientConfig{ID: "inline", AcceptBundles: true, PrefetchThreshold: 0.3, Attrib: cliLed})
+	if _, _, err := c.Get(pages[0].Path); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Prefetched != 3 || st.PrefetchRoundTrips != 0 || st.Pushed != 0 || st.BytesIn != pages[0].Size+sizes {
+		t.Errorf("after the first page: %+v, want 3 prefetched in no round trip and %d bytes in", st, pages[0].Size+sizes)
+	}
+	if got := w.server.Stats(); got.Requests != 1 || got.HintsSent != 0 {
+		t.Errorf("server handled %d requests and sent %d hints, want 1 and none", got.Requests, got.HintsSent)
+	}
+	if got := cliLed.Report(0).Classes[attrib.ClassPrefetch]; got.Deliveries != 3 || got.PMilliSum != 890+880+870 {
+		t.Errorf("client ledger %+v, want the three deliveries at the parts' probabilities", got)
+	}
+	if got := w.server.Engine().Stats(); got.Recorded != 1 || got.OffersOutstanding != 3 {
+		t.Errorf("engine recorded %d accesses and holds %d offers, want 1 and 3", got.Recorded, got.OffersOutstanding)
+	}
+
+	// The user opens the first; the second page brings all three again.
+	if _, hit, err := c.Get(succ[0].Path); err != nil || !hit {
+		t.Fatalf("%s: hit %v, err %v", succ[0].Path, hit, err)
+	}
+	w.advance(time.Second)
+	if _, _, err := c.Get(pages[1].Path); err != nil {
+		t.Fatal(err)
+	}
+	st = c.Stats()
+	if st.Prefetched != 3 || st.PrefetchRoundTrips != 0 || st.SpecHits != 1 || st.BytesIn != pages[0].Size+pages[1].Size+2*sizes {
+		t.Errorf("after the second page: %+v, want the duplicates counted in bytes only", st)
+	}
+	if got := cliLed.Report(0); got.Classes[attrib.ClassPrefetch].Deliveries != 6 || got.Classes[attrib.ClassPrefetch].Wasted != 3 || got.Outstanding != 2 {
+		t.Errorf("client ledger %+v, want six deliveries, the three duplicates wasted, two outstanding", got)
+	}
+	// The report on the opened one came with the request; its duplicate's is
+	// queued, the other two wait for their documents' own.
+	if got := w.server.Engine().Stats(); got.Recorded != 3 || got.OffersOutstanding != 3 {
+		t.Errorf("engine recorded %d accesses and holds %d offers, want 3 and 3", got.Recorded, got.OffersOutstanding)
+	}
+	if _, hit, err := c.Get(succ[1].Path); err != nil || !hit {
+		t.Fatalf("%s: hit %v, err %v", succ[1].Path, hit, err)
+	}
+	c.ResolveOutstanding()
+	if got := cliLed.Report(0); got.Outstanding != 0 || got.Classes[attrib.ClassPrefetch].Consumed != 2 || got.Classes[attrib.ClassPrefetch].Wasted != 4 {
+		t.Errorf("client ledger %+v, want nothing outstanding, two consumed, four wasted", got)
+	}
+	var other *webgraph.Document
+	for i := range w.site.Docs {
+		if d := &w.site.Docs[i]; d != pages[0] && d != pages[1] && !slices.Contains(succ, d) {
+			other = d
+		}
+	}
+	if _, _, err := c.Get(other.Path); err != nil {
+		t.Fatal(err)
+	}
+	// Two pages, the unhinted document, and the two prefetches used — the
+	// second of them a copy delivered twice and learned once.
+	if got := w.server.Engine().Stats(); got.Recorded != 5 || got.OffersOutstanding != 0 || got.OffersExpired != 0 {
+		t.Errorf("engine recorded %d accesses and holds %d offers (%d expired), want 5 and none", got.Recorded, got.OffersOutstanding, got.OffersExpired)
+	}
+	if got := srvLed.Report(0); got.Outstanding != 0 || got.Classes[attrib.ClassPrefetch].Consumed != 2 || got.Classes[attrib.ClassPrefetch].Wasted != 4 {
+		t.Errorf("server ledger %+v, want nothing outstanding, two consumed, four wasted", got)
+	}
+}
+
+// TestOverflowStaysHinted: the candidates one answer has no room for stay
+// hints, and the client fetches them as it always did, in one Spec-Want
+// round trip; nothing arrives twice.
+func TestOverflowStaysHinted(t *testing.T) {
+	const hinted = 6
+	w, page, succ := hintedWorld(t, ModeHybrid, hinted, func(cfg *ServerConfig) { cfg.MaxPush = 4 })
+	c := NewClient(w.ts.URL, ClientConfig{ID: "overflow", AcceptBundles: true, PrefetchThreshold: 0.3})
+	if _, _, err := c.Get(page.Path); err != nil {
+		t.Fatal(err)
+	}
+	var sizes int64
+	for _, d := range succ {
+		sizes += d.Size
+		if !c.Cached(d.Path) {
+			t.Errorf("%s did not arrive", d.Path)
+		}
+	}
+	if st := c.Stats(); st.Prefetched != hinted || st.PrefetchRoundTrips != 1 || st.BytesIn != page.Size+sizes {
+		t.Errorf("%+v, want %d prefetched, one round trip, %d bytes in", st, hinted, page.Size+sizes)
+	}
+	if got := w.server.Stats(); got.Requests != 2 || got.HintsSent != hinted-4 {
+		t.Errorf("server handled %d requests and sent %d hints, want 2 and %d", got.Requests, got.HintsSent, hinted-4)
+	}
+	if got := w.server.Engine().Stats(); got.Recorded != 1 || got.OffersOutstanding != hinted {
+		t.Errorf("engine recorded %d accesses and holds %d offers, want 1 and %d", got.Recorded, got.OffersOutstanding, hinted)
 	}
 }

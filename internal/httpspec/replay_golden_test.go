@@ -19,19 +19,19 @@ const replaySummaryGolden = `{
   "clients": 19,
   "requests": 481,
   "errors": 0,
-  "cache_hits": 402,
-  "spec_hits": 320,
+  "cache_hits": 403,
+  "spec_hits": 321,
   "pushed": 33,
   "prefetched": 757,
-  "prefetch_round_trips": 72,
-  "bytes_in": 4521472,
+  "prefetch_round_trips": 18,
+  "bytes_in": 4512609,
   "demand_bytes": 2525556,
   "baseline_bytes": 2177715,
   "ratios": {
-    "bandwidth": 2.076245973417091,
-    "server_load": 0.37844611528822053,
+    "bandwidth": 2.072176111199124,
+    "server_load": 0.24060150375939848,
     "service_time": 0,
-    "byte_miss_rate": 0.29156983351816007
+    "byte_miss_rate": 0.29003978941229686
   },
   "latency_ms": {
     "p50": 0,
@@ -43,12 +43,12 @@ const replaySummaryGolden = `{
   "attrib": {
     "totals": {
       "deliveries": 790,
-      "delivered_bytes": 3886516,
-      "consumed": 320,
-      "consumed_bytes": 1542759,
-      "wasted": 470,
-      "wasted_bytes": 2343757,
-      "p_milli_sum": 352448
+      "delivered_bytes": 3880985,
+      "consumed": 321,
+      "consumed_bytes": 1546091,
+      "wasted": 469,
+      "wasted_bytes": 2334894,
+      "p_milli_sum": 352648
     },
     "outstanding": 0,
     "tracked_docs": 0

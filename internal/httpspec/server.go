@@ -23,8 +23,9 @@ import (
 
 // Protocol header names. Spec-Client identifies the requesting client
 // (falling back to the remote address), Spec-Accept announces bundle
-// support, and Spec-Have carries the cooperative cache digest as
-// space-separated URL paths.
+// support and, as its prefetch parameter, the probability from which the
+// client follows hints (parseAccept), and Spec-Have carries the cooperative
+// cache digest as space-separated URL paths.
 const (
 	HeaderClient = "Spec-Client"
 	HeaderAccept = "Spec-Accept"
@@ -43,9 +44,11 @@ const (
 	// the shed traffic class), so clients and replays can distinguish
 	// load shedding from failure.
 	HeaderShed = "X-Specweb-Shed"
-	// HeaderSpecP carries, on a speculative bundle part, the engine
-	// probability that drove the push, in thousandths — the attribution
-	// ledger's fixed-point currency.
+	// HeaderSpecP carries, on a bundle part the server chose to send, the
+	// engine probability that drove it, in thousandths — the attribution
+	// ledger's fixed-point currency. With Spec-Pushed the part is a push;
+	// without, a prefetch sent in place of a hint the client would have
+	// followed.
 	HeaderSpecP = "Spec-P"
 	// HeaderRung carries the governor's degradation rung name on
 	// responses, so attribution can bucket deliveries by the overload
@@ -72,8 +75,6 @@ const (
 	// to a crawler is pure waste, and its transitions no longer train
 	// P[i,j].
 	HeaderQuarantine = "X-Specweb-Quarantine"
-
-	acceptBundle = "bundle"
 )
 
 // Mode selects the server's delivery of speculative candidates, mirroring
@@ -108,7 +109,8 @@ type ServerConfig struct {
 	Engine core.EngineConfig
 	Mode   Mode
 	// MaxPush bounds the number of documents sent per response besides
-	// the requested one: pushed, or named by a prefetch's Spec-Want.
+	// the requested one: pushed, sent in place of hints, or named by a
+	// prefetch's Spec-Want.
 	MaxPush int
 	// Clock supplies request times; nil means time.Now. Tests and
 	// trace replays inject their own.
@@ -419,9 +421,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// delivered as a prefetch.
 		docs = parseWant(docs, r.Header.Get(HeaderWant), s.store, s.cfg.MaxPush)
 		for _, d := range docs[1:] {
-			s.engine.Offer(client, d.doc, at, d.pMilli)
-			wsize, _ := s.store.Size(d.doc)
-			s.repl.Record(d.doc, wsize, isRemote(client))
+			s.offerPrefetch(client, d, at)
 		}
 	default:
 		// The engine never speculates the requested document itself, so
@@ -469,13 +469,36 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			push, pushP = nil, nil
 		}
 		// A client that takes no bundles is pushed nothing.
-		if strings.Contains(r.Header.Get(HeaderAccept), acceptBundle) {
+		bundles, follows := parseAccept(r.Header.Get(HeaderAccept))
+		if bundles {
 			for i, d := range push {
 				docs = append(docs, bundleDoc{doc: d, class: attrib.ClassPush, pMilli: attrib.PMilli(pushP[i])})
 			}
 		}
+		// A client that stated the probability it follows hints from would
+		// come straight back for every hint at or above it. A hybrid server
+		// that is still pushing says it once: those documents ride behind the
+		// requested one, each served as the prefetch it replaces would have
+		// been, and what the response has no room for stays a hint.
+		inline := 0
+		if follows > 0 && s.cfg.Mode == ModeHybrid && rung < overload.RungNoPush {
+			named := hints[:0]
+			for _, h := range hints {
+				pMilli := hintMilli(h.p)
+				if pMilli < follows || len(docs) > s.cfg.MaxPush {
+					named = append(named, h)
+					continue
+				}
+				d := bundleDoc{doc: h.doc, class: attrib.ClassPrefetch, pMilli: pMilli, inline: true}
+				s.offerPrefetch(client, d, at)
+				docs = append(docs, d)
+				inline++
+			}
+			hints = named
+		}
 		spec.SetAttr("push", strconv.Itoa(len(push)))
 		spec.SetAttr("hints", strconv.Itoa(len(hints)))
+		spec.SetAttr("inline", strconv.Itoa(inline))
 		spec.Finish()
 	}
 
@@ -536,20 +559,42 @@ func appendLinkHint(dst []byte, path string, p float64) []byte {
 // half-even), negatives including -0, NaN and anything from 1000 up go to
 // strconv.
 func appendFixed3(dst []byte, p float64) []byte {
-	if !math.Signbit(p) && p < 1000 {
-		x := p * 1000
-		whole := math.Floor(x)
-		frac := x - whole
-		if math.Abs(frac-0.5) > 1e-6 {
-			m := uint64(whole)
-			if frac > 0.5 {
-				m++
-			}
-			dst = strconv.AppendUint(dst, m/1000, 10)
-			return append(dst, '.', byte('0'+m/100%10), byte('0'+m/10%10), byte('0'+m%10))
-		}
+	if m, ok := fixed3(p); ok {
+		dst = strconv.AppendUint(dst, m/1000, 10)
+		return append(dst, '.', byte('0'+m/100%10), byte('0'+m/10%10), byte('0'+m%10))
 	}
 	return strconv.AppendFloat(dst, p, 'f', 3, 64)
+}
+
+// fixed3 is p in thousandths, rounded as appendFixed3 prints it; ok is
+// false for the cases that function leaves to strconv.
+func fixed3(p float64) (m uint64, ok bool) {
+	if math.Signbit(p) || !(p < 1000) {
+		return 0, false
+	}
+	x := p * 1000
+	whole := math.Floor(x)
+	frac := x - whole
+	if math.Abs(frac-0.5) <= 1e-6 {
+		return 0, false
+	}
+	m = uint64(whole)
+	if frac > 0.5 {
+		m++
+	}
+	return m, true
+}
+
+// hintMilli is the probability, in thousandths, that a client reads off the
+// hint appendLinkHint renders for p: what it compares with its threshold and
+// would send back in Spec-Want, so what the ledger and the engine's offer
+// hold for the document whichever way it travels.
+func hintMilli(p float64) int64 {
+	if m, ok := fixed3(p); ok {
+		return attrib.ClampPMilli(int64(m))
+	}
+	v, _ := strconv.ParseFloat(string(appendFixed3(nil, p)), 64)
+	return attrib.PMilli(clampProb(v))
 }
 
 // Demand priorities carried by HeaderPriority.
@@ -649,12 +694,24 @@ func (s *Server) serveDoc(w http.ResponseWriter, id webgraph.DocID) int64 {
 
 // bundleDoc is one document of a response: what it is delivered as — ""
 // for a plain demand answer, attrib.ClassPush for a part the server chose,
-// attrib.ClassPrefetch for what a prefetch asked for — and the probability
-// behind a speculative delivery, in thousandths.
+// attrib.ClassPrefetch for one the client would have or has asked for — and
+// the probability behind a speculative delivery, in thousandths. inline
+// marks a prefetch sent in place of a hint: the client did not name it, so
+// the part states its probability, which one named by Spec-Want does not.
 type bundleDoc struct {
 	doc    webgraph.DocID
 	class  string
 	pMilli int64
+	inline bool
+}
+
+// offerPrefetch does for a document riding behind the requested one what the
+// prefetch request of its own it replaces would have done: the engine is
+// offered it, and dissemination counts the delivery.
+func (s *Server) offerPrefetch(client trace.ClientID, d bundleDoc, at time.Time) {
+	s.engine.Offer(client, d.doc, at, d.pMilli)
+	size, _ := s.store.Size(d.doc)
+	s.repl.Record(d.doc, size, isRemote(client))
 }
 
 // parseWant resolves a Spec-Want list onto docs, whose first entry is the
@@ -686,8 +743,9 @@ type framedPart struct {
 	hdrEnd int
 }
 
-// bundleScratch holds one response's part list and framing bytes; pooled,
-// so a steady server frames bundles without allocating.
+// bundleScratch holds one response's part list and framing bytes — and the
+// bodies between them, for a bundle small enough to go out whole; pooled, so
+// a steady server frames bundles without allocating.
 type bundleScratch struct {
 	parts []framedPart
 	hdr   []byte
@@ -695,13 +753,25 @@ type bundleScratch struct {
 
 var bundleScratchPool = sync.Pool{New: func() any { return new(bundleScratch) }}
 
+// gatherMax is the most body bytes a bundle may carry and still be copied
+// into the scratch and written in one call. Under it the copy is cheaper
+// than a Write per piece (a page and the handful of small documents behind
+// it, which is every speculative answer of a hybrid server); over it the
+// copy costs more than the calls save and, the scratch being pooled, would
+// stay allocated at the size of the largest bundle ever served. A constant,
+// not an option: both sides of it are measured (DESIGN §10) and nothing a
+// deployment knows moves the crossover.
+const gatherMax = 256 << 10
+
 // serveBundle writes a multipart/mixed response: the requested document
 // first, then each document riding behind it, every part carrying its
-// Content-Location and Content-Length (and, when pushed, the Spec-P
-// probability that drove the push; what a prefetch asked for goes unmarked).
-// The parts are gathered before anything is written, so the response
-// declares its Content-Length and net/http does not chunk it. Returns the
-// body bytes written.
+// Content-Location and Content-Length (and, when the server chose it, the
+// Spec-P probability that drove the choice; what a prefetch asked for goes
+// unmarked). The parts are gathered before anything is written, so the
+// response declares its Content-Length and net/http does not chunk it; up
+// to gatherMax of bodies they are framed with their bodies and leave in one
+// Write, beyond it bodies are written from where the store keeps them, piece
+// by piece. Returns the body bytes written.
 func (s *Server) serveBundle(w http.ResponseWriter, docs []bundleDoc, rung string) int64 {
 	sc := bundleScratchPool.Get().(*bundleScratch)
 	defer func() {
@@ -719,38 +789,65 @@ func (s *Server) serveBundle(w http.ResponseWriter, docs []bundleDoc, rung strin
 		if !ok {
 			continue
 		}
-		sc.hdr = appendPartHeader(sc.hdr, len(sc.parts) == 0, path, len(body), d.class == attrib.ClassPush, d.pMilli)
-		sc.parts = append(sc.parts, framedPart{bundleDoc: d, path: path, body: body, hdrEnd: len(sc.hdr)})
+		sc.parts = append(sc.parts, framedPart{bundleDoc: d, path: path, body: body})
 		size += len(body)
 	}
+	whole := size <= gatherMax
+	for i := range sc.parts {
+		p := &sc.parts[i]
+		sc.hdr = appendPartHeader(sc.hdr, i == 0, p.path, len(p.body), p.bundleDoc)
+		p.hdrEnd = len(sc.hdr)
+		if whole {
+			sc.hdr = append(sc.hdr, p.body...)
+		}
+	}
 	sc.hdr = appendBundleClose(sc.hdr, len(sc.parts) == 0)
+	length := len(sc.hdr)
+	if !whole {
+		length += size
+	}
 
 	w.Header().Set("Content-Type", bundleContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(size+len(sc.hdr)))
+	w.Header().Set("Content-Length", strconv.Itoa(length))
 	s.bundles.Add(1)
 	s.met.bundles.Inc()
 
 	var total int64
+	if whole {
+		// Counted before the bytes leave, and as sent in full: the client can
+		// have the whole answer before Write returns, and whoever looks at the
+		// counters or the ledger then must find it there. (Piece by piece,
+		// the closing delimiter going last sees to the same.)
+		for _, p := range sc.parts {
+			total += s.sentPart(p, len(p.body), rung)
+		}
+		_, _ = w.Write(sc.hdr)
+		return total
+	}
 	from := 0
 	for _, p := range sc.parts {
 		_, _ = w.Write(sc.hdr[from:p.hdrEnd])
 		from = p.hdrEnd
 		n, _ := w.Write(p.body)
-		total += int64(n)
-		s.bytesSent.Add(int64(n))
-		s.met.bytesSent.Add(int64(n))
-		if p.class == "" {
-			continue
-		}
-		if p.class == attrib.ClassPush {
-			s.docsPushed.Add(1)
-			s.met.pushedDocs.Inc()
-			s.met.pushedBytes.Add(int64(n))
-		}
-		s.cfg.Attrib.Delivered(p.path, p.class, int64(n), p.pMilli, rung)
+		total += s.sentPart(p, n, rung)
 	}
 	_, _ = w.Write(sc.hdr[from:])
 	return total
+}
+
+// sentPart accounts for n body bytes of p having been written.
+func (s *Server) sentPart(p framedPart, n int, rung string) int64 {
+	s.bytesSent.Add(int64(n))
+	s.met.bytesSent.Add(int64(n))
+	if p.class == attrib.ClassPush {
+		s.docsPushed.Add(1)
+		s.met.pushedDocs.Inc()
+		s.met.pushedBytes.Add(int64(n))
+	}
+	if p.class != "" {
+		s.cfg.Attrib.Delivered(p.path, p.class, int64(n), p.pMilli, rung)
+	}
+	return int64(n)
 }
 
 // ingestAttrib resolves client's Spec-Attrib feedback tokens

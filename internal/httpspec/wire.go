@@ -6,8 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
+	"mime"
 	"strconv"
 	"strings"
+
+	"specweb/internal/attrib"
 )
 
 // The wire path: every length is declared by the sender and every receive
@@ -64,7 +67,32 @@ var bundleBoundary = func() string {
 	return hex.EncodeToString(b[:])
 }()
 
-var bundleContentType = "multipart/mixed; boundary=" + bundleBoundary
+// bundleTypePrefix is the Content-Type of a bundle up to its boundary, in
+// the one spelling this package's server emits.
+const bundleTypePrefix = "multipart/mixed; boundary="
+
+var bundleContentType = bundleTypePrefix + bundleBoundary
+
+// bundleBoundaryOf reads the boundary off a response's Content-Type; ok is
+// false when that is not multipart/mixed. The server's own spelling with a
+// bare token for a boundary — every bundle this system sends — is read in
+// place; any other goes through mime, which builds a map per call.
+func bundleBoundaryOf(contentType string) (boundary string, ok bool) {
+	if b, found := strings.CutPrefix(contentType, bundleTypePrefix); found && isToken(b) {
+		return b, true
+	}
+	mt, params, _ := mime.ParseMediaType(contentType)
+	return params["boundary"], mt == "multipart/mixed"
+}
+
+func isToken(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !isTokenByte(s[i]) {
+			return false
+		}
+	}
+	return s != ""
+}
 
 // appendDelimiter frames "--boundary", after the CRLF that belongs to it
 // on every delimiter but a bundle's first.
@@ -78,18 +106,24 @@ func appendDelimiter(dst []byte, first bool) []byte {
 
 // appendPartHeader frames one bundle part's delimiter and headers onto
 // dst: the multipart/mixed the old mime/multipart writer produced, plus
-// the part's Content-Length. pushed parts carry the Spec-P that drove them.
-func appendPartHeader(dst []byte, first bool, path string, size int, pushed bool, pMilli int64) []byte {
+// the part's Content-Length. A part the server chose to send — pushed, or a
+// prefetch in place of a hint — carries the Spec-P that drove the choice,
+// and a pushed one says so.
+func appendPartHeader(dst []byte, first bool, path string, size int, d bundleDoc) []byte {
 	dst = appendDelimiter(dst, first)
 	dst = append(dst, "\r\nContent-Length: "...)
 	dst = strconv.AppendInt(dst, int64(size), 10)
 	dst = append(dst, "\r\nContent-Location: "...)
 	dst = append(dst, path...)
 	dst = append(dst, "\r\nContent-Type: application/octet-stream\r\n"...)
-	if pushed {
+	pushed := d.class == attrib.ClassPush
+	if pushed || d.inline {
 		dst = append(dst, HeaderSpecP+": "...)
-		dst = strconv.AppendInt(dst, pMilli, 10)
-		dst = append(dst, "\r\n"+HeaderPushed+": 1\r\n"...)
+		dst = strconv.AppendInt(dst, d.pMilli, 10)
+		dst = append(dst, "\r\n"...)
+	}
+	if pushed {
+		dst = append(dst, HeaderPushed+": 1\r\n"...)
 	}
 	return append(dst, "\r\n"...)
 }

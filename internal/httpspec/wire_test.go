@@ -19,6 +19,8 @@ import (
 	"testing/iotest"
 	"unsafe"
 
+	"specweb/internal/attrib"
+	"specweb/internal/obs"
 	"specweb/internal/resilience"
 	"specweb/internal/stats"
 	"specweb/internal/webgraph"
@@ -148,9 +150,10 @@ func FuzzWalkBundle(f *testing.F) {
 	for mode := noLength; mode <= lyingLength; mode++ {
 		f.Add(writerBundle(f, b, mode, bodies...), b)
 	}
-	own := appendPartHeader(nil, true, "/a", 2, false, 0)
+	own := appendPartHeader(nil, true, "/a", 2, bundleDoc{})
 	own = append(own, "hi"...)
-	own = appendPartHeader(own, false, "/b", 0, true, 420)
+	own = appendPartHeader(own, false, "/b", 0, bundleDoc{class: attrib.ClassPush, pMilli: 420})
+	own = appendPartHeader(own, false, "/c", 0, bundleDoc{class: attrib.ClassPrefetch, pMilli: 250, inline: true})
 	own = appendBundleClose(own, false)
 	f.Add(own, bundleBoundary)
 	for _, s := range []string{
@@ -300,6 +303,152 @@ func TestIngestBundleChecks(t *testing.T) {
 		}
 		if resilience.IsPermanent(err) {
 			t.Errorf("%s: %v is permanent; a bad bundle must stay retryable", tc.name, err)
+		}
+	}
+}
+
+// TestBundleBoundaryOf: the server's own spelling is read in place and every
+// other through mime, and the two agree wherever both apply.
+func TestBundleBoundaryOf(t *testing.T) {
+	for _, tc := range []struct {
+		contentType, boundary string
+		bundle                bool
+	}{
+		{bundleContentType, bundleBoundary, true},
+		{"multipart/mixed; boundary=B", "B", true},
+		{`multipart/mixed; boundary="B"`, "B", true},
+		{`multipart/mixed; boundary="a b"`, "a b", true},
+		{"Multipart/Mixed;boundary=B", "B", true},
+		{"multipart/mixed; charset=x; boundary=B", "B", true},
+		{"multipart/mixed;  boundary=B", "B", true},
+		{"multipart/mixed; boundary=B; charset=x", "B", true},
+		{"multipart/mixed; boundary=", "", true},
+		{"multipart/mixed", "", true},
+		{"multipart/related; boundary=B", "B", false},
+		{"application/octet-stream", "", false},
+		{"", "", false},
+	} {
+		boundary, bundle := bundleBoundaryOf(tc.contentType)
+		if boundary != tc.boundary || bundle != tc.bundle {
+			t.Errorf("bundleBoundaryOf(%q) = %q, %v; want %q, %v", tc.contentType, boundary, bundle, tc.boundary, tc.bundle)
+		}
+		mt, params, _ := mime.ParseMediaType(tc.contentType)
+		if boundary != params["boundary"] || bundle != (mt == "multipart/mixed") {
+			t.Errorf("bundleBoundaryOf(%q) = %q, %v; mime reads %q of %q", tc.contentType, boundary, bundle, params["boundary"], mt)
+		}
+	}
+}
+
+// TestClientReadsForeignBundleSpelling: a bundle whose Content-Type is not
+// spelled the way this package's server spells it — a demand answer's or a
+// prefetch's — is a bundle all the same.
+func TestClientReadsForeignBundleSpelling(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		first, second := "/page", "/pushed"
+		if r.Header.Get(HeaderPrefetch) != "" {
+			first, second = "/a", "/b"
+		} else {
+			w.Header().Add("Link", `</a>; rel="prefetch"; spec-p=0.9`)
+			w.Header().Add("Link", `</b>; rel="prefetch"; spec-p=0.8`)
+		}
+		raw := appendPartHeader(nil, true, first, 4, bundleDoc{})
+		raw = append(raw, "body"...)
+		raw = appendPartHeader(raw, false, second, 4, bundleDoc{class: attrib.ClassPush, pMilli: 900})
+		raw = appendBundleClose(append(raw, "body"...), false)
+		w.Header().Set("Content-Type", `Multipart/Mixed; charset=utf-8; boundary="`+bundleBoundary+`"`)
+		_, _ = w.Write(raw)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL, ClientConfig{ID: "foreign", AcceptBundles: true, PrefetchThreshold: 0.3})
+	if body, _, err := c.Get("/page"); err != nil || string(body) != "body" {
+		t.Fatalf("body %q, err %v", body, err)
+	}
+	if st := c.Stats(); st.Pushed != 1 || st.Prefetched != 2 || st.PrefetchRoundTrips != 1 {
+		t.Errorf("stats %+v, want one push and two prefetches in one round trip", st)
+	}
+}
+
+// writeLog is a ResponseWriter that keeps every Write apart.
+type writeLog struct {
+	h      http.Header
+	writes [][]byte
+}
+
+func (l *writeLog) Header() http.Header { return l.h }
+func (l *writeLog) WriteHeader(int)     {}
+func (l *writeLog) Write(p []byte) (int, error) {
+	l.writes = append(l.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestServeBundleEitherSideOfGatherMax: up to gatherMax of bodies a bundle
+// leaves in one Write, beyond it piece by piece from where the store keeps
+// the bodies; either way the bytes, the declared length and the accounting
+// are those of the same framing.
+func TestServeBundleEitherSideOfGatherMax(t *testing.T) {
+	site, err := webgraph.Generate(webgraph.TinySite(), stats.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := &site.Docs[0]
+	for i := range site.Docs {
+		if site.Docs[i].Size > big.Size {
+			big = &site.Docs[i]
+		}
+	}
+	if big.Size <= gatherMax {
+		t.Fatalf("largest document is %d bytes, need one above %d", big.Size, gatherMax)
+	}
+	var small []bundleDoc
+	for i := range site.Docs {
+		if d := &site.Docs[i]; d != big && len(small) < 4 {
+			small = append(small, bundleDoc{doc: d.ID, class: attrib.ClassPush, pMilli: 900})
+		}
+	}
+	small[0].class, small[2].class, small[2].inline = "", attrib.ClassPrefetch, true
+	for _, tc := range []struct {
+		name   string
+		docs   []bundleDoc
+		writes int
+	}{
+		{"gathered", small, 1},
+		{"piece by piece", append(small[:4:4], bundleDoc{doc: big.ID, class: attrib.ClassPush, pMilli: 800}), 2*5 + 1},
+	} {
+		led := attrib.NewLedger(64, obs.NewRegistry())
+		cfg := DefaultServerConfig()
+		cfg.Metrics = obs.NewRegistry()
+		cfg.Attrib = led
+		store := NewSiteStore(site)
+		srv, err := NewServer(store, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		var bodies int64
+		for i, d := range tc.docs {
+			body, _ := store.Content(d.doc)
+			want = appendPartHeader(want, i == 0, site.Doc(d.doc).Path, len(body), d)
+			want = append(want, body...)
+			bodies += int64(len(body))
+		}
+		want = appendBundleClose(want, false)
+
+		w := &writeLog{h: http.Header{}}
+		written := srv.serveBundle(w, tc.docs, "")
+		if got := bytes.Join(w.writes, nil); !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes written, differing from the %d framed", tc.name, len(got), len(want))
+		}
+		if len(w.writes) != tc.writes {
+			t.Errorf("%s: %d writes, want %d", tc.name, len(w.writes), tc.writes)
+		}
+		if got := w.h.Get("Content-Length"); got != strconv.Itoa(len(want)) {
+			t.Errorf("%s: Content-Length %s, want %d", tc.name, got, len(want))
+		}
+		if st := srv.Stats(); written != bodies || st.BytesSent != bodies || st.DocsPushed != int64(len(tc.docs)-2) || st.BundlesBuilt != 1 {
+			t.Errorf("%s: %d body bytes reported written of %d, server counted %+v", tc.name, written, bodies, st)
+		}
+		if got := led.Report(0); got.Totals.Deliveries != int64(len(tc.docs)-1) || got.Classes[attrib.ClassPrefetch].Deliveries != 1 {
+			t.Errorf("%s: ledger %+v", tc.name, got)
 		}
 	}
 }
@@ -504,6 +653,11 @@ func TestAppendLinkHintMatchesSprintf(t *testing.T) {
 		if got := string(appendLinkHint(buf[:0], "/a", p)); got != want {
 			t.Errorf("appendLinkHint(%v [%#x]) = %q, want %q", p, math.Float64bits(p), got, want)
 		}
+		// What the server holds a hint's probability to be is what a client
+		// reads off it.
+		if h, _ := parseLinkHint(want); hintMilli(p) != attrib.PMilli(h.p) {
+			t.Errorf("hintMilli(%v [%#x]) = %d, a client reads %d off %q", p, math.Float64bits(p), hintMilli(p), attrib.PMilli(h.p), want)
+		}
 	}
 	for k := 0; k <= 65536; k++ {
 		check(float64(k) / 65536)
@@ -541,8 +695,13 @@ func FuzzAppendFixed3(f *testing.F) {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, p float64) {
-		if got, want := string(appendFixed3(nil, p)), fmt.Sprintf("%.3f", p); got != want {
+		want := fmt.Sprintf("%.3f", p)
+		if got := string(appendFixed3(nil, p)); got != want {
 			t.Fatalf("appendFixed3(%v [%#x]) = %q, want %q", p, math.Float64bits(p), got, want)
+		}
+		read, _ := strconv.ParseFloat(want, 64)
+		if got, want := hintMilli(p), attrib.PMilli(clampProb(read)); got != want {
+			t.Fatalf("hintMilli(%v [%#x]) = %d, a client reads %d", p, math.Float64bits(p), got, want)
 		}
 	})
 }
