@@ -5,7 +5,7 @@ GO ?= go
 	bench-scenarios bench-scenarios-baseline \
 	bench-restart bench-restart-baseline bench-memory \
 	bench-stream bench-stream-baseline bench-distributed bench-module \
-	fuzz-checkpoint fuzz-estimator fuzz-wire golden clean
+	fuzz-checkpoint fuzz-estimator fuzz-wire golden loc clean
 
 all: vet build test
 
@@ -32,7 +32,8 @@ race:
 
 # Fault-injection suite: the resilience layer (retry/backoff, circuit
 # breaking, deadline propagation, the fault injector itself) and the
-# proxy/client/replay failure paths, all under the race detector.
+# proxy/client failure paths and the chaos trace drive, all under the race
+# detector.
 chaos:
 	$(GO) test -race ./internal/resilience/... \
 		-run 'Test' -count=1
@@ -100,11 +101,11 @@ bench-baseline: specbench
 # beats unguarded; per-scenario degradation bounds vs clean) and drift
 # bounds against the committed baseline suite.
 bench-scenarios: specbench
-	./bin/specbench -short -reps 1 -scenario-suite -o BENCH-scenarios.json \
+	./bin/specbench -short -scenario-suite -o BENCH-scenarios.json \
 		-baseline testdata/scenarios_baseline.json
 
 bench-scenarios-baseline: specbench
-	./bin/specbench -short -reps 1 -scenario-suite -o testdata/scenarios_baseline.json
+	./bin/specbench -short -scenario-suite -o testdata/scenarios_baseline.json
 
 # Kill/restart chaos suite (durability gate): the same workload through an
 # uninterrupted control, a warm restart (checkpoint recovery), a cold
@@ -148,7 +149,7 @@ bench-stream-baseline: specbench
 # partial reports, and (-verify-single) requires the merge to be
 # byte-identical to running the same config in one process.
 bench-distributed: specbench
-	./bin/specbench -short -reps 1 -stream -spawn 2 -verify-single \
+	./bin/specbench -short -stream -spawn 2 -verify-single \
 		-o BENCH-distributed.json
 
 # The benchmark of record is its own module (specweb/benchmark, replace
@@ -188,6 +189,26 @@ fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzParseWant -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzParseAccept -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzWalkBundle -fuzztime 30s ./internal/httpspec/
+	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime 15s -fuzzminimizetime 10x ./internal/loadgen/
+
+# Non-test, non-blank, non-comment Go lines: the root module and the
+# benchmark module (its own go.mod) counted separately.
+loc:
+	@for m in root benchmark; do \
+		if [ $$m = root ]; then \
+			files=$$(find . -path ./benchmark -prune -o -path '*/testdata' -prune -o \
+				-name '*.go' ! -name '*_test.go' -print); \
+		else \
+			files=$$(find benchmark -path '*/.bench_build' -prune -o -path '*/testdata' -prune -o \
+				-name '*.go' ! -name '*_test.go' -print); \
+		fi; \
+		printf '%-10s %s\n' $$m "$$(cat $$files | awk ' \
+			{ sub(/^[ \t]+/, "") } \
+			blk { if ($$0 ~ /\*\//) blk = 0; next } \
+			/^\/\*/ { if ($$0 !~ /\*\//) blk = 1; next } \
+			/^$$/ || /^\/\// { next } \
+			{ n++ } END { print n + 0 }')"; \
+	done
 
 # Regenerate the golden files pinning the experiments renderers.
 golden:

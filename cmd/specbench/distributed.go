@@ -64,7 +64,6 @@ type jobSpec struct {
 	Cooperative bool          `json:"cooperative,omitempty"`
 	Prefetch    float64       `json:"prefetch"`
 	SessionGap  int           `json:"session_gap"`
-	Reps        int           `json:"reps"`
 	Think       time.Duration `json:"think,omitempty"`
 	ThinkJitter time.Duration `json:"think_jitter,omitempty"`
 	Rate        float64       `json:"rate,omitempty"`
@@ -148,7 +147,6 @@ func (j jobSpec) config() (loadgen.Config, error) {
 		Cooperative:        j.Cooperative,
 		PrefetchThreshold:  j.Prefetch,
 		SessionGapRequests: j.SessionGap,
-		Reps:               j.Reps,
 		Think:              j.Think,
 		ThinkJitter:        j.ThinkJitter,
 		OpenLoop:           j.Rate > 0,
@@ -408,7 +406,7 @@ func spawnWorkers(n int) (addrs []string, stop func(), err error) {
 // runCoordinator executes the distributed benchmark: shard jobs out,
 // merge, optionally verify byte-identity against an in-process single
 // run, then write/summarize/gate exactly like the single-process path.
-func runCoordinator(job jobSpec, addrs []string, verifySingle bool, out, baseline string, tolerance, latSlack float64, absolute, quiet bool) {
+func runCoordinator(job jobSpec, addrs []string, verifySingle bool, out, baseline string, tolerance float64, quiet bool) {
 	start := time.Now()
 	rep, err := coordinate(job, addrs, nil)
 	if err != nil {
@@ -444,38 +442,5 @@ func runCoordinator(job jobSpec, addrs []string, verifySingle bool, out, baselin
 		fmt.Fprintln(os.Stderr, "specbench: distributed merge byte-identical to single-process run")
 	}
 
-	data, err := rep.JSON()
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		os.Stdout.Write(data)
-	} else if err := os.WriteFile(out, data, 0o644); err != nil {
-		fatal(err)
-	}
-	if !quiet {
-		summarize(rep, time.Since(start))
-	}
-
-	if baseline != "" {
-		base, err := readReport(baseline)
-		if err != nil {
-			fatal(err)
-		}
-		violations := loadgen.Compare(base, rep, loadgen.CompareOptions{
-			TolerancePct:   tolerance,
-			LatencySlackMS: latSlack,
-			Absolute:       absolute,
-		})
-		if len(violations) > 0 {
-			fmt.Fprintf(os.Stderr, "specbench: regression gate FAILED against %s:\n", baseline)
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "  - %s\n", v)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "specbench: regression gate passed against %s (tolerance %.0f%%)\n",
-			baseline, tolerance)
-	}
+	emit(rep, start, out, baseline, tolerance, quiet)
 }

@@ -26,7 +26,6 @@ func tinyJob(stream bool) jobSpec {
 		MaxPush:      8,
 		Prefetch:     0.25,
 		SessionGap:   50,
-		Reps:         1,
 		Overload:     true,
 		Stream:       stream,
 		WithBaseline: true,

@@ -5,8 +5,7 @@
 // counts, and the paper's four speculative-vs-baseline ratios.
 //
 // By default it runs two arms over the identical workload — speculation
-// on and off — so the report carries the machine-portable arm-relative
-// comparison. With -baseline it additionally gates the run against a
+// on and off. With -baseline it additionally gates the run against a
 // committed report and exits non-zero on regression:
 //
 //	specbench -short -o BENCH.json
@@ -14,8 +13,15 @@
 //
 // Everything outside the report's timing sections is byte-deterministic
 // for a given seed (same seed ⇒ identical counts and ratios, regardless
-// of worker count or machine), so the gate holds those fields to zero
-// drift and applies the tolerance only to wall-clock metrics.
+// of worker count or machine); the gate holds counts and ratios within
+// -tolerance and never gates the timing sections.
+//
+// With -trace a recorded CLF log (tracegen's output, or a real server's)
+// replaces the generated trace, and with -server the run drives a live
+// specd instead of the in-process stack:
+//
+//	tracegen -profile department -days 3 -rate 50 -o trace.log
+//	specbench -server http://localhost:8095 -trace trace.log -no-baseline-arm
 package main
 
 import (
@@ -31,6 +37,7 @@ import (
 	"specweb/internal/loadgen"
 	"specweb/internal/obs"
 	"specweb/internal/synth"
+	"specweb/internal/trace"
 )
 
 func main() {
@@ -48,7 +55,6 @@ func main() {
 		coop    = flag.Bool("cooperative", false, "clients send cache digests")
 		pref    = flag.Float64("prefetch", 0.25, "follow prefetch hints at or above this probability (0 = off)")
 		session = flag.Int("session", 50, "purge each client's cache every N requests (negative = never)")
-		reps    = flag.Int("reps", 5, "repeat each arm and report the fastest rep's timing (counts are identical across reps)")
 		think   = flag.Duration("think", 0, "closed-loop think time between a worker's requests")
 		jitter  = flag.Duration("think-jitter", 0, "uniform extra think time in [0, jitter), per-worker RNG stream")
 
@@ -58,7 +64,8 @@ func main() {
 		server    = flag.String("server", "", "drive this live server instead of the in-process stack (counts are then not byte-deterministic)")
 		realclock = flag.Bool("realclock", false, "in-process server uses wall-clock time (required for latency-driven overload governing; breaks count determinism)")
 		overloadF = flag.Bool("overload", false, "install admission control and the speculation governor on the in-process server")
-		noBase    = flag.Bool("no-baseline-arm", false, "skip the speculation-off arm (faster, but no arm-relative comparison)")
+		noBase    = flag.Bool("no-baseline-arm", false, "skip the speculation-off arm")
+		traceFile = flag.String("trace", "", "drive this CLF trace file instead of the generated trace (the workload flags still pick the in-process site)")
 
 		scenario  = flag.String("scenario", "", "overlay an adversarial workload profile: "+scenarioNames())
 		estguardF = flag.Bool("estguard", false, "install the estimator-hardening guard (classification/quarantine, drift refresh, confidence damping)")
@@ -94,8 +101,6 @@ func main() {
 		out       = flag.String("o", "BENCH.json", "output report path (- = stdout)")
 		baseline  = flag.String("baseline", "", "gate against this committed BENCH.json and exit 1 on regression")
 		tolerance = flag.Float64("tolerance", 10, "allowed drift in percent for gated metrics")
-		latSlack  = flag.Float64("lat-slack-ms", 0.75, "absolute latency difference forgiven by the gate, in ms")
-		absolute  = flag.Bool("absolute", false, "also gate raw per-arm throughput and p99 (same-machine baselines only)")
 		quiet     = flag.Bool("q", false, "suppress the human summary on stderr")
 	)
 	flag.Parse()
@@ -141,7 +146,6 @@ func main() {
 		Cooperative:   *coop,
 		Prefetch:      *pref,
 		SessionGap:    *session,
-		Reps:          *reps,
 		Think:         *think,
 		ThinkJitter:   *jitter,
 		Rate:          *rate,
@@ -172,10 +176,15 @@ func main() {
 	cfg.Estguard = *estguardF
 	cfg.MaxRows = *maxRows
 	cfg.RowTopK = *rowTopK
+	if *traceFile != "" {
+		if cfg.Trace, err = readTrace(*traceFile); err != nil {
+			fatal(err)
+		}
+	}
 
 	if *spawnN > 0 || *coordF != "" {
-		if *server != "" || *realclock || *estguardF || *maxRows > 0 || *rowTopK > 0 || *restartF || *suite {
-			fatal(fmt.Errorf("distributed runs exclude -server, -realclock, -estguard, -max-rows, -row-topk, -restart, and -scenario-suite"))
+		if *server != "" || *realclock || *estguardF || *maxRows > 0 || *rowTopK > 0 || *restartF || *suite || *traceFile != "" {
+			fatal(fmt.Errorf("distributed runs exclude -server, -realclock, -estguard, -max-rows, -row-topk, -restart, -scenario-suite, and -trace"))
 		}
 		var addrs []string
 		if *spawnN > 0 {
@@ -189,7 +198,7 @@ func main() {
 		if *coordF != "" {
 			addrs = append(addrs, strings.Split(*coordF, ",")...)
 		}
-		runCoordinator(spec, addrs, *verifyS, *out, *baseline, *tolerance, *latSlack, *absolute, *quiet)
+		runCoordinator(spec, addrs, *verifyS, *out, *baseline, *tolerance, *quiet)
 		return
 	}
 
@@ -208,42 +217,60 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	emit(rep, start, *out, *baseline, *tolerance, *quiet)
+}
 
-	data, err := rep.JSON()
+// emit writes the BENCH report, prints its summary and gates it against
+// the committed baseline: how a single-process and a distributed run end.
+func emit(rep *loadgen.Report, start time.Time, out, baseline string, tolerance float64, quiet bool) {
+	writeJSON(out, rep)
+	if !quiet {
+		summarize(rep, time.Since(start))
+	}
+	if baseline != "" {
+		var base loadgen.Report
+		readJSON(baseline, &base)
+		gate(fmt.Sprintf("regression gate against %s (tolerance %.0f%%)", baseline, tolerance),
+			loadgen.Compare(&base, rep, tolerance))
+	}
+}
+
+// writeJSON writes v, indented, to out (- = stdout).
+func writeJSON(out string, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		fatal(err)
 	}
 	data = append(data, '\n')
-	if *out == "-" {
+	if out == "-" {
 		os.Stdout.Write(data)
-	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
+	} else if err := os.WriteFile(out, data, 0o644); err != nil {
 		fatal(err)
 	}
+}
 
-	if !*quiet {
-		summarize(rep, time.Since(start))
+// readJSON decodes the committed report at path into v.
+func readJSON(path string, v any) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fatal(err)
 	}
+	if err := json.Unmarshal(data, v); err != nil {
+		fatal(fmt.Errorf("parsing %s: %w", path, err))
+	}
+}
 
-	if *baseline != "" {
-		base, err := readReport(*baseline)
-		if err != nil {
-			fatal(err)
+// gate lists the violations and exits 1, or reports that the named gate
+// passed.
+func gate(name string, violations []string) {
+	if len(violations) > 0 {
+		fmt.Fprintf(os.Stderr, "specbench: %s FAILED:\n", name)
+		for _, v := range violations {
+			fmt.Fprintf(os.Stderr, "  - %s\n", v)
 		}
-		violations := loadgen.Compare(base, rep, loadgen.CompareOptions{
-			TolerancePct:   *tolerance,
-			LatencySlackMS: *latSlack,
-			Absolute:       *absolute,
-		})
-		if len(violations) > 0 {
-			fmt.Fprintf(os.Stderr, "specbench: regression gate FAILED against %s:\n", *baseline)
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "  - %s\n", v)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "specbench: regression gate passed against %s (tolerance %.0f%%)\n",
-			*baseline, *tolerance)
+		os.Exit(1)
 	}
+	fmt.Fprintf(os.Stderr, "specbench: %s passed\n", name)
 }
 
 func scenarioNames() string {
@@ -263,16 +290,7 @@ func runScenarioSuite(cfg loadgen.Config, out, baseline string, tolerance float6
 		fatal(err)
 	}
 
-	data, err := rep.JSON()
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		os.Stdout.Write(data)
-	} else if err := os.WriteFile(out, data, 0o644); err != nil {
-		fatal(err)
-	}
+	writeJSON(out, rep)
 
 	if !quiet {
 		fmt.Fprintf(os.Stderr, "specbench: scenario suite, %d arms, took %v\n",
@@ -283,31 +301,18 @@ func runScenarioSuite(cfg loadgen.Config, out, baseline string, tolerance float6
 				q = arm.Guard.QuarantinedClients
 			}
 			fmt.Fprintf(os.Stderr,
-				"  %-18s interception %.4f  wasted %.4f  bandwidth %.3f  p99 %7.3fms  quarantined %d\n",
-				arm.Name, arm.Interception, arm.WastedFraction, arm.Ratios.Bandwidth, arm.P99MS, q)
+				"  %-18s interception %.4f  wasted %.4f  bandwidth %.3f  quarantined %d\n",
+				arm.Name, arm.Interception, arm.WastedFraction, arm.Ratios.Bandwidth, q)
 		}
 	}
 
 	violations := loadgen.CheckScenarioInvariants(rep)
 	if baseline != "" {
-		bd, err := os.ReadFile(baseline)
-		if err != nil {
-			fatal(err)
-		}
 		var base loadgen.ScenarioReport
-		if err := json.Unmarshal(bd, &base); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", baseline, err))
-		}
+		readJSON(baseline, &base)
 		violations = append(violations, loadgen.CompareScenarios(&base, rep, tolerance)...)
 	}
-	if len(violations) > 0 {
-		fmt.Fprintln(os.Stderr, "specbench: scenario gate FAILED:")
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "  - %s\n", v)
-		}
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "specbench: scenario gate passed")
+	gate("scenario gate", violations)
 }
 
 // runRestartSuite executes the kill/restart chaos suite, writes the
@@ -322,16 +327,7 @@ func runRestartSuite(cfg loadgen.Config, out, baseline string, tolerance float64
 		fatal(err)
 	}
 
-	data, err := rep.JSON()
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		os.Stdout.Write(data)
-	} else if err := os.WriteFile(out, data, 0o644); err != nil {
-		fatal(err)
-	}
+	writeJSON(out, rep)
 
 	if !quiet {
 		fmt.Fprintf(os.Stderr, "specbench: restart suite took %v\n",
@@ -358,36 +354,30 @@ func runRestartSuite(cfg loadgen.Config, out, baseline string, tolerance float64
 
 	violations := loadgen.CheckRestartInvariants(rep)
 	if baseline != "" {
-		bd, err := os.ReadFile(baseline)
-		if err != nil {
-			fatal(err)
-		}
 		var base loadgen.RestartReport
-		if err := json.Unmarshal(bd, &base); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", baseline, err))
-		}
+		readJSON(baseline, &base)
 		violations = append(violations, loadgen.CompareRestart(&base, rep, tolerance)...)
 	}
-	if len(violations) > 0 {
-		fmt.Fprintln(os.Stderr, "specbench: restart gate FAILED:")
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "  - %s\n", v)
-		}
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "specbench: restart gate passed")
+	gate("restart gate", violations)
 }
 
-func readReport(path string) (*loadgen.Report, error) {
-	data, err := os.ReadFile(path)
+// readTrace parses a CLF trace file; unparseable lines are skipped and
+// counted on stderr.
+func readTrace(path string) (*trace.Trace, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var rep loadgen.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("specbench: parsing %s: %w", path, err)
+	defer f.Close()
+	var bad int
+	tr, err := trace.ParseCLF(f, nil, func(string, error) { bad++ })
+	if err != nil {
+		return nil, err
 	}
-	return &rep, nil
+	if bad > 0 {
+		fmt.Fprintf(os.Stderr, "specbench: skipped %d unparseable lines in %s\n", bad, path)
+	}
+	return tr, nil
 }
 
 func summarize(rep *loadgen.Report, took time.Duration) {
@@ -410,10 +400,6 @@ func summarize(rep *loadgen.Report, took time.Duration) {
 		fmt.Fprintf(os.Stderr,
 			"  ratios   bandwidth %.3f  server_load %.3f  service_time %.3f  byte_miss_rate %.3f\n",
 			r.Ratios.Bandwidth, r.Ratios.ServerLoad, r.Timing.ServiceTime, r.Ratios.ByteMissRate)
-	}
-	if rel := rep.Relative; rel != nil {
-		fmt.Fprintf(os.Stderr, "  relative p99 %.3fx  throughput %.3fx (spec vs no-spec)\n",
-			rel.P99Ratio, rel.ThroughputRatio)
 	}
 	if r := rep.Spec; r != nil && r.Attrib != nil {
 		at := r.Attrib

@@ -12,7 +12,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -88,7 +87,6 @@ func gateCellConfig(spec, over bool) loadgen.Config {
 		MaxPush:            8,
 		PrefetchThreshold:  0.25,
 		SessionGapRequests: 50,
-		Reps:               1,
 		Overload:           over,
 		Stream:             true,
 	}
@@ -220,16 +218,7 @@ func runStreamGate(out, baselinePath string, quiet bool) {
 	}
 	rep.Memory = mem
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		os.Stdout.Write(data)
-	} else if err := os.WriteFile(out, data, 0o644); err != nil {
-		fatal(err)
-	}
+	writeJSON(out, rep)
 
 	if !quiet {
 		fmt.Fprintf(os.Stderr,
@@ -249,14 +238,8 @@ func runStreamGate(out, baselinePath string, quiet bool) {
 			"streamed peak heap is %.3f× the materialized trace, bound %.2f×", mem.Ratio, mem.Bound))
 	}
 	if baselinePath != "" {
-		bd, err := os.ReadFile(baselinePath)
-		if err != nil {
-			fatal(err)
-		}
 		var base streamGateReport
-		if err := json.Unmarshal(bd, &base); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", baselinePath, err))
-		}
+		readJSON(baselinePath, &base)
 		// Only the deterministic fields gate against the baseline; the
 		// byte counts are machine-local.
 		if base.Memory.Clients != mem.Clients || base.Memory.Requests != mem.Requests {
@@ -269,12 +252,5 @@ func runStreamGate(out, baselinePath string, quiet bool) {
 				"identity coverage changed: %d cells, baseline %d", rep.Identity.Cells, base.Identity.Cells))
 		}
 	}
-	if len(violations) > 0 {
-		fmt.Fprintln(os.Stderr, "specbench: stream gate FAILED:")
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "  - %s\n", v)
-		}
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "specbench: stream gate passed")
+	gate("stream gate", violations)
 }

@@ -130,6 +130,65 @@ func (s ClientStats) plus(o ClientStats, sign int64) ClientStats {
 	return s
 }
 
+// PaperRatios are the four quantities of §3's evaluation (Figs. 5–6),
+// each expressed as speculative service over the non-speculative baseline
+// a client with the same session cache would have seen. Bandwidth > 1 is
+// the cost of speculation; server load, service time and byte miss rate
+// < 1 are its benefits. Ratios are 1 when a run has no traffic to
+// compare.
+type PaperRatios struct {
+	// Bandwidth: bytes over the wire / bytes a non-speculative client
+	// would have fetched.
+	Bandwidth float64 `json:"bandwidth"`
+	// ServerLoad: server requests issued — demand misses plus prefetch
+	// round trips, what Server.ServeHTTP sees — / server requests a
+	// non-speculative client would have issued (spec hits would each
+	// have been a request).
+	ServerLoad float64 `json:"server_load"`
+	// ServiceTime: observed mean request time / estimated baseline mean,
+	// where each speculation-manufactured cache hit is charged the mean
+	// cache-miss time it avoided.
+	ServiceTime float64 `json:"service_time"`
+	// ByteMissRate: requested bytes fetched over the wire / requested
+	// bytes the baseline would have fetched (§3.3's byte miss rate,
+	// speculative over non-speculative).
+	ByteMissRate float64 `json:"byte_miss_rate"`
+}
+
+// ratio divides speculative by baseline, reporting the neutral 1 when
+// there is nothing to compare (or a counter delta left the baseline
+// negative).
+func ratio(spec, baseline float64) float64 {
+	if baseline <= 0 {
+		return 1
+	}
+	return spec / baseline
+}
+
+// BaselineBytes is what a non-speculative client with the same session
+// cache would have fetched: the misses plus every speculation-made hit.
+func (s ClientStats) BaselineBytes() int64 { return s.MissBytes + s.SpecHitBytes }
+
+// PaperRatios is the one definition of the four ratios, over summed
+// client counters and the run's timing accumulators: serviceSum is the
+// total observed request time, missSum and misses the time and count of
+// the requests that went to the server (any one time unit throughout).
+// Every report in the repository — loadgen's single-process and merged
+// results — calls this.
+func (s ClientStats) PaperRatios(serviceSum, missSum float64, misses int64) PaperRatios {
+	var meanMiss float64
+	if misses > 0 {
+		meanMiss = missSum / float64(misses)
+	}
+	demand := s.Fetches - s.CacheHits // requests the session cache did not absorb
+	return PaperRatios{
+		Bandwidth:    ratio(float64(s.BytesIn), float64(s.BaselineBytes())),
+		ServerLoad:   ratio(float64(demand+s.PrefetchRoundTrips), float64(demand+s.SpecHits)),
+		ServiceTime:  ratio(serviceSum, serviceSum+float64(s.SpecHits)*meanMiss),
+		ByteMissRate: ratio(float64(s.MissBytes), float64(s.BaselineBytes())),
+	}
+}
+
 // cacheEntry is one cached document; spec marks it as having arrived
 // speculatively and not yet been requested. class is the delivery class
 // for attribution and pMilli the probability the delivery was advertised

@@ -18,8 +18,6 @@ import (
 	"specweb/internal/leakcheck"
 	"specweb/internal/obs"
 	"specweb/internal/stats"
-	"specweb/internal/synth"
-	"specweb/internal/trace"
 	"specweb/internal/webgraph"
 )
 
@@ -574,97 +572,6 @@ func TestEngineIntegrationViaCoreStats(t *testing.T) {
 	var est core.Stats = w.server.Engine().Stats()
 	if est.Recorded == 0 || est.Pairs == 0 {
 		t.Errorf("engine stats %+v", est)
-	}
-}
-
-func TestReplayEndToEnd(t *testing.T) {
-	w := newWorld(t, ModePush)
-	// Synthesize a small trace against the same site the server serves.
-	scfg := synth.DefaultConfig(w.site, nil)
-	scfg.Days = 2
-	scfg.SessionsPerDay = 25
-	scfg.RemoteClients = 30
-	scfg.LocalClients = 5
-	res, err := synth.Generate(scfg, stats.NewRNG(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rs, err := Replay(res.Trace, ReplayConfig{
-		Base:          w.ts.URL,
-		AcceptBundles: true,
-		Cooperative:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Errors != 0 {
-		t.Errorf("%d replay errors against the server's own site", rs.Errors)
-	}
-	if rs.Requests != int64(res.Trace.Len()) {
-		t.Errorf("replayed %d of %d requests", rs.Requests, res.Trace.Len())
-	}
-	if rs.CacheHits == 0 {
-		t.Error("no cache hits during replay (revisits exist in any browsing trace)")
-	}
-	// The server's engine has been learning during the replay.
-	if w.server.Engine().Stats().Recorded == 0 {
-		t.Error("server engine saw nothing")
-	}
-	if rs.Clients != len(res.Trace.Clients()) {
-		t.Errorf("clients %d != trace clients %d", rs.Clients, len(res.Trace.Clients()))
-	}
-}
-
-func TestReplaySessionPurge(t *testing.T) {
-	w := newWorld(t, ModePush)
-	d := &w.site.Docs[0]
-	tr := &trace.Trace{}
-	for i := 0; i < 6; i++ {
-		tr.Requests = append(tr.Requests, trace.Request{
-			Time: w.clock(), Client: "r1", Doc: d.ID, Path: d.Path, Size: d.Size,
-		})
-	}
-	// Without purging: 1 miss + 5 hits. With purge every 2 requests: a
-	// fresh fetch at each session start.
-	rs, err := Replay(tr, ReplayConfig{Base: w.ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.CacheHits != 5 {
-		t.Errorf("no-purge hits = %d, want 5", rs.CacheHits)
-	}
-	rs, err = Replay(tr, ReplayConfig{Base: w.ts.URL, SessionGapRequests: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.CacheHits >= 5 {
-		t.Errorf("session purge had no effect: %d hits", rs.CacheHits)
-	}
-}
-
-func TestReplayValidation(t *testing.T) {
-	if _, err := Replay(&trace.Trace{}, ReplayConfig{Base: "http://x"}); err == nil {
-		t.Error("empty trace accepted")
-	}
-	tr := &trace.Trace{Requests: []trace.Request{{Client: "a", Path: "/x"}}}
-	if _, err := Replay(tr, ReplayConfig{}); err == nil {
-		t.Error("missing base accepted")
-	}
-}
-
-func TestReplayCountsErrors(t *testing.T) {
-	w := newWorld(t, ModePush)
-	tr := &trace.Trace{Requests: []trace.Request{
-		{Time: w.clock(), Client: "a", Path: "/definitely/missing"},
-		{Time: w.clock(), Client: "a", Path: w.site.Docs[0].Path},
-	}}
-	rs, err := Replay(tr, ReplayConfig{Base: w.ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Errors != 1 {
-		t.Errorf("errors = %d, want 1", rs.Errors)
 	}
 }
 

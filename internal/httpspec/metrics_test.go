@@ -142,60 +142,50 @@ func newWorldWithMetrics(t *testing.T, mode Mode, reg *obs.Registry) *testWorld 
 	return w
 }
 
-// TestReplaySummaryRatios checks the ratio arithmetic on hand-built stats.
+// TestReplaySummaryRatios checks the ratio arithmetic every run summary
+// reports, on hand-built counters.
 func TestReplaySummaryRatios(t *testing.T) {
-	s := &ReplayStats{
-		Clients:      2,
-		Requests:     10,
-		CacheHits:    4,
-		SpecHits:     2,
-		Prefetched:   3,
-		Pushed:       2,
-		BytesIn:      9000,
-		SpecHitBytes: 2000,
-		DemandBytes:  10000,
-		MissBytes:    6000,
-		latencies:    []float64{0.001, 0.002, 0.003, 0.004, 0.010, 0.001},
-		missDurSum:   0.019,
-		missCount:    4,
-
+	s := ClientStats{
+		Fetches:            10,
+		CacheHits:          4,
+		SpecHits:           2,
+		Prefetched:         3,
+		Pushed:             2,
+		BytesIn:            9000,
+		SpecHitBytes:       2000,
+		DemandBytes:        10000,
+		MissBytes:          6000,
 		PrefetchRoundTrips: 1,
 	}
-	sum := s.Summary()
+	// Six answered requests took 0.021 s in all, the four misses 0.019 s.
+	r := s.PaperRatios(0.021, 0.019, 4)
 	// baseline bytes = 6000 + 2000 = 8000
-	if sum.BaselineBytes != 8000 {
-		t.Fatalf("baseline bytes = %d, want 8000", sum.BaselineBytes)
+	if s.BaselineBytes() != 8000 {
+		t.Fatalf("baseline bytes = %d, want 8000", s.BaselineBytes())
 	}
-	if got, want := sum.Ratios.Bandwidth, 9000.0/8000.0; math.Abs(got-want) > 1e-9 {
+	if got, want := r.Bandwidth, 9000.0/8000.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("bandwidth ratio = %g, want %g", got, want)
 	}
 	// server load counts the one round trip the three prefetched
 	// documents took, not the documents: (10-4+1)/(10-4+2) = 7/8
-	if got, want := sum.Ratios.ServerLoad, 7.0/8.0; math.Abs(got-want) > 1e-9 {
+	if got, want := r.ServerLoad, 7.0/8.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("server load ratio = %g, want %g", got, want)
 	}
 	// byte miss rate: 6000/8000
-	if got, want := sum.Ratios.ByteMissRate, 0.75; math.Abs(got-want) > 1e-9 {
+	if got, want := r.ByteMissRate, 0.75; math.Abs(got-want) > 1e-9 {
 		t.Errorf("byte miss rate ratio = %g, want %g", got, want)
 	}
-	// service time: sum(lat)=0.021; baseline = 0.021 + 2*(0.019/4)
+	// service time: baseline = 0.021 + 2*(0.019/4)
 	wantST := 0.021 / (0.021 + 2*0.019/4)
-	if got := sum.Ratios.ServiceTime; math.Abs(got-wantST) > 1e-9 {
+	if got := r.ServiceTime; math.Abs(got-wantST) > 1e-9 {
 		t.Errorf("service time ratio = %g, want %g", got, wantST)
-	}
-	if sum.LatencyMS.Max != 10 {
-		t.Errorf("max latency = %gms, want 10", sum.LatencyMS.Max)
-	}
-	if sum.LatencyMS.P50 <= 0 || sum.LatencyMS.P99 < sum.LatencyMS.P50 {
-		t.Errorf("implausible percentiles: %+v", sum.LatencyMS)
 	}
 }
 
 // TestReplaySummaryEmpty keeps the degenerate case neutral.
 func TestReplaySummaryEmpty(t *testing.T) {
-	sum := (&ReplayStats{}).Summary()
-	if sum.Ratios.Bandwidth != 1 || sum.Ratios.ServerLoad != 1 ||
-		sum.Ratios.ServiceTime != 1 || sum.Ratios.ByteMissRate != 1 {
-		t.Errorf("empty run should yield neutral ratios, got %+v", sum.Ratios)
+	r := ClientStats{}.PaperRatios(0, 0, 0)
+	if r != (PaperRatios{Bandwidth: 1, ServerLoad: 1, ServiceTime: 1, ByteMissRate: 1}) {
+		t.Errorf("empty run should yield neutral ratios, got %+v", r)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -15,9 +14,6 @@ import (
 
 	"specweb/internal/obs"
 	"specweb/internal/overload"
-	"specweb/internal/stats"
-	"specweb/internal/trace"
-	"specweb/internal/webgraph"
 )
 
 // TestServerAdmissionSheds holds the single demand slot externally and
@@ -246,192 +242,28 @@ func TestServerDegradationLadder(t *testing.T) {
 
 // TestStatsOmitOverloadWhenDisabled pins the compatibility contract: a
 // server without overload control emits exactly the pre-overload
-// /spec/stats shape (no Overload key), and a closed-loop fault-free
-// replay summary carries neither a chaos nor an overload section.
+// /spec/stats shape (no Overload key), before traffic and after it.
 func TestStatsOmitOverloadWhenDisabled(t *testing.T) {
 	w := newWorld(t, ModePush)
-	resp, err := http.Get(w.ts.URL + "/spec/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if strings.Contains(string(raw), "Overload") {
-		t.Errorf("stats JSON leaks overload section without overload control: %s", raw)
-	}
-
-	tr := &trace.Trace{}
-	for i := 0; i < 8; i++ {
-		tr.Requests = append(tr.Requests, trace.Request{
-			Client: trace.ClientID(fmt.Sprintf("c%d", i%2)),
-			Path:   w.site.Docs[0].Path,
-		})
-	}
-	st, err := Replay(tr, ReplayConfig{Base: w.ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := st.Summary()
-	if sum.Overload != nil || sum.Chaos != nil {
-		t.Errorf("fault-free closed-loop summary grew sections: %+v", sum)
-	}
-	b, _ := json.Marshal(sum)
-	if strings.Contains(string(b), "overload") {
-		t.Errorf("summary JSON leaks overload key: %s", b)
-	}
-}
-
-// slowStore adds a fixed service delay per content fetch, making
-// speculative pushes genuinely expensive so open-loop overload is
-// reproducible on any machine.
-type slowStore struct {
-	Store
-	delay time.Duration
-}
-
-func (s slowStore) Content(id webgraph.DocID) ([]byte, bool) {
-	time.Sleep(s.delay)
-	return s.Store.Content(id)
-}
-
-// TestOpenLoopOverloadAcceptance is the acceptance bar from the issue:
-// replayed at roughly twice the speculative closed-loop saturation rate
-// with the governor active, demand p99 must stay near the
-// no-speculation baseline while at least 90% of everything shed is
-// speculative-class work. Bounds are deliberately loose — the point is
-// that the ladder sheds speculation, not demand.
-func TestOpenLoopOverloadAcceptance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock open-loop run")
-	}
-	site, err := webgraph.Generate(webgraph.TinySite(), stats.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var page *webgraph.Document
-	for i := range site.Docs {
-		d := &site.Docs[i]
-		if d.Kind == webgraph.Page && len(d.Embedded) > 0 {
-			page = d
-			break
-		}
-	}
-	if page == nil {
-		t.Fatal("no page with embedded objects")
-	}
-	// The store delay dominates per-request service time so that
-	// scheduler noise on a busy test machine (a few ms) cannot flip
-	// which side of saturation the run lands on.
-	const delay = 10 * time.Millisecond
-
-	// buildServer assembles a slow-store server; trained selects whether
-	// the engine pushes (speculative run) or stays cold (baseline).
-	buildServer := func(t *testing.T, trained, governed bool) (*Server, string, func()) {
-		reg := obs.NewRegistry()
-		cfg := DefaultServerConfig()
-		cfg.Mode = ModePush
-		cfg.Engine.MinOccurrences = 2
-		cfg.Engine.Tp = 0.3
-		cfg.Metrics = reg
-		if governed {
-			ctrl := overload.NewController(overload.Config{
-				DemandSlots: 4, SpecSlots: 2,
-				QueueDepth: 2048, MaxWait: 2 * time.Second,
-				Metrics: reg,
-			})
-			cfg.Admission = ctrl
-			cfg.Governor = overload.NewGovernor(overload.GovernorConfig{
-				Target:   2*delay + delay/2,
-				Alpha:    0.4,
-				Hold:     25 * time.Millisecond,
-				Pressure: ctrl.Pressure,
-				Metrics:  reg,
-			})
-		}
-		srv, err := NewServer(slowStore{Store: NewSiteStore(site), delay: delay}, cfg)
+	statsJSON := func() string {
+		resp, err := http.Get(w.ts.URL + "/spec/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv)
-		if trained {
-			for i := 0; i < 10; i++ {
-				c := NewClient(ts.URL, ClientConfig{ID: "trainer"})
-				if _, _, err := c.Get(page.Path); err != nil {
-					t.Fatal(err)
-				}
-				for _, e := range page.Embedded {
-					if _, _, err := c.Get(site.Doc(e).Path); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			srv.Engine().Refresh(time.Now())
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return string(raw)
+	}
+	if raw := statsJSON(); strings.Contains(raw, "Overload") {
+		t.Errorf("stats JSON leaks overload section without overload control: %s", raw)
+	}
+	for i := 0; i < 8; i++ {
+		c := NewClient(w.ts.URL, ClientConfig{ID: fmt.Sprintf("c%d", i%2)})
+		if _, _, err := c.Get(w.site.Docs[0].Path); err != nil {
+			t.Fatal(err)
 		}
-		return srv, ts.URL, ts.Close
 	}
-
-	tr := &trace.Trace{}
-	for i := 0; i < 400; i++ {
-		tr.Requests = append(tr.Requests, trace.Request{
-			Client: trace.ClientID(fmt.Sprintf("open-%03d", i)),
-			Path:   page.Path,
-		})
-	}
-	// With 4 demand slots and (1+len(embedded))×10ms of store time per
-	// speculative response, closed-loop speculative saturation is at
-	// most 4/(2×10ms) = 200 req/s, so 250 req/s oversubscribes it —
-	// while the no-speculation path (one 10ms store call per response,
-	// 400 req/s capacity) keeps ~40% headroom even on a noisy machine.
-	rcfg := ReplayConfig{
-		AcceptBundles: true,
-		Rate:          250,
-		Burst:         8,
-	}
-
-	_, baseURL, closeBase := buildServer(t, false, true)
-	rcfg.Base = baseURL
-	baseStats, err := Replay(tr, rcfg)
-	closeBase()
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseSum := baseStats.Summary()
-
-	_, specURL, closeSpec := buildServer(t, true, true)
-	rcfg.Base = specURL
-	specStats, err := Replay(tr, rcfg)
-	closeSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	specSum := specStats.Summary()
-
-	ov := specSum.Overload
-	if ov == nil {
-		t.Fatal("open-loop summary missing overload section")
-	}
-	t.Logf("baseline p99 %.1fms; governed p99 %.1fms, shed %d spec / %d demand (ratio %.3f), max rung %d",
-		baseSum.Overload.DemandP99MS, ov.DemandP99MS,
-		ov.SpeculativeShed, ov.DemandShed, ov.ShedSpeculativeRatio, ov.MaxRung)
-	if ov.SpeculativeShed == 0 {
-		t.Fatal("governor never shed speculative work at 2x saturation")
-	}
-	if ov.MaxRung < overload.RungNoPush {
-		t.Errorf("ladder never climbed: max rung %d", ov.MaxRung)
-	}
-	if ov.ShedSpeculativeRatio < 0.9 {
-		t.Errorf("shed speculative ratio = %.3f, want >= 0.9 (shed must be speculation, not demand)",
-			ov.ShedSpeculativeRatio)
-	}
-	// Loose deterministic bound on the latency claim: the governed run's
-	// demand p99 must stay within a small multiple of the
-	// no-speculation baseline instead of diverging toward the 2s queue
-	// limit as an ungoverned overload would. The additive slack covers
-	// the backlog built during the governor's climb (a few Hold
-	// periods of oversubscribed arrivals draining at ~150 req/s).
-	limit := 3*baseSum.Overload.DemandP99MS + 250
-	if ov.DemandP99MS > limit {
-		t.Errorf("governed demand p99 %.1fms exceeds %.1fms (3x baseline + 250ms slack)",
-			ov.DemandP99MS, limit)
+	if raw := statsJSON(); strings.Contains(raw, "Overload") {
+		t.Errorf("stats JSON grew an overload section under traffic: %s", raw)
 	}
 }

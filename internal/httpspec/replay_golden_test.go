@@ -1,4 +1,4 @@
-package httpspec
+package httpspec_test
 
 import (
 	"encoding/json"
@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"specweb/internal/attrib"
+	"specweb/internal/httpspec"
+	"specweb/internal/loadgen"
 	"specweb/internal/stats"
 	"specweb/internal/synth"
 )
@@ -55,15 +57,73 @@ const replaySummaryGolden = `{
   }
 }`
 
-// TestReplaySummaryGolden pins what cmd/replay reports for a fixed seeded
-// trace: one closed-loop replay trains the server's engine, an explicit
-// refresh freezes the model, and the summary of a second replay (hybrid,
+// replaySummary is the shape the golden was recorded in: one closed-loop
+// drive's counts, the paper ratios, an always-zero latency block (the
+// golden strips wall-clock fields) and the attribution totals.
+type replaySummary struct {
+	Clients            int                  `json:"clients"`
+	Requests           int64                `json:"requests"`
+	Errors             int64                `json:"errors"`
+	CacheHits          int64                `json:"cache_hits"`
+	SpecHits           int64                `json:"spec_hits"`
+	Pushed             int64                `json:"pushed"`
+	Prefetched         int64                `json:"prefetched"`
+	PrefetchRoundTrips int64                `json:"prefetch_round_trips"`
+	BytesIn            int64                `json:"bytes_in"`
+	DemandBytes        int64                `json:"demand_bytes"`
+	BaselineBytes      int64                `json:"baseline_bytes"`
+	Ratios             httpspec.PaperRatios `json:"ratios"`
+	LatencyMS          struct {
+		P50  float64 `json:"p50"`
+		P90  float64 `json:"p90"`
+		P99  float64 `json:"p99"`
+		Mean float64 `json:"mean"`
+		Max  float64 `json:"max"`
+	} `json:"latency_ms"`
+	Attrib *attrib.Report `json:"attrib,omitempty"`
+}
+
+// summarize is the deterministic part of a whole-trace drive.
+func summarize(res *loadgen.Result, clients int) replaySummary {
+	c := res.Counts
+	sum := replaySummary{
+		Clients: clients, Requests: c.Requests, Errors: c.Errors,
+		CacheHits: c.CacheHits, SpecHits: c.SpecHits, Pushed: c.Pushed,
+		Prefetched: c.Prefetched, PrefetchRoundTrips: c.PrefetchRoundTrips,
+		BytesIn: c.BytesIn, DemandBytes: c.DemandBytes, BaselineBytes: c.BaselineBytes,
+		Ratios: httpspec.PaperRatios{
+			Bandwidth:    res.Ratios.Bandwidth,
+			ServerLoad:   res.Ratios.ServerLoad,
+			ByteMissRate: res.Ratios.ByteMissRate,
+		},
+	}
+	if res.Attrib != nil {
+		sum.Attrib = &attrib.Report{Totals: res.Attrib.Totals}
+	}
+	return sum
+}
+
+// driveTrace sends a whole trace, no warmup, through loadgen's drive loop
+// against a live server: the way every test here replays a trace.
+func driveTrace(t *testing.T, cfg loadgen.Config) (*loadgen.Result, *loadgen.WorkloadInfo) {
+	t.Helper()
+	cfg.WarmupFraction = -1
+	res, winfo, _, err := loadgen.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, winfo
+}
+
+// TestReplaySummaryGolden pins what a drive of a fixed seeded trace
+// reports: one closed-loop drive trains the server's engine, an explicit
+// refresh freezes the model, and the summary of a second drive (hybrid,
 // cooperative, prefetching, attribution on) must equal the golden in every
-// field that is not wall-clock. This is the identity gate a fold of
-// Replay's drive loop into loadgen has to keep.
+// field that is not wall-clock. The golden was recorded by the replay
+// driver loadgen replaced, and must not move by one byte.
 func TestReplaySummaryGolden(t *testing.T) {
-	w := newWorld(t, ModeHybrid)
-	scfg := synth.DefaultConfig(w.site, nil)
+	w := httpspec.NewWorld(t, httpspec.ModeHybrid)
+	scfg := synth.DefaultConfig(w.Site(), nil)
 	scfg.Days = 2
 	scfg.SessionsPerDay = 25
 	scfg.RemoteClients = 30
@@ -72,31 +132,25 @@ func TestReplaySummaryGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ReplayConfig{
-		Base:               w.ts.URL,
-		AcceptBundles:      true,
+	cfg := loadgen.Config{
+		Trace:              res.Trace,
+		BaseURL:            w.URL(),
+		Workers:            1,
+		Speculate:          true,
+		Mode:               httpspec.ModeHybrid,
 		Cooperative:        true,
 		PrefetchThreshold:  0.3,
 		SessionGapRequests: 20,
-		Attrib:             true,
 	}
-	if _, err := Replay(res.Trace, cfg); err != nil {
-		t.Fatal(err)
-	}
-	w.advance(time.Hour)
-	w.server.Engine().Refresh(w.clock())
+	driveTrace(t, cfg)
+	w.Advance(time.Hour)
+	w.Server().Engine().Refresh(w.Clock())
 
-	rs, err := Replay(res.Trace, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := rs.Summary()
+	run, winfo := driveTrace(t, cfg)
+	sum := summarize(run, winfo.Clients)
 	if sum.SpecHits == 0 || sum.Pushed == 0 || sum.Prefetched == 0 || sum.Attrib == nil {
 		t.Fatalf("run exercises too little to be worth pinning: %+v", sum)
 	}
-	sum.LatencyMS = LatencySummary{}
-	sum.Ratios.ServiceTime = 0
-	sum.Attrib = &attrib.Report{Totals: sum.Attrib.Totals}
 	got, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +164,7 @@ func TestReplaySummaryGolden(t *testing.T) {
 // a counter added to ClientStats but not to that list would silently drop
 // out of every report's totals.
 func TestClientStatsAddSubCoverEveryField(t *testing.T) {
-	var a, b ClientStats
+	var a, b httpspec.ClientStats
 	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
 	for i := 0; i < av.NumField(); i++ {
 		av.Field(i).SetInt(int64(100 * (i + 1)))
@@ -129,11 +183,10 @@ func TestClientStatsAddSubCoverEveryField(t *testing.T) {
 }
 
 // TestPaperRatiosNegativeBaselineIsNeutral: a counter delta taken across
-// a reset can leave a baseline negative; every ratio then reads 1, in the
-// replay summary exactly as in specbench (the two guards used to differ).
+// a reset can leave a baseline negative; every ratio then reads 1.
 func TestPaperRatiosNegativeBaselineIsNeutral(t *testing.T) {
-	r := ClientStats{Fetches: 2, CacheHits: 5, BytesIn: 10, MissBytes: -5}.PaperRatios(-1, 0, 0)
-	if r != (PaperRatios{Bandwidth: 1, ServerLoad: 1, ServiceTime: 1, ByteMissRate: 1}) {
+	r := httpspec.ClientStats{Fetches: 2, CacheHits: 5, BytesIn: 10, MissBytes: -5}.PaperRatios(-1, 0, 0)
+	if r != (httpspec.PaperRatios{Bandwidth: 1, ServerLoad: 1, ServiceTime: 1, ByteMissRate: 1}) {
 		t.Errorf("negative baselines should read neutral, got %+v", r)
 	}
 }

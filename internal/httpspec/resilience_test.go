@@ -14,14 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"specweb/internal/checkpoint"
-	"specweb/internal/core"
 	"specweb/internal/leakcheck"
 	"specweb/internal/obs"
 	"specweb/internal/resilience"
-	"specweb/internal/resilience/faults"
-	"specweb/internal/stats"
-	"specweb/internal/synth"
 )
 
 // fastRetry keeps retried tests quick and deterministic.
@@ -350,95 +345,6 @@ func TestStripHopByHop(t *testing.T) {
 	}
 	if h.Get("X-C") != "3" {
 		t.Error("unrelated header stripped")
-	}
-}
-
-func TestChaosReplayAvailability(t *testing.T) {
-	// The acceptance bar: a 20% injected connection-error rate with
-	// 4-attempt retries must keep request availability above 99%.
-	w := newWorld(t, ModePush)
-	scfg := synth.DefaultConfig(w.site, nil)
-	scfg.Days = 1
-	scfg.SessionsPerDay = 25
-	scfg.RemoteClients = 20
-	scfg.LocalClients = 5
-	res, err := synth.Generate(scfg, stats.NewRNG(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inj := faults.New(faults.Config{
-		Seed:      42,
-		ErrorRate: 0.2,
-		Metrics:   obs.NewRegistry(),
-	})
-	rs, err := Replay(res.Trace, ReplayConfig{
-		Base:           w.ts.URL,
-		AcceptBundles:  true,
-		HTTP:           &http.Client{Transport: inj.Transport(nil)},
-		Retry:          fastRetry(4),
-		RequestTimeout: 10 * time.Second,
-		Chaos:          true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := inj.Stats(); fs.Errors == 0 {
-		t.Fatal("the injector never fired; the chaos run tested nothing")
-	}
-	if rs.Retried == 0 {
-		t.Error("injected errors caused no retries")
-	}
-	sum := rs.Summary()
-	if sum.Chaos == nil {
-		t.Fatal("chaos run produced no chaos summary")
-	}
-	if sum.Chaos.Availability <= 0.99 {
-		t.Errorf("availability = %.4f under 20%% faults, want > 0.99 (errors %d of %d)",
-			sum.Chaos.Availability, rs.Errors, rs.Requests)
-	}
-	if sum.Chaos.Retries != rs.Retried {
-		t.Errorf("summary retries %d != stats %d", sum.Chaos.Retries, rs.Retried)
-	}
-}
-
-func TestReplaySummaryChaosFieldOptIn(t *testing.T) {
-	// Non-chaos summaries must serialize without any chaos field, so
-	// fault-free runs stay byte-identical to earlier versions.
-	s := &ReplayStats{Requests: 10, Errors: 1, Retried: 3, StaleServes: 2}
-	b, err := json.Marshal(s.Summary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(b), "chaos") {
-		t.Errorf("non-chaos summary mentions chaos: %s", b)
-	}
-
-	s.Chaos = true
-	sum := s.Summary()
-	if sum.Chaos == nil {
-		t.Fatal("chaos summary missing")
-	}
-	if want := 0.9; sum.Chaos.Availability != want {
-		t.Errorf("availability = %v, want %v", sum.Chaos.Availability, want)
-	}
-	if want := 0.2; sum.Chaos.StaleRatio != want {
-		t.Errorf("stale ratio = %v, want %v", sum.Chaos.StaleRatio, want)
-	}
-
-	// A chaos run against a server without a checkpoint store must not
-	// grow a checkpoint section; one with a store carries its ledger.
-	b, err = json.Marshal(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(b), "checkpoint") {
-		t.Errorf("storeless chaos summary mentions checkpoint: %s", b)
-	}
-	s.ServerEngine = &core.Stats{Checkpoint: &checkpoint.Counters{Saved: 2, Loaded: 1}}
-	sum = s.Summary()
-	if sum.Chaos.Checkpoint == nil || sum.Chaos.Checkpoint.Saved != 2 || sum.Chaos.Checkpoint.Loaded != 1 {
-		t.Errorf("checkpoint ledger did not flow into chaos summary: %+v", sum.Chaos.Checkpoint)
 	}
 }
 

@@ -140,11 +140,19 @@ func (h *Hist) Export() HistState {
 
 // ImportHist reconstructs a histogram from its wire form. A state with
 // more buckets than this build understands is rejected (bucket layout is
-// part of the partial-report schema).
+// part of the partial-report schema), as is a negative count or duration,
+// which no histogram records and Merge's saturating sums do not expect.
 func ImportHist(st HistState) (*Hist, error) {
 	if len(st.Counts) > histBuckets {
 		return nil, fmt.Errorf("loadgen: histogram state has %d buckets, this build has %d",
 			len(st.Counts), histBuckets)
+	}
+	neg := st.N < 0 || st.SumNS < 0 || st.MinNS < 0 || st.MaxNS < 0
+	for _, c := range st.Counts {
+		neg = neg || c < 0
+	}
+	if neg {
+		return nil, fmt.Errorf("loadgen: histogram state has a negative count or duration")
 	}
 	h := NewHist()
 	copy(h.counts, st.Counts)

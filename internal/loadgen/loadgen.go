@@ -27,6 +27,10 @@ type Config struct {
 	// mix: client population, per-client request order, and session
 	// boundaries all come from the generated trace.
 	Workload experiments.WorkloadConfig
+	// Trace, when non-nil, replaces the generated trace: a recorded or
+	// parsed log is driven in index order exactly as a generated one is.
+	// Workload still supplies the site the in-process server serves.
+	Trace *trace.Trace `json:"-"`
 	// Seed drives the generator's own randomness (think-time jitter)
 	// through per-worker stats.RNG streams; 0 uses Workload.Seed.
 	Seed int64
@@ -36,9 +40,10 @@ type Config struct {
 	Workers int
 	// WarmupFraction is the leading share of the trace replayed
 	// sequentially on trace time to train the speculation engine before
-	// measurement begins (default 0.3). The engine is refreshed once at
-	// the warmup boundary and its model then stays frozen, which is
-	// what makes the measured counters deterministic under concurrency.
+	// measurement begins (default 0.3; negative measures the whole trace).
+	// The engine is refreshed once at the warmup boundary and its model
+	// then stays frozen, which is what makes the measured counters
+	// deterministic under concurrency.
 	WarmupFraction float64
 
 	// Speculate selects the arm: true drives speculative clients
@@ -58,11 +63,6 @@ type Config struct {
 	// SessionGapRequests ends a client's session after this many
 	// requests (default 50; negative disables).
 	SessionGapRequests int
-	// Reps repeats each arm and keeps the best-throughput rep's Timing
-	// (default 1). The deterministic section is identical across reps,
-	// so extra reps only de-noise the wall-clock metrics: best-of-N is
-	// what makes a 10% regression gate hold on a shared CI runner.
-	Reps int
 
 	// OpenLoop switches to paced arrival at Rate requests/second in
 	// groups of Burst: the dispatcher hands requests to workers on
@@ -158,8 +158,11 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.WarmupFraction <= 0 || c.WarmupFraction >= 0.95 {
+	if c.WarmupFraction == 0 || c.WarmupFraction >= 0.95 {
 		c.WarmupFraction = 0.3
+	}
+	if c.WarmupFraction < 0 {
+		c.WarmupFraction = 0
 	}
 	if c.MaxPush == 0 {
 		c.MaxPush = 16
@@ -245,7 +248,6 @@ func (c Config) info() ConfigInfo {
 		Cooperative:        c.Cooperative,
 		PrefetchThreshold:  c.PrefetchThreshold,
 		SessionGapRequests: c.SessionGapRequests,
-		Reps:               c.Reps,
 		OpenLoop:           c.OpenLoop,
 		Rate:               c.Rate,
 		Burst:              c.Burst,
@@ -414,15 +416,23 @@ func runArm(cfg Config) (*Result, PartialArm, *WorkloadInfo, ConfigInfo, error) 
 // (expensive, O(requests) memory).
 func (r *run) openSource() (*WorkloadInfo, error) {
 	cfg := r.cfg
-	if cfg.Stream {
+	if cfg.Trace != nil && (cfg.Stream || cfg.info().Scenario != "") {
+		return nil, fmt.Errorf("loadgen: a supplied trace is neither streamed nor overlaid with a scenario")
+	}
+	if cfg.Stream || cfg.Trace != nil {
+		// The stream form of the workload yields its site without
+		// generating a trace, which a supplied trace stands in for.
 		sw, err := experiments.BuildStream(cfg.Workload)
 		if err != nil {
 			return nil, err
 		}
 		r.site = sw.Site
-		if cfg.StreamMaterialize {
+		switch {
+		case cfg.Trace != nil:
+			r.src = traceSource{cfg.Trace}
+		case cfg.StreamMaterialize:
 			r.src = traceSource{trace.Materialize(sw.Gen.Merged())}
-		} else {
+		default:
 			r.src = cursorSource{sw.Gen}
 		}
 	} else {
@@ -455,8 +465,7 @@ func (r *run) openSource() (*WorkloadInfo, error) {
 // first-appearance order, all sharing the stack's transport.
 func (r *run) newClients() {
 	cfg := r.cfg
-	// One retrier shares the retry budget across all clients, as in
-	// cmd/replay.
+	// One retrier shares the retry budget across all clients.
 	var retrier *resilience.Retrier
 	if cfg.Retry.MaxAttempts > 1 {
 		retrier = resilience.NewRetrier(cfg.Retry)
@@ -578,9 +587,9 @@ func (r *run) serverSections(res *Result) {
 // RunReport executes cfg as the report's speculative arm and, when
 // withBaseline and cfg.Speculate, the identical workload once more with
 // speculation off — the paper's baseline — then assembles the BENCH
-// report with the arm-relative timing comparison.
+// report.
 func RunReport(cfg Config, withBaseline bool) (*Report, error) {
-	specRes, winfo, cinfo, err := runBest(cfg)
+	specRes, winfo, cinfo, err := Run(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -588,35 +597,12 @@ func RunReport(cfg Config, withBaseline bool) (*Report, error) {
 	if withBaseline && cfg.Speculate {
 		b := cfg
 		b.Speculate = false
-		rep.Baseline, _, _, err = runBest(b)
+		rep.Baseline, _, _, err = Run(b)
 		if err != nil {
 			return nil, err
 		}
-		rep.Relative = relative(rep.Spec, rep.Baseline)
 	}
 	return rep, nil
-}
-
-// runBest executes one arm cfg.Reps times, keeping the first rep's
-// result with the fastest rep's Timing substituted in. Counts are
-// byte-identical across fault-free reps, so this sharpens only the
-// wall-clock section.
-func runBest(cfg Config) (*Result, *WorkloadInfo, ConfigInfo, error) {
-	res, winfo, cinfo, err := Run(cfg)
-	if err != nil {
-		return nil, nil, cinfo, err
-	}
-	for i := 1; i < cfg.Reps; i++ {
-		again, _, _, err := Run(cfg)
-		if err != nil {
-			return nil, nil, cinfo, err
-		}
-		if t := again.Timing; t != nil &&
-			(res.Timing == nil || t.Throughput > res.Timing.Throughput) {
-			res.Timing = t
-		}
-	}
-	return res, winfo, cinfo, nil
 }
 
 // workerOf assigns a client to a worker by stable hash, so the partition

@@ -3,7 +3,10 @@ package loadgen
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"time"
 
 	"specweb/internal/attrib"
@@ -195,7 +198,6 @@ func MergePartials(parts []*Partial) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.Relative = relative(rep.Spec, rep.Baseline)
 	}
 
 	// The coordinator's own heap snapshot stands in for the per-process
@@ -224,14 +226,16 @@ func mergeArms(arms []PartialArm) (*Result, error) {
 			return nil, err
 		}
 		hist.Merge(h)
-		sum.Stats = sum.Stats.Add(a.Stats)
-		sum.Errors += a.Errors
-		sum.MissDurNS += a.MissDurNS
-		sum.MissCount += a.MissCount
+		if err := sum.add(&arms[i]); err != nil {
+			return nil, err
+		}
 		if a.ElapsedNS > sum.ElapsedNS {
 			sum.ElapsedNS = a.ElapsedNS
 		}
 		if i == 0 {
+			if a.WarmupErrors < 0 {
+				return nil, errCounterRange
+			}
 			sum.WarmupErrors = a.WarmupErrors
 		} else if a.WarmupErrors != sum.WarmupErrors {
 			return nil, fmt.Errorf("loadgen: shards disagree on warmup errors (%d vs %d) — warmup replays diverged",
@@ -250,8 +254,60 @@ func mergeArms(arms []PartialArm) (*Result, error) {
 		}
 		res.Attrib = rep
 	}
-	res.Overload = mergeOverload(arms)
+	ov, err := mergeOverload(arms)
+	if err != nil {
+		return nil, err
+	}
+	res.Overload = ov
 	return res, nil
+}
+
+// errCounterRange refuses counters no worker emits: a negative count, a
+// counter that ran backwards, or shard counts whose sum would wrap int64.
+// The coordinator decodes partials off the network, so it checks before
+// it sums.
+var errCounterRange = errors.New("loadgen: partial counters negative or overflowing")
+
+// addCounter adds a non-negative count to dst, refusing a negative one or
+// a sum that would wrap.
+func addCounter(dst *int64, v int64) error {
+	if v < 0 || *dst > math.MaxInt64-v {
+		return errCounterRange
+	}
+	*dst += v
+	return nil
+}
+
+// addDelta adds one counter's end-freeze growth to dst.
+func addDelta(dst *int64, end, freeze int64) error {
+	if freeze < 0 || end < freeze {
+		return errCounterRange
+	}
+	return addCounter(dst, end-freeze)
+}
+
+// add sums o's counters into a: every ClientStats field (all int64, as
+// ClientStats.Add requires), the errors and the miss accumulators.
+func (a *PartialArm) add(o *PartialArm) error {
+	dst, src := reflect.ValueOf(&a.Stats).Elem(), reflect.ValueOf(o.Stats)
+	for i := 0; i < dst.NumField(); i++ {
+		n := dst.Field(i).Int()
+		if err := addCounter(&n, src.Field(i).Int()); err != nil {
+			return err
+		}
+		dst.Field(i).SetInt(n)
+	}
+	for _, c := range []struct {
+		dst *int64
+		v   int64
+	}{
+		{&a.Errors, o.Errors}, {&a.MissDurNS, o.MissDurNS}, {&a.MissCount, o.MissCount},
+	} {
+		if err := addCounter(c.dst, c.v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // mergeOverload reconstructs the single-process overload stats. The
@@ -260,9 +316,9 @@ func mergeArms(arms []PartialArm) (*Result, error) {
 // measurement-phase counter deltas partition by shard, so shard 0's end
 // snapshot — freeze plus its own delta, and the source of the gauges and
 // governor state — needs only the other shards' deltas added.
-func mergeOverload(arms []PartialArm) *httpspec.ServerOverloadStats {
+func mergeOverload(arms []PartialArm) (*httpspec.ServerOverloadStats, error) {
 	if arms[0].OverloadEnd == nil {
-		return nil
+		return nil, nil
 	}
 	out := *arms[0].OverloadEnd
 	if out.Admission != nil {
@@ -274,20 +330,26 @@ func mergeOverload(arms []PartialArm) *httpspec.ServerOverloadStats {
 		if e == nil || f == nil {
 			continue
 		}
-		out.PushesSuppressed += e.PushesSuppressed - f.PushesSuppressed
-		out.EmbedsSuppressed += e.EmbedsSuppressed - f.EmbedsSuppressed
-		out.DemandShed += e.DemandShed - f.DemandShed
+		err := errors.Join(
+			addDelta(&out.PushesSuppressed, e.PushesSuppressed, f.PushesSuppressed),
+			addDelta(&out.EmbedsSuppressed, e.EmbedsSuppressed, f.EmbedsSuppressed),
+			addDelta(&out.DemandShed, e.DemandShed, f.DemandShed))
 		if out.Admission != nil && e.Admission != nil && f.Admission != nil {
-			addDelta(&out.Admission.Demand, e.Admission.Demand, f.Admission.Demand)
-			addDelta(&out.Admission.Speculative, e.Admission.Speculative, f.Admission.Speculative)
+			err = errors.Join(err,
+				addClassDelta(&out.Admission.Demand, e.Admission.Demand, f.Admission.Demand),
+				addClassDelta(&out.Admission.Speculative, e.Admission.Speculative, f.Admission.Speculative))
+		}
+		if err != nil {
+			return nil, errCounterRange
 		}
 	}
-	return &out
+	return &out, nil
 }
 
-// addDelta adds one class's admission activity between two snapshots.
-func addDelta(dst *overload.ClassStats, end, freeze overload.ClassStats) {
-	dst.Admitted += end.Admitted - freeze.Admitted
-	dst.Rejected += end.Rejected - freeze.Rejected
-	dst.Queued += end.Queued - freeze.Queued
+// addClassDelta adds one class's admission activity between two snapshots.
+func addClassDelta(dst *overload.ClassStats, end, freeze overload.ClassStats) error {
+	return errors.Join(
+		addDelta(&dst.Admitted, end.Admitted, freeze.Admitted),
+		addDelta(&dst.Rejected, end.Rejected, freeze.Rejected),
+		addDelta(&dst.Queued, end.Queued, freeze.Queued))
 }

@@ -16,9 +16,8 @@ import (
 const ReportSchema = "specbench/1"
 
 // Report is the BENCH.json document: one or two arms (speculative and,
-// when requested, a no-speculation baseline run of the same workload)
-// plus the timing-derived comparison between them. Everything outside
-// the Timing sections and Relative block is deterministic for a given
+// when requested, a no-speculation baseline run of the same workload).
+// Everything outside the Timing sections is deterministic for a given
 // config and seed — byte-identical across runs, machines and worker
 // counts — so regression gates can hold those fields to zero drift.
 type Report struct {
@@ -27,10 +26,6 @@ type Report struct {
 	Workload WorkloadInfo `json:"workload"`
 	Spec     *Result      `json:"spec"`
 	Baseline *Result      `json:"baseline,omitempty"`
-	// Relative compares the two arms' wall-clock metrics; ratios of
-	// same-process measurements are far more machine-portable than the
-	// raw numbers.
-	Relative *Relative `json:"relative,omitempty"`
 }
 
 // ConfigInfo echoes the generator configuration into the report.
@@ -46,7 +41,6 @@ type ConfigInfo struct {
 	Cooperative        bool    `json:"cooperative"`
 	PrefetchThreshold  float64 `json:"prefetch_threshold"`
 	SessionGapRequests int     `json:"session_gap_requests"`
-	Reps               int     `json:"reps,omitempty"`
 	OpenLoop           bool    `json:"open_loop"`
 	Rate               float64 `json:"rate,omitempty"`
 	Burst              int     `json:"burst,omitempty"`
@@ -160,7 +154,7 @@ type Ratios struct {
 }
 
 // Timing is the wall-clock section: excluded from the deterministic
-// fingerprint, compared only through tolerance gates.
+// fingerprint and from every gate.
 type Timing struct {
 	DurationSeconds float64      `json:"duration_seconds"`
 	Throughput      float64      `json:"throughput_rps"`
@@ -192,27 +186,6 @@ type Quantiles struct {
 	Max  float64 `json:"max"`
 }
 
-// Relative compares the speculative arm to the baseline arm run in the
-// same process: P99Ratio < 1 means speculation improved tail latency,
-// ThroughputRatio > 1 means it improved throughput.
-type Relative struct {
-	P99Ratio        float64 `json:"p99_ratio"`
-	ThroughputRatio float64 `json:"throughput_ratio"`
-}
-
-// relative compares two arms' wall-clock sections; nil when the baseline
-// has nothing to divide by.
-func relative(spec, baseline *Result) *Relative {
-	st, bt := spec.Timing, baseline.Timing
-	if st == nil || bt == nil || bt.Latency.P99 <= 0 || bt.Throughput <= 0 {
-		return nil
-	}
-	return &Relative{
-		P99Ratio:        st.Latency.P99 / bt.Latency.P99,
-		ThroughputRatio: st.Throughput / bt.Throughput,
-	}
-}
-
 // heapNow forces a collection and snapshots the process heap.
 func heapNow() *MemoryInfo {
 	runtime.GC()
@@ -238,7 +211,6 @@ func quantiles(h *Hist) Quantiles {
 // the portion that must be byte-identical across runs of one config.
 func (r *Report) Deterministic() *Report {
 	out := *r
-	out.Relative = nil
 	strip := func(res *Result) *Result {
 		if res == nil {
 			return nil
@@ -262,43 +234,14 @@ func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// CompareOptions tune the regression gate.
-type CompareOptions struct {
-	// TolerancePct is the allowed relative drift, in percent, for every
-	// gated metric (default 10).
-	TolerancePct float64
-	// LatencySlackMS forgives absolute latency differences below this
-	// many milliseconds — sub-millisecond in-process runs sit inside
-	// scheduler noise and one histogram bucket (default 0.75).
-	LatencySlackMS float64
-	// Absolute additionally gates the raw per-arm throughput and p99,
-	// which only makes sense when baseline and candidate ran on the
-	// same class of machine. Off by default: the machine-portable gates
-	// are the deterministic counts/ratios and the arm-relative timing.
-	Absolute bool
-}
-
 // Compare gates current against baseline, returning one message per
 // violated bound (empty means the gate passes). Deterministic counts and
-// ratios must stay within tolerance; errors and shed may not appear
-// where the baseline had none; the arm-relative p99 and throughput
-// ratios may not regress by more than the tolerance.
-func Compare(baseline, current *Report, opt CompareOptions) []string {
-	if opt.LatencySlackMS <= 0 {
-		opt.LatencySlackMS = 0.75
-	}
-	g := newGate(opt.TolerancePct, baseline.Schema, current.Schema)
-	fail, relDrift, tol := g.fail, g.drift, g.tolerancePct/100
-	// Latency-style: regression only (higher is worse), with the
-	// absolute slack floor.
-	latWorse := func(name string, base, cur float64) {
-		if cur <= base*(1+tol) || cur-base <= opt.LatencySlackMS {
-			return
-		}
-		fail("%s regressed %.1f%% (baseline %.4gms, current %.4gms)",
-			name, (cur/base-1)*100, base, cur)
-	}
-
+// ratios must stay within tolerancePct percent (default 10); errors and
+// shed may not appear where the baseline had none. Wall-clock timing is
+// not gated here: benchmark/run.sh and its history are the timing record.
+func Compare(baseline, current *Report, tolerancePct float64) []string {
+	g := newGate(tolerancePct, baseline.Schema, current.Schema)
+	fail, relDrift := g.fail, g.drift
 	arm := func(name string, base, cur *Result) {
 		if base == nil || cur == nil {
 			if base != cur {
@@ -318,33 +261,9 @@ func Compare(baseline, current *Report, opt CompareOptions) []string {
 		relDrift(name+".ratios.bandwidth", base.Ratios.Bandwidth, cur.Ratios.Bandwidth)
 		relDrift(name+".ratios.server_load", base.Ratios.ServerLoad, cur.Ratios.ServerLoad)
 		relDrift(name+".ratios.byte_miss_rate", base.Ratios.ByteMissRate, cur.Ratios.ByteMissRate)
-		if opt.Absolute && base.Timing != nil && cur.Timing != nil {
-			latWorse(name+".timing.latency_ms.p99", base.Timing.Latency.P99, cur.Timing.Latency.P99)
-			if bt, ct := base.Timing.Throughput, cur.Timing.Throughput; bt > 0 && ct < bt*(1-tol) {
-				fail("%s.timing.throughput_rps regressed %.1f%% (baseline %.6g, current %.6g)",
-					name, (1-ct/bt)*100, bt, ct)
-			}
-		}
 	}
 	arm("spec", baseline.Spec, current.Spec)
 	arm("baseline", baseline.Baseline, current.Baseline)
-
-	if b, c := baseline.Relative, current.Relative; b != nil && c != nil {
-		// The spec arm's p99 may not grow relative to the no-spec arm
-		// beyond tolerance — unless the absolute p99 gap is inside the
-		// slack floor (microsecond in-process tails bounce between
-		// adjacent histogram buckets).
-		if c.P99Ratio > b.P99Ratio*(1+tol) &&
-			current.Spec != nil && current.Baseline != nil &&
-			current.Spec.Timing != nil && current.Baseline.Timing != nil &&
-			current.Spec.Timing.Latency.P99-current.Baseline.Timing.Latency.P99 > opt.LatencySlackMS {
-			fail("relative.p99_ratio regressed: baseline %.4g, current %.4g", b.P99Ratio, c.P99Ratio)
-		}
-		if b.ThroughputRatio > 0 && c.ThroughputRatio < b.ThroughputRatio*(1-tol) {
-			fail("relative.throughput_ratio regressed: baseline %.4g, current %.4g",
-				b.ThroughputRatio, c.ThroughputRatio)
-		}
-	}
 	return g.v
 }
 

@@ -27,7 +27,6 @@ func sampleReport() *Report {
 			Timing: &Timing{DurationSeconds: 0.6, Throughput: 350,
 				Latency: Quantiles{P50: 0.3, P99: 2.0}},
 		},
-		Relative: &Relative{P99Ratio: 0.75, ThroughputRatio: 1.2},
 	}
 }
 
@@ -56,7 +55,7 @@ func TestDeterministicJSONStripsTiming(t *testing.T) {
 }
 
 func TestCompareIdenticalPasses(t *testing.T) {
-	if v := Compare(sampleReport(), sampleReport(), CompareOptions{}); len(v) != 0 {
+	if v := Compare(sampleReport(), sampleReport(), 0); len(v) != 0 {
 		t.Fatalf("identical reports flagged: %v", v)
 	}
 }
@@ -64,7 +63,7 @@ func TestCompareIdenticalPasses(t *testing.T) {
 func TestCompareCatchesCountDrift(t *testing.T) {
 	cur := sampleReport()
 	cur.Spec.Counts.Requests = 260 // +24%
-	v := Compare(sampleReport(), cur, CompareOptions{})
+	v := Compare(sampleReport(), cur, 0)
 	if len(v) == 0 || !strings.Contains(strings.Join(v, "\n"), "requests") {
 		t.Fatalf("24%% request drift not flagged: %v", v)
 	}
@@ -73,7 +72,7 @@ func TestCompareCatchesCountDrift(t *testing.T) {
 func TestCompareCatchesNewErrors(t *testing.T) {
 	cur := sampleReport()
 	cur.Spec.Counts.Errors = 3
-	v := Compare(sampleReport(), cur, CompareOptions{})
+	v := Compare(sampleReport(), cur, 0)
 	if len(v) == 0 || !strings.Contains(strings.Join(v, "\n"), "errors") {
 		t.Fatalf("new errors not flagged: %v", v)
 	}
@@ -82,49 +81,19 @@ func TestCompareCatchesNewErrors(t *testing.T) {
 func TestCompareCatchesRatioDrift(t *testing.T) {
 	cur := sampleReport()
 	cur.Spec.Ratios.ServerLoad = 1.05 // was 0.85: speculation stopped helping
-	v := Compare(sampleReport(), cur, CompareOptions{})
+	v := Compare(sampleReport(), cur, 0)
 	if len(v) == 0 || !strings.Contains(strings.Join(v, "\n"), "server_load") {
 		t.Fatalf("server_load drift not flagged: %v", v)
 	}
 }
 
-func TestCompareCatchesRelativeP99Regression(t *testing.T) {
-	cur := sampleReport()
-	cur.Relative.P99Ratio = 2.5
-	cur.Spec.Timing.Latency.P99 = 5.0 // 3ms above the baseline arm: beyond slack
-	v := Compare(sampleReport(), cur, CompareOptions{})
-	if len(v) == 0 || !strings.Contains(strings.Join(v, "\n"), "p99_ratio") {
-		t.Fatalf("relative p99 regression not flagged: %v", v)
-	}
-}
-
-func TestCompareLatencySlackForgivesMicroNoise(t *testing.T) {
-	cur := sampleReport()
-	// Ratio doubled but the absolute gap is 0.3ms — inside the slack.
-	cur.Relative.P99Ratio = 1.6
-	cur.Spec.Timing.Latency.P99 = 2.3
-	if v := Compare(sampleReport(), cur, CompareOptions{}); len(v) != 0 {
-		t.Fatalf("sub-slack latency noise flagged: %v", v)
-	}
-}
-
-func TestCompareCatchesThroughputRatioRegression(t *testing.T) {
-	cur := sampleReport()
-	cur.Relative.ThroughputRatio = 0.9 // was 1.2
-	v := Compare(sampleReport(), cur, CompareOptions{})
-	if len(v) == 0 || !strings.Contains(strings.Join(v, "\n"), "throughput_ratio") {
-		t.Fatalf("throughput ratio regression not flagged: %v", v)
-	}
-}
-
-func TestCompareAbsoluteMode(t *testing.T) {
+// TestCompareIgnoresTiming: the gate holds counts and ratios only; a
+// slower run on a slower machine is not a regression of the protocol.
+func TestCompareIgnoresTiming(t *testing.T) {
 	cur := sampleReport()
 	cur.Spec.Timing.Throughput = 100 // -76%
-	if v := Compare(sampleReport(), cur, CompareOptions{}); len(v) != 0 {
-		t.Fatalf("absolute throughput gated without Absolute: %v", v)
-	}
-	v := Compare(sampleReport(), cur, CompareOptions{Absolute: true})
-	if len(v) == 0 || !strings.Contains(strings.Join(v, "\n"), "throughput_rps") {
-		t.Fatalf("absolute throughput regression not flagged: %v", v)
+	cur.Spec.Timing.Latency.P99 = 50
+	if v := Compare(sampleReport(), cur, 0); len(v) != 0 {
+		t.Fatalf("wall-clock timing gated: %v", v)
 	}
 }

@@ -246,7 +246,6 @@ func (r *RestartReport) JSON() ([]byte, error) {
 // workload and assembles the report. A CrashFraction preset on
 // cfg.Restart applies to every arm; the mode there is ignored.
 func RunRestartSuite(cfg Config) (*RestartReport, error) {
-	cfg.Reps = 1 // the suite gates counters, not wall-clock timing
 	var frac float64
 	if cfg.Restart != nil {
 		frac = cfg.Restart.CrashFraction

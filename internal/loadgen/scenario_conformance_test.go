@@ -79,7 +79,7 @@ func TestScenarioConformanceMatrix(t *testing.T) {
 // TestScenarioSuiteInvariants runs the full specbench scenario suite on
 // the tiny workload and checks only the structural pieces that hold at
 // any scale: the suite produces every arm, the schema is stamped, and a
-// second run is byte-identical outside the wall-clock fields.
+// second run is byte-identical.
 func TestScenarioSuiteInvariants(t *testing.T) {
 	leakcheck.Check(t)
 	base := scenarioCellConfig("", true)
@@ -102,15 +102,8 @@ func TestScenarioSuiteInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strip := func(r *ScenarioReport) []ScenarioArm {
-		arms := append([]ScenarioArm(nil), r.Arms...)
-		for i := range arms {
-			arms[i].P99MS = 0
-		}
-		return arms
-	}
-	aj, _ := (&ScenarioReport{Schema: rep.Schema, Arms: strip(rep)}).JSON()
-	bj, _ := (&ScenarioReport{Schema: again.Schema, Arms: strip(again)}).JSON()
+	aj, _ := rep.JSON()
+	bj, _ := again.JSON()
 	if !bytes.Equal(aj, bj) {
 		t.Errorf("suite reruns diverged:\n%s\n--- vs ---\n%s", aj, bj)
 	}

@@ -24,8 +24,7 @@ var ScenarioInterceptionBound = map[string]float64{
 }
 
 // ScenarioArm is one suite cell: a scenario × estguard combination run
-// over the same base configuration. Everything but P99MS is deterministic
-// for a given seed.
+// over the same base configuration, deterministic for a given seed.
 type ScenarioArm struct {
 	Name     string `json:"name"`
 	Scenario string `json:"scenario,omitempty"`
@@ -39,9 +38,6 @@ type ScenarioArm struct {
 	Counts         Counts        `json:"counts"`
 	Ratios         Ratios        `json:"ratios"`
 	Guard          *EstguardInfo `json:"guard,omitempty"`
-	// P99MS is wall-clock demand latency; within one suite run all arms
-	// share a process, so arm-relative comparisons are meaningful.
-	P99MS float64 `json:"p99_ms"`
 }
 
 // ScenarioReport is the BENCH-scenarios.json document.
@@ -94,9 +90,6 @@ func RunScenarioSuite(base Config) (*ScenarioReport, error) {
 			arm.Interception = float64(at.Totals.ConsumedBytes) / float64(at.Totals.DeliveredBytes)
 			arm.WastedFraction = float64(at.Totals.WastedBytes) / float64(at.Totals.DeliveredBytes)
 		}
-		if res.Timing != nil {
-			arm.P99MS = res.Timing.Latency.P99
-		}
 		if cell.name == "clean" {
 			rep.Config = cinfo
 		}
@@ -128,13 +121,10 @@ func (r *ScenarioReport) JSON() ([]byte, error) {
 //   - no guarded adversarial arm degrades interception below the clean
 //     arm by more than its committed ScenarioInterceptionBound;
 //   - the guarded crawler arm quarantines at least one client (the
-//     mechanism actually fired — a vacuous win is a bug);
-//   - demand p99 under any scenario stays within p99Factor of the clean
-//     arm (a generous same-process smoke bound, not a precision gate).
+//     mechanism actually fired — a vacuous win is a bug).
 //
 // It returns one message per violated invariant.
 func CheckScenarioInvariants(rep *ScenarioReport) []string {
-	const p99Factor = 5.0
 	var v []string
 	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
 
@@ -168,18 +158,13 @@ func CheckScenarioInvariants(rep *ScenarioReport) []string {
 			fail("%s: interception %.4f dropped %.4f below clean %.4f (bound %.2f)",
 				arm.Name, arm.Interception, drop, clean.Interception, bound)
 		}
-		if clean.P99MS > 0 && arm.P99MS > clean.P99MS*p99Factor {
-			fail("%s: demand p99 %.3fms exceeds %gx the clean arm's %.3fms",
-				arm.Name, arm.P99MS, p99Factor, clean.P99MS)
-		}
 	}
 	return v
 }
 
 // CompareScenarios gates current against a committed baseline suite: the
 // deterministic per-arm metrics (interception, wasted fraction, counts,
-// quarantine ledger) must stay within tolerance. Wall-clock p99 is not
-// baseline-gated — CheckScenarioInvariants bounds it arm-relatively.
+// quarantine ledger) must stay within tolerance.
 func CompareScenarios(baseline, current *ScenarioReport, tolerancePct float64) []string {
 	g := newGate(tolerancePct, baseline.Schema, current.Schema)
 	fail, drift := g.fail, g.drift

@@ -69,13 +69,16 @@ func (r *run) buildStack() (cleanup func(), err error) {
 }
 
 // maybeFaulty wraps a transport with the seeded fault injector when any
-// chaos knob is set.
+// chaos knob is set. A registry the caller put in Faults.Metrics wins, so
+// a caller can read what was injected.
 func (r *run) maybeFaulty(rt http.RoundTripper, reg *obs.Registry) http.RoundTripper {
 	if !r.cfg.Faults.Enabled() {
 		return rt
 	}
 	fcfg := r.cfg.Faults
-	fcfg.Metrics = reg
+	if fcfg.Metrics == nil {
+		fcfg.Metrics = reg
+	}
 	return faults.New(fcfg).Transport(rt)
 }
 
