@@ -180,7 +180,10 @@ fuzz-estimator:
 # slice outside its input, and agree with mime/multipart.Reader on
 # everything it accepts; the in-place traceparent parser must agree with
 # the strings.Split version, and the hint probability with fmt's %.3f.
+# The CLF reader behind specbench -trace must never panic, and every
+# request it accepts must read back unchanged after WriteCLF.
 fuzz-wire:
+	$(GO) test -run '^$$' -fuzz FuzzParseCLF -fuzztime 15s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 15s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzAppendFixed3 -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzParsePMilli -fuzztime 15s ./internal/httpspec/

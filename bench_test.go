@@ -15,7 +15,7 @@ import (
 	"specweb/internal/httpspec"
 	"specweb/internal/loadgen"
 	"specweb/internal/popularity"
-	"specweb/internal/simulate"
+	"specweb/internal/speculation"
 )
 
 var (
@@ -287,11 +287,11 @@ func BenchmarkPrefetch(b *testing.B) {
 	}
 	for _, r := range rows {
 		switch r.Mode {
-		case simulate.ModePush:
+		case speculation.ModePush:
 			b.ReportMetric(r.Ratios.ServerLoadReductionPct(), "push_load_red_%")
-		case simulate.ModeHints:
+		case speculation.ModeHints:
 			b.ReportMetric(r.Ratios.TrafficIncreasePct(), "hints_traffic_%")
-		case simulate.ModeHybrid:
+		case speculation.ModeHybrid:
 			b.ReportMetric(r.Ratios.ServerLoadReductionPct(), "hybrid_load_red_%")
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"specweb/internal/markov"
 	"specweb/internal/netsim"
 	"specweb/internal/simulate"
+	"specweb/internal/speculation"
 	"specweb/internal/webgraph"
 )
 
@@ -84,7 +85,7 @@ func main() {
 
 	// Step 4 — delivery modes (§3.4): pushing versus hinting versus the
 	// hybrid protocol.
-	for _, mode := range []simulate.Mode{simulate.ModePush, simulate.ModeHints, simulate.ModeHybrid} {
+	for _, mode := range []speculation.Mode{speculation.ModePush, speculation.ModeHints, speculation.ModeHybrid} {
 		mc := simulate.Baseline(w.Site, 0.25)
 		mc.Mode = mode
 		mc.PrefetchTp = 0.25

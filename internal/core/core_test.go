@@ -401,27 +401,43 @@ func TestEngineShardedRecordDeterminism(t *testing.T) {
 }
 
 // TestEngineDecisionPathAllocFree pins the tentpole acceptance criterion:
-// a warm pooled Decision makes Speculate/Hints/Split allocation-free.
+// a warm pooled Decision makes Speculate/Hints/Split allocation-free — over
+// every input the selection kernel takes: with and without a cooperative
+// digest, under the threshold and top-K cuts, with and without a MaxSize
+// cap that consults the size cache.
 func TestEngineDecisionPathAllocFree(t *testing.T) {
 	cfg := DefaultEngineConfig()
 	cfg.MinOccurrences = 2
+	cfg.Tp = 0.1
 	e := newTestEngine(t, cfg)
-	feedPattern(e, 20, 3)
+	feedPattern(e, 20, 3, 4)
 	d := AcquireDecision()
 	defer ReleaseDecision(d)
-	e.SplitInto(d, 1, nil) // warm the buffers
-	for name, fn := range map[string]func(){
-		"SpeculateInto": func() { e.SpeculateInto(d, 1, nil) },
-		"HintsInto":     func() { e.HintsInto(d, 1, nil) },
-		"SplitInto":     func() { e.SplitInto(d, 1, nil) },
-	} {
-		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
-			t.Errorf("%s allocates %v per op, want 0", name, allocs)
+	digest := map[webgraph.DocID]bool{3: true}
+	for _, lim := range []struct {
+		maxSize int64
+		topK    int
+	}{{0, 0}, {0, 2}, {2000, 0}, {2000, 2}} {
+		if err := e.SetLimits(lim.maxSize, lim.topK); err != nil {
+			t.Fatal(err)
 		}
-	}
-	e.SpeculateInto(d, 1, nil)
-	if len(d.Push) == 0 {
-		t.Fatal("nothing speculated")
+		for _, have := range []map[webgraph.DocID]bool{nil, digest} {
+			e.SplitInto(d, 1, have) // warm the buffers
+			for name, fn := range map[string]func(){
+				"SpeculateInto": func() { e.SpeculateInto(d, 1, have) },
+				"HintsInto":     func() { e.HintsInto(d, 1, have) },
+				"SplitInto":     func() { e.SplitInto(d, 1, have) },
+			} {
+				if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+					t.Errorf("%s (MaxSize %d, TopK %d, digest %v) allocates %v per op, want 0",
+						name, lim.maxSize, lim.topK, have != nil, allocs)
+				}
+			}
+			e.SpeculateInto(d, 1, have)
+			if len(d.Push) == 0 {
+				t.Fatalf("MaxSize %d, TopK %d, digest %v: nothing speculated", lim.maxSize, lim.topK, have != nil)
+			}
+		}
 	}
 }
 

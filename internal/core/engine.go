@@ -14,8 +14,8 @@
 // service proxies.
 //
 // Both types are safe for concurrent use. The engine's decision path
-// (SpeculateInto/HintsInto/SplitInto) is lock-free: decisions
-// read an immutable {frozen matrix, policy, size cache} snapshot published
+// (SpeculateInto/HintsInto/SplitInto) is lock-free: decisions read an
+// immutable {frozen matrix, selection rule, size cache} snapshot published
 // through an atomic pointer, and Record appends to striped shard buffers,
 // so concurrent requests contend on nothing but their own shard.
 package core
@@ -164,23 +164,17 @@ func (c *EngineConfig) bounded() (markov.BoundedConfig, bool) {
 type SizeFunc func(webgraph.DocID) (int64, bool)
 
 // snapshot is the engine's immutable read-path state: one frozen matrix,
-// the policy compiled over it with the knobs in force, and the size cache
-// resolved at publish time so decisions never call back into the store.
-// A new snapshot is published on every refresh and every knob change;
-// readers load it once per decision and never take a lock.
+// the selection rule with the knobs in force, and the size cache resolved
+// at publish time so decisions never call back into the store. A new
+// snapshot is published on every refresh and every knob change; readers
+// load it once per decision and never take a lock.
 type snapshot struct {
 	frozen *markov.Frozen
-	policy speculation.Policy
+	rule   speculation.Rule
 	// sizes caches SizeFunc results for every successor in frozen;
 	// nil when the engine has no SizeFunc. Docs the SizeFunc does not
 	// know are absent (treated as size-unknown, never filtered).
 	sizes map[webgraph.DocID]int64
-
-	tp      float64
-	embed   float64
-	maxSize int64
-	pairs   int
-	docs    int
 
 	// estStats is the estimator's footprint/eviction ledger captured at
 	// the refresh that produced this snapshot; nil on exact-estimator
@@ -286,7 +280,7 @@ const (
 	phaseDrain      = iota // shard drain, time sort, open-stride split
 	phaseEstimate          // guard partition, decay and fold
 	phaseFreeze            // compile to CSR, snapshot validation
-	phasePublish           // size cache, policy, atomic install
+	phasePublish           // size cache, rule, atomic install
 	phaseCheckpoint        // durable frame; observed only with a store
 	numRefreshPhases
 )
@@ -740,27 +734,22 @@ func (e *Engine) snapshotSizes(f *markov.Frozen) map[webgraph.DocID]int64 {
 	return sizes
 }
 
-// installLocked compiles the policy over frozen with the knobs currently
-// in cfg and publishes the combined snapshot. Callers hold mu (or are the
-// constructor).
+// installLocked publishes frozen with the knobs currently in cfg. Callers
+// hold mu (or are the constructor).
 func (e *Engine) installLocked(frozen *markov.Frozen, sizes map[webgraph.DocID]int64) {
-	var pol speculation.Policy
-	if e.cfg.TopK > 0 {
-		pol = speculation.TopK{M: frozen, K: e.cfg.TopK, MinP: e.cfg.Tp}
-	} else {
-		pol = speculation.Threshold{M: frozen, Tp: e.cfg.Tp}
-	}
 	e.snap.Store(&snapshot{
-		frozen:   frozen,
-		policy:   pol,
+		frozen: frozen,
+		rule: speculation.Rule{Tp: e.cfg.Tp, TopK: e.cfg.TopK, MaxSize: e.cfg.MaxSize,
+			Embed: e.cfg.EmbedThreshold},
 		sizes:    sizes,
-		tp:       e.cfg.Tp,
-		embed:    e.cfg.EmbedThreshold,
-		maxSize:  e.cfg.MaxSize,
-		pairs:    frozen.NumPairs(),
-		docs:     frozen.NumRows(),
 		estStats: e.lastEstStats,
 	})
+}
+
+// size reads the size cache in the kernel's form.
+func (s *snapshot) size(doc webgraph.DocID) (int64, bool) {
+	sz, ok := s.sizes[doc]
+	return sz, ok
 }
 
 // splitOpenStrides partitions the time-ordered reqs into the requests safe
@@ -826,21 +815,7 @@ func splitOpenStrides(reqs []trace.Request, at time.Time, strideTimeout time.Dur
 // Acquire one from the pool, pass it to the *Into decision methods, and
 // Release it when the response has been written; the backing arrays are
 // recycled, which is what keeps the decision path allocation-free.
-type Decision struct {
-	Push []webgraph.DocID
-	// PushP holds, parallel to Push, the estimated probability that
-	// drove each push — what the attribution ledger records so waste can
-	// later be read against the engine's own confidence.
-	PushP []float64
-	Hints []speculation.Hint
-}
-
-// Reset empties the buffers, keeping capacity.
-func (d *Decision) Reset() {
-	d.Push = d.Push[:0]
-	d.PushP = d.PushP[:0]
-	d.Hints = d.Hints[:0]
-}
+type Decision = speculation.Decision
 
 var decisionPool = sync.Pool{New: func() any { return new(Decision) }}
 
@@ -859,56 +834,21 @@ func ReleaseDecision(d *Decision) {
 	decisionPool.Put(d)
 }
 
-// decideMode selects what decide appends where.
-type decideMode int
-
-const (
-	modePush decideMode = iota
-	modeHints
-	modeSplit
-)
-
-// decide evaluates the policy for doc against snap and appends the outcome
-// to d: pushes to d.Push, hints to d.Hints (modeSplit partitions at the
-// embed threshold). It applies the MaxSize provision from the snapshot's
-// size cache and the cooperative-digest filter, counting the candidates
-// the digest suppressed and the successors the policy left below T_p.
-// Lock-free and allocation-free given warm buffers.
-func (e *Engine) decide(snap *snapshot, d *Decision, doc webgraph.DocID, have map[webgraph.DocID]bool, mode decideMode) {
-	cands := snap.policy.Candidates(doc)
-	kept := 0
-	for _, c := range cands {
-		if snap.maxSize > 0 {
-			if sz, ok := snap.sizes[c.Doc]; ok && sz > snap.maxSize {
-				continue
-			}
-		}
-		kept++
-		if c.Doc == doc {
-			continue
-		}
-		if have[c.Doc] {
-			e.met.digestSuppressed.Inc()
-			continue
-		}
-		switch mode {
-		case modePush:
-			d.Push = append(d.Push, c.Doc)
-			d.PushP = append(d.PushP, c.P)
-		case modeHints:
-			d.Hints = append(d.Hints, speculation.Hint{Doc: c.Doc, P: c.P, Size: snap.sizes[c.Doc]})
-		case modeSplit:
-			if c.P >= snap.embed {
-				d.Push = append(d.Push, c.Doc)
-				d.PushP = append(d.PushP, c.P)
-			} else {
-				d.Hints = append(d.Hints, speculation.Hint{Doc: c.Doc, P: c.P, Size: snap.sizes[c.Doc]})
-			}
-		}
+// decide runs the selection kernel for doc over the published snapshot in
+// the given mode, with the cooperative digest as the exclusion, and counts
+// the candidates the digest suppressed and the successors the rule left
+// out. Lock-free and allocation-free given warm buffers.
+func (e *Engine) decide(d *Decision, doc webgraph.DocID, have map[webgraph.DocID]bool, mode speculation.Mode) {
+	snap := e.snap.Load()
+	rule := snap.rule
+	rule.Mode = mode
+	var held func(webgraph.DocID) bool
+	if have != nil {
+		held = func(c webgraph.DocID) bool { return have[c] }
 	}
-	if n := snap.frozen.RowLen(doc); n > kept {
-		e.met.belowThreshold.Add(int64(n - kept))
-	}
+	kept, suppressed := rule.Decide(d, snap.frozen, doc, snap.size, held)
+	e.met.digestSuppressed.Add(int64(suppressed))
+	e.met.belowThreshold.Add(int64(snap.frozen.RowLen(doc) - kept))
 }
 
 // SpeculateInto fills d.Push with the documents to push along with doc,
@@ -916,16 +856,14 @@ func (e *Engine) decide(snap *snapshot, d *Decision, doc webgraph.DocID, have ma
 // may be nil). It takes no locks and, with a pooled Decision, allocates
 // nothing.
 func (e *Engine) SpeculateInto(d *Decision, doc webgraph.DocID, have map[webgraph.DocID]bool) {
-	d.Reset()
-	e.decide(e.snap.Load(), d, doc, have, modePush)
+	e.decide(d, doc, have, speculation.ModePush)
 	e.met.push.Add(int64(len(d.Push)))
 }
 
 // HintsInto fills d.Hints with the server-assisted prefetching list for
 // doc. Lock-free; allocation-free with a pooled Decision.
 func (e *Engine) HintsInto(d *Decision, doc webgraph.DocID, have map[webgraph.DocID]bool) {
-	d.Reset()
-	e.decide(e.snap.Load(), d, doc, have, modeHints)
+	e.decide(d, doc, have, speculation.ModeHints)
 	e.met.hint.Add(int64(len(d.Hints)))
 }
 
@@ -933,8 +871,7 @@ func (e *Engine) HintsInto(d *Decision, doc webgraph.DocID, have map[webgraph.Do
 // above EmbedThreshold in d.Push, the rest in d.Hints. Lock-free;
 // allocation-free with a pooled Decision.
 func (e *Engine) SplitInto(d *Decision, doc webgraph.DocID, have map[webgraph.DocID]bool) {
-	d.Reset()
-	e.decide(e.snap.Load(), d, doc, have, modeSplit)
+	e.decide(d, doc, have, speculation.ModeHybrid)
 	e.met.push.Add(int64(len(d.Push)))
 	e.met.hint.Add(int64(len(d.Hints)))
 }
@@ -978,7 +915,7 @@ func (e *Engine) SetLimits(maxSize int64, topK int) error {
 
 // Tp reports the threshold currently in force.
 func (e *Engine) Tp() float64 {
-	return e.snap.Load().tp
+	return e.snap.Load().rule.Tp
 }
 
 // Stats reports the engine's observable state. The estimator-hardening
@@ -1022,8 +959,8 @@ func (e *Engine) Stats() Stats {
 	snap := e.snap.Load()
 	s := Stats{
 		Recorded:            e.recorded.Load(),
-		Pairs:               snap.pairs,
-		Docs:                snap.docs,
+		Pairs:               snap.frozen.NumPairs(),
+		Docs:                snap.frozen.NumRows(),
 		LastUpdate:          e.lastRefreshTime(),
 		Refreshes:           e.refreshes.Load(),
 		EarlyRefreshes:      e.earlyRefreshes.Load(),

@@ -8,7 +8,7 @@ import (
 
 	"specweb/internal/costmodel"
 	"specweb/internal/popularity"
-	"specweb/internal/simulate"
+	"specweb/internal/speculation"
 )
 
 var (
@@ -353,17 +353,17 @@ func TestPrefetchTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byMode := map[simulate.Mode]PrefetchRow{}
+	byMode := map[speculation.Mode]PrefetchRow{}
 	for _, r := range rows {
 		byMode[r.Mode] = r
 	}
-	if byMode[simulate.ModePush].SpeculatedDocs == 0 {
+	if byMode[speculation.ModePush].SpeculatedDocs == 0 {
 		t.Error("push mode pushed nothing")
 	}
-	if byMode[simulate.ModeHints].PrefetchedDocs == 0 {
+	if byMode[speculation.ModeHints].PrefetchedDocs == 0 {
 		t.Error("hints mode prefetched nothing")
 	}
-	if byMode[simulate.ModeHybrid].SpeculatedDocs == 0 || byMode[simulate.ModeHybrid].PrefetchedDocs == 0 {
+	if byMode[speculation.ModeHybrid].SpeculatedDocs == 0 || byMode[speculation.ModeHybrid].PrefetchedDocs == 0 {
 		t.Error("hybrid should both push and hint")
 	}
 }

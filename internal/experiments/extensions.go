@@ -6,6 +6,7 @@ import (
 	"specweb/internal/cluster"
 	"specweb/internal/costmodel"
 	"specweb/internal/simulate"
+	"specweb/internal/speculation"
 	"specweb/internal/stats"
 	"specweb/internal/synth"
 	"specweb/internal/userprofile"
@@ -114,7 +115,7 @@ func UserProfileStudy(w *Workload, tp float64) ([]UserProfileRow, error) {
 
 	hcfg := simulate.Baseline(w.Site, tp)
 	hcfg.SessionTimeout = ucfg.SessionTimeout
-	hcfg.Mode = simulate.ModeHybrid
+	hcfg.Mode = speculation.ModeHybrid
 	hcfg.PrefetchTp = tp
 	hres, err := simulate.Run(w.Trace, hcfg)
 	if err != nil {

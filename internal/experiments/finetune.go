@@ -7,6 +7,7 @@ import (
 	"specweb/internal/cache"
 	"specweb/internal/costmodel"
 	"specweb/internal/simulate"
+	"specweb/internal/speculation"
 )
 
 // StabilityRow is one configuration of §3.4's stability study: re-estimate
@@ -212,7 +213,7 @@ func Cooperative(w *Workload, tps []float64) ([]CooperativeRow, error) {
 // PrefetchRow is one delivery mode of §3.4's server-assisted prefetching
 // discussion.
 type PrefetchRow struct {
-	Mode           simulate.Mode
+	Mode           speculation.Mode
 	Ratios         costmodel.Ratios
 	SpeculatedDocs int64
 	PrefetchedDocs int64
@@ -227,7 +228,7 @@ func PrefetchTable(w *Workload, tp float64) ([]PrefetchRow, error) {
 		return nil, err
 	}
 	var rows []PrefetchRow
-	for _, mode := range []simulate.Mode{simulate.ModePush, simulate.ModeHints, simulate.ModeHybrid} {
+	for _, mode := range []speculation.Mode{speculation.ModePush, speculation.ModeHints, speculation.ModeHybrid} {
 		cfg := simulate.Baseline(w.Site, tp)
 		cfg.Mode = mode
 		cfg.PrefetchTp = tp

@@ -8,6 +8,7 @@ import (
 
 	"specweb/internal/costmodel"
 	"specweb/internal/simulate"
+	"specweb/internal/speculation"
 )
 
 // The goldens below pin the §3.4 tables on the small workload at full
@@ -117,7 +118,7 @@ func TestGoldenSelection(t *testing.T) {
 		{"top1 p>=0", func(c *simulate.Config) { c.TopK, c.Tp = 1, 0 }},
 		{"top2 hybrid coop max=8k", func(c *simulate.Config) {
 			c.TopK, c.Tp = 2, 0.05
-			c.Mode = simulate.ModeHybrid
+			c.Mode = speculation.ModeHybrid
 			c.EmbedThreshold = 0.5
 			c.PrefetchTp = 0.1
 			c.Cooperative = true
@@ -125,7 +126,7 @@ func TestGoldenSelection(t *testing.T) {
 		}},
 		{"hints coop max=15k", func(c *simulate.Config) {
 			c.Tp = 0.1
-			c.Mode = simulate.ModeHints
+			c.Mode = speculation.ModeHints
 			c.Cooperative = true
 			c.MaxSize = 15 << 10
 		}},

@@ -17,6 +17,7 @@ import (
 	"specweb/internal/estguard"
 	"specweb/internal/obs"
 	"specweb/internal/overload"
+	"specweb/internal/speculation"
 	"specweb/internal/trace"
 	"specweb/internal/webgraph"
 )
@@ -77,32 +78,21 @@ const (
 	HeaderQuarantine = "X-Specweb-Quarantine"
 )
 
-// Mode selects the server's delivery of speculative candidates, mirroring
-// simulate.Mode for the live protocol.
-type Mode int
+// Mode selects the server's delivery of speculative candidates; it is the
+// selection kernel's mode.
+type Mode = speculation.Mode
 
 const (
 	// ModePush sends multipart bundles to clients that accept them.
-	ModePush Mode = iota
+	ModePush = speculation.ModePush
 	// ModeHints only attaches Link: rel="prefetch" headers.
-	ModeHints
+	ModeHints = speculation.ModeHints
 	// ModeHybrid pushes near-certain candidates and hints the rest.
-	ModeHybrid
+	ModeHybrid = speculation.ModeHybrid
 )
 
-// ParseMode resolves a command-line mode name — the one switch shared by
-// every binary that takes a -mode flag.
-func ParseMode(name string) (Mode, error) {
-	switch name {
-	case "push":
-		return ModePush, nil
-	case "hints":
-		return ModeHints, nil
-	case "hybrid":
-		return ModeHybrid, nil
-	}
-	return 0, fmt.Errorf("httpspec: unknown mode %q (want push, hints, or hybrid)", name)
-}
+// ParseMode resolves a command-line mode name (speculation.ParseMode).
+func ParseMode(name string) (Mode, error) { return speculation.ParseMode(name) }
 
 // ServerConfig parameterizes a speculative HTTP server.
 type ServerConfig struct {
@@ -435,23 +425,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		d := core.AcquireDecision()
 		defer core.ReleaseDecision(d)
 		spec := s.tracer.StartChild("server.speculate", sp)
-		var push []webgraph.DocID
-		var pushP []float64
 		switch s.cfg.Mode {
 		case ModePush:
 			s.engine.SpeculateInto(d, id, have)
-			push, pushP = d.Push, d.PushP
 		case ModeHints:
 			s.engine.HintsInto(d, id, have)
-			for _, h := range d.Hints {
-				hints = append(hints, hint{doc: h.Doc, p: h.P})
-			}
 		case ModeHybrid:
 			s.engine.SplitInto(d, id, have)
-			push, pushP = d.Push, d.PushP
-			for _, h := range d.Hints {
-				hints = append(hints, hint{doc: h.Doc, p: h.P})
-			}
+		}
+		push, pushP := d.Push, d.PushP
+		for _, h := range d.Hints {
+			hints = append(hints, hint{doc: h.Doc, p: h.P})
 		}
 		if len(push) > s.cfg.MaxPush {
 			push = push[:s.cfg.MaxPush]

@@ -243,7 +243,7 @@ func (c Config) info() ConfigInfo {
 		Seed:               c.Seed,
 		Workers:            c.Workers,
 		WarmupFraction:     c.WarmupFraction,
-		Mode:               modeName(c.Mode),
+		Mode:               c.Mode.String(),
 		MaxPush:            c.MaxPush,
 		Cooperative:        c.Cooperative,
 		PrefetchThreshold:  c.PrefetchThreshold,
@@ -266,16 +266,6 @@ func (c Config) info() ConfigInfo {
 		info.Scenario = ""
 	}
 	return info
-}
-
-func modeName(m httpspec.Mode) string {
-	switch m {
-	case httpspec.ModeHints:
-		return "hints"
-	case httpspec.ModeHybrid:
-		return "hybrid"
-	}
-	return "push"
 }
 
 // run is the shared state of one arm, filled in stage by stage: source,

@@ -34,35 +34,6 @@ import (
 	"specweb/internal/webgraph"
 )
 
-// Mode selects how speculative candidates reach the client.
-type Mode int
-
-const (
-	// ModePush is the paper's speculative service: the server sends the
-	// documents themselves.
-	ModePush Mode = iota
-	// ModeHints is server-assisted prefetching: the server sends a hint
-	// list and the client issues background prefetch requests.
-	ModeHints
-	// ModeHybrid pushes candidates above EmbedThreshold and hints the
-	// rest.
-	ModeHybrid
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModePush:
-		return "push"
-	case ModeHints:
-		return "hints"
-	case ModeHybrid:
-		return "hybrid"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
 // Config parameterizes one simulation run. Baseline() reproduces the
 // paper's §3.2 parameter table.
 type Config struct {
@@ -99,7 +70,7 @@ type Config struct {
 	Cooperative bool
 
 	// Delivery mode and its knobs.
-	Mode           Mode
+	Mode           speculation.Mode
 	EmbedThreshold float64 // hybrid: push at or above this probability
 	PrefetchTp     float64 // hints: client prefetches at or above this
 
@@ -128,7 +99,7 @@ func Baseline(site *webgraph.Site, tp float64) Config {
 		UseClosure:     true,
 		ClosureEps:     1e-3,
 		Tp:             tp,
-		Mode:           ModePush,
+		Mode:           speculation.ModePush,
 		EmbedThreshold: 0.95,
 		PrefetchTp:     0.25,
 	}
@@ -152,10 +123,10 @@ func (c *Config) Validate() error {
 	if c.Tp < 0 || c.Tp > 1 {
 		return fmt.Errorf("simulate: Tp %v outside [0,1]", c.Tp)
 	}
-	if c.Mode == ModeHybrid && (c.EmbedThreshold <= 0 || c.EmbedThreshold > 1) {
+	if c.Mode == speculation.ModeHybrid && (c.EmbedThreshold <= 0 || c.EmbedThreshold > 1) {
 		return fmt.Errorf("simulate: hybrid needs EmbedThreshold in (0,1], got %v", c.EmbedThreshold)
 	}
-	if c.Mode != ModePush && (c.PrefetchTp < 0 || c.PrefetchTp > 1) {
+	if c.Mode != speculation.ModePush && (c.PrefetchTp < 0 || c.PrefetchTp > 1) {
 		return fmt.Errorf("simulate: PrefetchTp %v outside [0,1]", c.PrefetchTp)
 	}
 	return nil
@@ -183,12 +154,13 @@ type Result struct {
 }
 
 // Schedule is the sequence of dependency-matrix estimates in force over a
-// trace, one per update cycle. It is policy-independent, so one Schedule
-// can drive a whole T_p sweep.
+// trace, one per update cycle, each frozen once so every request reads its
+// row pre-sorted. It is policy-independent, so one Schedule can drive a
+// whole T_p sweep.
 type Schedule struct {
 	start    time.Time
 	cycle    time.Duration
-	matrices []*markov.Matrix // matrices[k] serves days [k·UC, (k+1)·UC)
+	matrices []*markov.Frozen // matrices[k] serves days [k·UC, (k+1)·UC)
 }
 
 // BuildSchedule estimates the matrices for the trace under the config's
@@ -236,13 +208,13 @@ func BuildSchedule(tr *trace.Trace, cfg Config) (*Schedule, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.matrices = append(s.matrices, m)
+		s.matrices = append(s.matrices, markov.Freeze(m))
 	}
 	return s, nil
 }
 
 // At returns the matrix in force at the given time.
-func (s *Schedule) At(t time.Time) *markov.Matrix {
+func (s *Schedule) At(t time.Time) *markov.Frozen {
 	k := int(t.Sub(s.start) / s.cycle)
 	if k < 0 {
 		k = 0
@@ -292,20 +264,14 @@ func RunWithSchedule(tr *trace.Trace, cfg Config, sched *Schedule) (*Result, err
 	pushedPending := make(map[trace.ClientID]map[webgraph.DocID]bool)
 	visited := make(map[trace.ClientID]map[webgraph.DocID]bool)
 
+	rule, size := cfg.rule(), siteSize(cfg.Site)
+	var dec speculation.Decision
+
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
 		if r.Doc == webgraph.None {
 			continue
 		}
-		m := sched.At(r.Time)
-		var policy speculation.Policy
-		if cfg.TopK > 0 {
-			policy = speculation.TopK{M: m, K: cfg.TopK, MinP: cfg.Tp}
-		} else {
-			policy = speculation.Threshold{M: m, Tp: cfg.Tp}
-		}
-		sel := &speculation.Selector{Policy: policy, Site: cfg.Site, MaxSize: cfg.MaxSize}
-
 		bc := getCache(baseCaches, r.Client)
 		sc := getCache(specCaches, r.Client)
 		bc.Touch(r.Time)
@@ -364,37 +330,39 @@ func RunWithSchedule(tr *trace.Trace, cfg Config, sched *Schedule) (*Result, err
 		}
 		sc.Put(r.Doc, r.Size)
 
-		var exclude func(webgraph.DocID) bool
+		var have func(webgraph.DocID) bool
 		if cfg.Cooperative {
-			exclude = sc.Has
+			have = sc.Has
 		}
-
-		switch cfg.Mode {
-		case ModePush:
-			for _, d := range sel.Select(r.Doc, exclude) {
-				pushDoc(res, cfg, sc, pushedPending, r.Client, d, measured)
-			}
-		case ModeHints:
-			for _, h := range sel.Hints(r.Doc, exclude) {
-				if h.P >= cfg.PrefetchTp {
-					prefetchDoc(res, cfg, sc, pushedPending, r.Client, h.Doc, measured)
-				}
-			}
-		case ModeHybrid:
-			push, hints := sel.Split(r.Doc, cfg.EmbedThreshold, exclude)
-			for _, d := range push {
-				pushDoc(res, cfg, sc, pushedPending, r.Client, d, measured)
-			}
-			for _, h := range hints {
-				if h.P >= cfg.PrefetchTp {
-					prefetchDoc(res, cfg, sc, pushedPending, r.Client, h.Doc, measured)
-				}
+		rule.Decide(&dec, sched.At(r.Time), r.Doc, size, have)
+		for _, d := range dec.Push {
+			pushDoc(res, cfg, sc, pushedPending, r.Client, d, measured)
+		}
+		for _, h := range dec.Hints {
+			if h.P >= cfg.PrefetchTp {
+				prefetchDoc(res, cfg, sc, pushedPending, r.Client, h.Doc, measured)
 			}
 		}
 	}
 
 	res.Ratios = costmodel.Compare(res.Spec, res.Base)
 	return res, nil
+}
+
+// rule is the selection rule the config's knobs describe.
+func (c *Config) rule() speculation.Rule {
+	return speculation.Rule{Mode: c.Mode, Tp: c.Tp, TopK: c.TopK, MaxSize: c.MaxSize, Embed: c.EmbedThreshold}
+}
+
+// siteSize is the size function the simulator selects with: a document's
+// size on the site, unknown for anything off it.
+func siteSize(site *webgraph.Site) func(webgraph.DocID) (int64, bool) {
+	return func(d webgraph.DocID) (int64, bool) {
+		if !site.Valid(d) {
+			return 0, false
+		}
+		return site.Doc(d).Size, true
+	}
 }
 
 // pushDoc delivers one speculative document: bytes are charged whether or

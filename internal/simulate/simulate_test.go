@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"specweb/internal/cache"
+	"specweb/internal/speculation"
 	"specweb/internal/stats"
 	"specweb/internal/synth"
 	"specweb/internal/trace"
@@ -72,7 +73,7 @@ func TestBaselineDefaultsMatchPaperTable(t *testing.T) {
 	if c.HistoryLength != 60 || c.UpdateCycle != 1 {
 		t.Error("history/update cycle differ from 60/1")
 	}
-	if !c.UseClosure || c.Mode != ModePush {
+	if !c.UseClosure || c.Mode != speculation.ModePush {
 		t.Error("baseline should push on the closure")
 	}
 }
@@ -215,7 +216,7 @@ func TestHintsModeTradesLoadForBandwidth(t *testing.T) {
 	rPush := run(t, push)
 
 	hints := Baseline(nil, 0.25)
-	hints.Mode = ModeHints
+	hints.Mode = speculation.ModeHints
 	hints.PrefetchTp = 0.25
 	rHints := run(t, hints)
 
@@ -238,7 +239,7 @@ func TestHintsModeTradesLoadForBandwidth(t *testing.T) {
 
 func TestHybridBetweenPushAndHints(t *testing.T) {
 	hybrid := Baseline(nil, 0.25)
-	hybrid.Mode = ModeHybrid
+	hybrid.Mode = speculation.ModeHybrid
 	hybrid.EmbedThreshold = 0.95
 	hybrid.PrefetchTp = 0.25
 	r := run(t, hybrid)
@@ -348,13 +349,13 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("Tp > 1 accepted")
 	}
 	bad = Baseline(site, 0.25)
-	bad.Mode = ModeHybrid
+	bad.Mode = speculation.ModeHybrid
 	bad.EmbedThreshold = 0
 	if _, err := Run(tr, bad); err == nil {
 		t.Error("hybrid without embed threshold accepted")
 	}
 	bad = Baseline(site, 0.25)
-	bad.Mode = ModeHints
+	bad.Mode = speculation.ModeHints
 	bad.PrefetchTp = -0.1
 	if _, err := Run(tr, bad); err == nil {
 		t.Error("negative prefetch threshold accepted")
@@ -367,9 +368,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestModeString pins the names the simulator's modes print under in
+// every table.
 func TestModeString(t *testing.T) {
-	if ModePush.String() != "push" || ModeHints.String() != "hints" ||
-		ModeHybrid.String() != "hybrid" || Mode(9).String() == "" {
+	if speculation.ModePush.String() != "push" || speculation.ModeHints.String() != "hints" ||
+		speculation.ModeHybrid.String() != "hybrid" || speculation.Mode(9).String() == "" {
 		t.Error("mode strings wrong")
 	}
 }

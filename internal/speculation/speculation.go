@@ -1,131 +1,69 @@
-// Package speculation implements the server-side speculation policies of
-// §3.2–3.4: given a client's request for document D_i, which other documents
-// should the server push (or hint) along with it?
+// Package speculation implements the server-side selection rule of
+// §3.2–3.4: given a client's request for document D_i, which other
+// documents should the server push (or hint) along with it?
 //
-// The paper's baseline policy pushes every D_j with p*[i,j] ≥ T_p, subject
+// The paper's baseline rule pushes every D_j with p*[i,j] ≥ T_p, subject
 // to a MaxSize cap on individual documents. Variations studied in §3.4 and
-// implemented here: thresholding the raw P instead of its closure (an
-// ablation), top-K selection, embedding-only speculation (T_p ≈ 1, which the
-// paper notes costs no wasted bandwidth), cooperative filtering against the
-// client's cache digest, server-assisted prefetching (hints instead of
-// pushes), and the hybrid protocol (push near-certain documents, hint the
-// rest).
+// implemented here: thresholding the raw P instead of its closure (the
+// caller's choice of matrix), top-K selection, embedding-only speculation
+// (T_p ≈ 1, which the paper notes costs no wasted bandwidth), cooperative
+// filtering against the client's cache digest, server-assisted
+// prefetching (hints instead of pushes), and the hybrid protocol (push
+// near-certain documents, hint the rest).
+//
+// Rule.Decide is the one implementation of that rule: the trace-driven
+// simulator and the live engine both select through it, over the same
+// frozen row.
 package speculation
 
 import (
 	"fmt"
-	"sort"
 
 	"specweb/internal/markov"
 	"specweb/internal/webgraph"
 )
 
-// Policy produces speculative candidates for a requested document, in
-// priority order (most valuable first).
-type Policy interface {
-	// Candidates returns the documents to consider pushing along with
-	// doc, each with the policy's confidence that the client will request
-	// it soon.
-	Candidates(doc webgraph.DocID) []markov.Successor
-	// Name identifies the policy in experiment output.
-	Name() string
-}
+// Mode selects how selected candidates reach the client.
+type Mode int
 
-// RowSource supplies a document's successors sorted by decreasing
-// probability (ties by ascending DocID). Both the live *markov.Matrix
-// (which sorts and allocates per call) and the immutable *markov.Frozen
-// snapshot (whose rows are pre-sorted shared slices, zero allocation)
-// implement it; hot paths should hand policies a Frozen.
-type RowSource interface {
-	SortedRow(doc webgraph.DocID) []markov.Successor
-}
+const (
+	// ModePush is the paper's speculative service: the server sends the
+	// documents themselves.
+	ModePush Mode = iota
+	// ModeHints is server-assisted prefetching: the server sends a hint
+	// list and the client decides what to prefetch.
+	ModeHints
+	// ModeHybrid pushes candidates at or above the embed threshold and
+	// hints the rest.
+	ModeHybrid
+)
 
-// cut returns the prefix of a probability-descending row with P ≥ minP,
-// located by binary search. Equal-probability successors straddling minP
-// are all kept, in their deterministic Doc-ascending order.
-func cut(row []markov.Successor, minP float64) []markov.Successor {
-	i := sort.Search(len(row), func(k int) bool { return row[k].P < minP })
-	return row[:i]
-}
-
-// Threshold is the paper's baseline policy: speculate on every successor
-// with probability at least Tp in the matrix M (the closure P* in the
-// baseline configuration; passing the raw P instead is the §3.4 ablation).
-type Threshold struct {
-	M  RowSource
-	Tp float64
-}
-
-// Candidates returns successors with p ≥ Tp in decreasing probability. The
-// cut is a binary search on the sorted row; over a Frozen snapshot the
-// whole call allocates nothing.
-func (t Threshold) Candidates(doc webgraph.DocID) []markov.Successor {
-	return cut(t.M.SortedRow(doc), t.Tp)
-}
-
-// Name identifies the policy.
-func (t Threshold) Name() string { return fmt.Sprintf("p*>=%.2f", t.Tp) }
-
-// TopK speculates on the K most likely successors, optionally requiring a
-// minimum probability.
-type TopK struct {
-	M    RowSource
-	K    int
-	MinP float64
-}
-
-// Candidates returns up to K successors with p ≥ MinP.
-func (t TopK) Candidates(doc webgraph.DocID) []markov.Successor {
-	row := t.M.SortedRow(doc)
-	if t.K >= 0 && len(row) > t.K {
-		row = row[:t.K]
+// String names the mode.
+func (m Mode) String() string {
+	switch m {
+	case ModePush:
+		return "push"
+	case ModeHints:
+		return "hints"
+	case ModeHybrid:
+		return "hybrid"
+	default:
+		return fmt.Sprintf("mode(%d)", int(m))
 	}
-	return cut(row, t.MinP)
 }
 
-// Name identifies the policy.
-func (t TopK) Name() string { return fmt.Sprintf("top%d(p>=%.2f)", t.K, t.MinP) }
-
-// None never speculates; it is the non-speculative baseline arm.
-type None struct{}
-
-// Candidates returns nothing.
-func (None) Candidates(webgraph.DocID) []markov.Successor { return nil }
-
-// Name identifies the policy.
-func (None) Name() string { return "none" }
-
-// Selector applies a policy plus the engine-level provisions of §3.2: the
-// MaxSize cap ("a document D_j is never speculatively serviced if its size
-// is greater than MaxSize") and exclusion of documents the server knows the
-// client has (cooperative clients, §3.4).
-type Selector struct {
-	Policy Policy
-	Site   *webgraph.Site
-	// MaxSize caps individual speculative documents; 0 or negative means
-	// no limit (the baseline's MaxSize = ∞).
-	MaxSize int64
-}
-
-// Select returns the documents to push along with doc. exclude, when
-// non-nil, suppresses documents the server believes the client already has
-// (it receives each candidate and reports whether to skip it).
-func (s *Selector) Select(doc webgraph.DocID, exclude func(webgraph.DocID) bool) []webgraph.DocID {
-	cands := s.Policy.Candidates(doc)
-	out := make([]webgraph.DocID, 0, len(cands))
-	for _, c := range cands {
-		if c.Doc == doc {
-			continue
-		}
-		if s.MaxSize > 0 && s.Site.Valid(c.Doc) && s.Site.Doc(c.Doc).Size > s.MaxSize {
-			continue
-		}
-		if exclude != nil && exclude(c.Doc) {
-			continue
-		}
-		out = append(out, c.Doc)
+// ParseMode resolves a mode name — the one switch shared by every binary
+// that takes a -mode flag.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "push":
+		return ModePush, nil
+	case "hints":
+		return ModeHints, nil
+	case "hybrid":
+		return ModeHybrid, nil
 	}
-	return out
+	return 0, fmt.Errorf("speculation: unknown mode %q (want push, hints, or hybrid)", name)
 }
 
 // Hint is one entry of a server-assisted prefetching list (§3.4): the
@@ -137,43 +75,89 @@ type Hint struct {
 	Size int64
 }
 
-// Hints returns the hint list for doc under the same policy and MaxSize
-// provisions as Select.
-func (s *Selector) Hints(doc webgraph.DocID, exclude func(webgraph.DocID) bool) []Hint {
-	cands := s.Policy.Candidates(doc)
-	out := make([]Hint, 0, len(cands))
-	for _, c := range cands {
+// Decision is a reusable buffer for one request's selection outcome.
+// Decide fills it in place, so a caller that keeps (or pools) one makes
+// the decision path allocation-free once its arrays have grown.
+type Decision struct {
+	Push []webgraph.DocID
+	// PushP holds, parallel to Push, the estimated probability that
+	// drove each push — what the attribution ledger records so waste can
+	// later be read against the engine's own confidence.
+	PushP []float64
+	Hints []Hint
+}
+
+// Reset empties the buffers, keeping capacity.
+func (d *Decision) Reset() {
+	d.Push = d.Push[:0]
+	d.PushP = d.PushP[:0]
+	d.Hints = d.Hints[:0]
+}
+
+// Rule is the selection rule with its knobs.
+type Rule struct {
+	Mode Mode
+	// Tp is the threshold on the matrix row; with TopK > 0 it is the
+	// floor under the K most likely successors.
+	Tp   float64
+	TopK int
+	// MaxSize caps individual speculative documents; 0 or negative means
+	// no limit (the baseline's MaxSize = ∞).
+	MaxSize int64
+	// Embed splits ModeHybrid: candidates at or above it are pushed
+	// (near-certain documents — embeddings cost no wasted bandwidth), the
+	// rest hinted.
+	Embed float64
+}
+
+// Decide fills d with the outcome for a request of doc over f. Candidates
+// are the row's cut — p ≥ Tp, or the TopK most likely with p ≥ Tp — in
+// decreasing probability, ties by ascending DocID. A candidate whose size
+// is known and above MaxSize is dropped; a document size does not know is
+// never dropped and is hinted with Size 0. doc itself is
+// skipped, and so is every candidate have reports the client holds (the
+// cooperative digest; have may be nil). have is asked about each
+// remaining candidate once, in order, before d is returned.
+//
+// kept counts the candidates that passed the cut and the size cap (doc
+// included), so the row's other RowLen − kept successors are what the
+// rule left out; suppressed counts those have removed. Allocation-free
+// once d's arrays have grown.
+func (r Rule) Decide(d *Decision, f *markov.Frozen, doc webgraph.DocID,
+	size func(webgraph.DocID) (int64, bool), have func(webgraph.DocID) bool) (kept, suppressed int) {
+
+	d.Reset()
+	var row []markov.Successor
+	if r.TopK > 0 {
+		row = f.TopKRow(doc, r.TopK, r.Tp)
+	} else {
+		row = f.ThresholdRow(doc, r.Tp)
+	}
+	sized := r.MaxSize > 0 || r.Mode != ModePush
+	for _, c := range row {
+		var sz int64
+		if sized {
+			if s, known := size(c.Doc); known {
+				if r.MaxSize > 0 && s > r.MaxSize {
+					continue
+				}
+				sz = s
+			}
+		}
+		kept++
 		if c.Doc == doc {
 			continue
 		}
-		var size int64
-		if s.Site.Valid(c.Doc) {
-			size = s.Site.Doc(c.Doc).Size
-		}
-		if s.MaxSize > 0 && size > s.MaxSize {
+		if have != nil && have(c.Doc) {
+			suppressed++
 			continue
 		}
-		if exclude != nil && exclude(c.Doc) {
-			continue
-		}
-		out = append(out, Hint{Doc: c.Doc, P: c.P, Size: size})
-	}
-	return out
-}
-
-// Split implements the hybrid protocol of §3.4: candidates with probability
-// at least embedThreshold are pushed (near-certain documents — embeddings
-// cost no wasted bandwidth), the rest are returned as hints for
-// client-initiated prefetching.
-func (s *Selector) Split(doc webgraph.DocID, embedThreshold float64,
-	exclude func(webgraph.DocID) bool) (push []webgraph.DocID, hints []Hint) {
-
-	for _, h := range s.Hints(doc, exclude) {
-		if h.P >= embedThreshold {
-			push = append(push, h.Doc)
+		if r.Mode == ModePush || r.Mode == ModeHybrid && c.P >= r.Embed {
+			d.Push = append(d.Push, c.Doc)
+			d.PushP = append(d.PushP, c.P)
 		} else {
-			hints = append(hints, h)
+			d.Hints = append(d.Hints, Hint{Doc: c.Doc, P: c.P, Size: sz})
 		}
 	}
-	return push, hints
+	return kept, suppressed
 }

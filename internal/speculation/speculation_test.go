@@ -1,216 +1,148 @@
 package speculation
 
 import (
+	"reflect"
 	"testing"
 
 	"specweb/internal/markov"
-	"specweb/internal/stats"
 	"specweb/internal/webgraph"
 )
 
-func testSite(t *testing.T) *webgraph.Site {
-	t.Helper()
-	site, err := webgraph.Generate(webgraph.TinySite(), stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return site
-}
+type pair = markov.Successor
 
-func testMatrix() *markov.Matrix {
+// row freezes a matrix holding doc 1's row.
+func row(succ ...pair) *markov.Frozen {
 	m := markov.NewMatrix()
-	m.Set(1, 2, 0.9)
-	m.Set(1, 3, 0.5)
-	m.Set(1, 4, 0.2)
-	m.Set(1, 5, 1.0)
-	return m
+	for _, s := range succ {
+		m.Set(1, s.Doc, s.P)
+	}
+	return markov.Freeze(m)
 }
 
-func TestThresholdPolicy(t *testing.T) {
-	p := Threshold{M: testMatrix(), Tp: 0.5}
-	c := p.Candidates(1)
-	if len(c) != 3 || c[0].Doc != 5 || c[1].Doc != 2 || c[2].Doc != 3 {
-		t.Errorf("candidates = %v", c)
-	}
-	if got := p.Candidates(9); len(got) != 0 {
-		t.Errorf("unknown doc candidates = %v", got)
-	}
-	all := Threshold{M: testMatrix(), Tp: 0}.Candidates(1)
-	if len(all) != 4 {
-		t.Errorf("Tp=0 should return all: %v", all)
-	}
-	none := Threshold{M: testMatrix(), Tp: 1}.Candidates(1)
-	if len(none) != 1 || none[0].Doc != 5 {
-		t.Errorf("Tp=1 should return only certainties: %v", none)
-	}
-}
+// TestRuleDecide is the kernel's behaviour table: the row cut (T_p, top-K
+// with its floor, the tie order), the MaxSize cap over known and unknown
+// sizes, the self skip, cooperative exclusion, the hybrid embed split, the
+// hint sizes, and the kept/suppressed counts the engine's metrics read.
+func TestRuleDecide(t *testing.T) {
+	base := row(pair{Doc: 2, P: 0.9}, pair{Doc: 3, P: 0.5}, pair{Doc: 4, P: 0.2}, pair{Doc: 5, P: 1.0})
+	ties := row(pair{Doc: 9, P: 0.5}, pair{Doc: 3, P: 0.5}, pair{Doc: 6, P: 0.5},
+		pair{Doc: 2, P: 0.8}, pair{Doc: 8, P: 0.1})
+	withSelf := row(pair{Doc: 1, P: 0.7}, pair{Doc: 2, P: 0.9})
+	sizes := map[webgraph.DocID]int64{2: 100, 3: 10000, 4: 4096}
 
-func TestTopKPolicy(t *testing.T) {
-	p := TopK{M: testMatrix(), K: 2}
-	c := p.Candidates(1)
-	if len(c) != 2 || c[0].Doc != 5 || c[1].Doc != 2 {
-		t.Errorf("top2 = %v", c)
-	}
-	p = TopK{M: testMatrix(), K: 10, MinP: 0.4}
-	c = p.Candidates(1)
-	if len(c) != 3 {
-		t.Errorf("top10 minP 0.4 = %v", c)
-	}
-}
+	cases := []struct {
+		name  string
+		f     *markov.Frozen
+		doc   webgraph.DocID
+		rule  Rule
+		sizes map[webgraph.DocID]int64 // nil: no size known
+		have  []webgraph.DocID         // nil: no digest
 
-// TestThresholdOverFrozen runs the policies over a frozen snapshot: the
-// candidates must match the live-matrix evaluation exactly (the engine's
-// byte-identical-decisions guarantee rests on this).
-func TestThresholdOverFrozen(t *testing.T) {
-	m := testMatrix()
-	f := markov.Freeze(m)
-	for _, tp := range []float64{0, 0.2, 0.5, 0.9, 1} {
-		live := Threshold{M: m, Tp: tp}.Candidates(1)
-		froz := Threshold{M: f, Tp: tp}.Candidates(1)
-		if len(live) != len(froz) {
-			t.Fatalf("tp=%v: live %v vs frozen %v", tp, live, froz)
-		}
-		for i := range live {
-			if live[i] != froz[i] {
-				t.Errorf("tp=%v[%d]: live %v vs frozen %v", tp, i, live[i], froz[i])
+		push           []pair
+		hints          []Hint
+		kept, suppress int
+	}{
+		{name: "tp 0.5 cuts in P order", f: base, doc: 1, rule: Rule{Tp: 0.5},
+			push: []pair{{Doc: 5, P: 1}, {Doc: 2, P: 0.9}, {Doc: 3, P: 0.5}}, kept: 3},
+		{name: "tp 0 keeps the row", f: base, doc: 1, rule: Rule{Tp: 0},
+			push: []pair{{Doc: 5, P: 1}, {Doc: 2, P: 0.9}, {Doc: 3, P: 0.5}, {Doc: 4, P: 0.2}}, kept: 4},
+		{name: "tp 1 keeps certainties", f: base, doc: 1, rule: Rule{Tp: 1},
+			push: []pair{{Doc: 5, P: 1}}, kept: 1},
+		{name: "no row", f: base, doc: 9, rule: Rule{Tp: 0}},
+		{name: "top2", f: base, doc: 1, rule: Rule{TopK: 2},
+			push: []pair{{Doc: 5, P: 1}, {Doc: 2, P: 0.9}}, kept: 2},
+		{name: "top10 floor 0.4", f: base, doc: 1, rule: Rule{TopK: 10, Tp: 0.4},
+			push: []pair{{Doc: 5, P: 1}, {Doc: 2, P: 0.9}, {Doc: 3, P: 0.5}}, kept: 3},
+		{name: "tie at tp keeps the group in doc order", f: ties, doc: 1, rule: Rule{Tp: 0.5},
+			push: []pair{{Doc: 2, P: 0.8}, {Doc: 3, P: 0.5}, {Doc: 6, P: 0.5}, {Doc: 9, P: 0.5}}, kept: 4},
+		{name: "top3 splits a tie by doc", f: ties, doc: 1, rule: Rule{TopK: 3, Tp: 0.5},
+			push: []pair{{Doc: 2, P: 0.8}, {Doc: 3, P: 0.5}, {Doc: 6, P: 0.5}}, kept: 3},
+		{name: "maxsize drops known big, keeps unknown", f: base, doc: 1,
+			rule: Rule{Tp: 0, MaxSize: 4096}, sizes: sizes,
+			push: []pair{{Doc: 5, P: 1}, {Doc: 2, P: 0.9}, {Doc: 4, P: 0.2}}, kept: 3},
+		{name: "maxsize without sizes drops nothing", f: base, doc: 1,
+			rule: Rule{Tp: 0.5, MaxSize: 1},
+			push: []pair{{Doc: 5, P: 1}, {Doc: 2, P: 0.9}, {Doc: 3, P: 0.5}}, kept: 3},
+		{name: "maxsize 0 is unbounded", f: base, doc: 1, rule: Rule{Tp: 0.5}, sizes: sizes,
+			push: []pair{{Doc: 5, P: 1}, {Doc: 2, P: 0.9}, {Doc: 3, P: 0.5}}, kept: 3},
+		{name: "self skipped but kept", f: withSelf, doc: 1, rule: Rule{Tp: 0},
+			have: []webgraph.DocID{1}, push: []pair{{Doc: 2, P: 0.9}}, kept: 2},
+		{name: "digest excludes", f: base, doc: 1, rule: Rule{Tp: 0.5},
+			have: []webgraph.DocID{2, 4},
+			push: []pair{{Doc: 5, P: 1}, {Doc: 3, P: 0.5}}, kept: 3, suppress: 1},
+		{name: "hints carry sizes", f: base, doc: 1, rule: Rule{Mode: ModeHints, Tp: 0.2}, sizes: sizes,
+			hints: []Hint{{Doc: 5, P: 1}, {Doc: 2, P: 0.9, Size: 100}, {Doc: 3, P: 0.5, Size: 10000},
+				{Doc: 4, P: 0.2, Size: 4096}}, kept: 4},
+		{name: "hints under maxsize and digest", f: base, doc: 1,
+			rule: Rule{Mode: ModeHints, Tp: 0, MaxSize: 5000}, sizes: sizes, have: []webgraph.DocID{5},
+			hints: []Hint{{Doc: 2, P: 0.9, Size: 100}, {Doc: 4, P: 0.2, Size: 4096}}, kept: 3, suppress: 1},
+		{name: "hybrid splits at embed", f: base, doc: 1,
+			rule: Rule{Mode: ModeHybrid, Tp: 0.2, Embed: 0.9}, sizes: sizes,
+			push:  []pair{{Doc: 5, P: 1}, {Doc: 2, P: 0.9}},
+			hints: []Hint{{Doc: 3, P: 0.5, Size: 10000}, {Doc: 4, P: 0.2, Size: 4096}}, kept: 4},
+		{name: "hybrid top1 with digest", f: base, doc: 1,
+			rule: Rule{Mode: ModeHybrid, TopK: 1, Embed: 0.95}, have: []webgraph.DocID{5},
+			kept: 1, suppress: 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			size := func(d webgraph.DocID) (int64, bool) {
+				sz, ok := c.sizes[d]
+				return sz, ok
 			}
-		}
-	}
-	for _, k := range []int{0, 1, 2, 10} {
-		live := TopK{M: m, K: k, MinP: 0.3}.Candidates(1)
-		froz := TopK{M: f, K: k, MinP: 0.3}.Candidates(1)
-		if len(live) != len(froz) {
-			t.Fatalf("k=%d: live %v vs frozen %v", k, live, froz)
-		}
-	}
-}
-
-// TestThresholdTieOrdering pins the cut's determinism: equal-probability
-// successors keep ascending-DocID order, and a threshold equal to the tied
-// probability keeps every member of the tie group (the binary search must
-// not split it).
-func TestThresholdTieOrdering(t *testing.T) {
-	m := markov.NewMatrix()
-	m.Set(1, 9, 0.5)
-	m.Set(1, 3, 0.5)
-	m.Set(1, 6, 0.5)
-	m.Set(1, 2, 0.8)
-	m.Set(1, 8, 0.1)
-	for _, src := range []RowSource{m, markov.Freeze(m)} {
-		got := Threshold{M: src, Tp: 0.5}.Candidates(1)
-		want := []webgraph.DocID{2, 3, 6, 9}
-		if len(got) != len(want) {
-			t.Fatalf("cut at tie value = %v, want docs %v", got, want)
-		}
-		for i, d := range want {
-			if got[i].Doc != d {
-				t.Errorf("tie order[%d] = %d, want %d", i, got[i].Doc, d)
+			var asked []webgraph.DocID
+			var have func(webgraph.DocID) bool
+			if c.have != nil {
+				have = func(d webgraph.DocID) bool {
+					asked = append(asked, d)
+					for _, h := range c.have {
+						if h == d {
+							return true
+						}
+					}
+					return false
+				}
 			}
-		}
-		if top := (TopK{M: src, K: 3, MinP: 0.5}).Candidates(1); len(top) != 3 || top[2].Doc != 6 {
-			t.Errorf("topK over ties = %v", top)
-		}
+			// A used Decision: Decide must start from empty buffers.
+			d := &Decision{Push: []webgraph.DocID{42}, PushP: []float64{0.1}, Hints: []Hint{{Doc: 42}}}
+			kept, suppressed := c.rule.Decide(d, c.f, c.doc, size, have)
+
+			var push []pair
+			for i, doc := range d.Push {
+				push = append(push, pair{Doc: doc, P: d.PushP[i]})
+			}
+			if len(d.PushP) != len(d.Push) {
+				t.Errorf("PushP has %d entries for %d pushes", len(d.PushP), len(d.Push))
+			}
+			if !reflect.DeepEqual(push, c.push) {
+				t.Errorf("push = %v, want %v", push, c.push)
+			}
+			if len(d.Hints) > 0 || len(c.hints) > 0 {
+				if !reflect.DeepEqual(d.Hints, c.hints) {
+					t.Errorf("hints = %+v, want %+v", d.Hints, c.hints)
+				}
+			}
+			if kept != c.kept || suppressed != c.suppress {
+				t.Errorf("kept, suppressed = %d, %d, want %d, %d", kept, suppressed, c.kept, c.suppress)
+			}
+			seen := map[webgraph.DocID]bool{}
+			for _, a := range asked {
+				if a == c.doc || seen[a] {
+					t.Errorf("digest asked about %d (asked %v)", a, asked)
+				}
+				seen[a] = true
+			}
+		})
 	}
 }
 
-func TestNonePolicy(t *testing.T) {
-	if c := (None{}).Candidates(1); len(c) != 0 {
-		t.Errorf("None speculated: %v", c)
-	}
-	if None.Name(None{}) != "none" {
-		t.Error("name wrong")
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	if (Threshold{Tp: 0.25}).Name() != "p*>=0.25" {
-		t.Errorf("threshold name = %q", (Threshold{Tp: 0.25}).Name())
-	}
-	if (TopK{K: 3, MinP: 0.1}).Name() != "top3(p>=0.10)" {
-		t.Errorf("topk name = %q", TopK{K: 3, MinP: 0.1}.Name())
-	}
-}
-
-func TestSelectorMaxSize(t *testing.T) {
-	site := testSite(t)
-	// Build a matrix whose successors are real documents with known sizes.
-	m := markov.NewMatrix()
-	var small, big webgraph.DocID = -1, -1
-	for i := 1; i < len(site.Docs); i++ { // skip doc 0, the requested one
-		if site.Docs[i].Size < 4096 && small == -1 {
-			small = site.Docs[i].ID
-		}
-		if site.Docs[i].Size > 20000 && big == -1 {
-			big = site.Docs[i].ID
-		}
-	}
-	if small == -1 || big == -1 {
-		t.Skip("site lacks size spread")
-	}
-	m.Set(0, small, 0.9)
-	m.Set(0, big, 0.9)
-	sel := &Selector{Policy: Threshold{M: m, Tp: 0.5}, Site: site, MaxSize: 8192}
-	got := sel.Select(0, nil)
-	if len(got) != 1 || got[0] != small {
-		t.Errorf("MaxSize filter kept %v, want only %d", got, small)
-	}
-	sel.MaxSize = 0
-	if got := sel.Select(0, nil); len(got) != 2 {
-		t.Errorf("MaxSize=∞ kept %v", got)
-	}
-}
-
-func TestSelectorExclude(t *testing.T) {
-	site := testSite(t)
-	m := markov.NewMatrix()
-	m.Set(0, 1, 0.9)
-	m.Set(0, 2, 0.8)
-	sel := &Selector{Policy: Threshold{M: m, Tp: 0.5}, Site: site}
-	got := sel.Select(0, func(d webgraph.DocID) bool { return d == 1 })
-	if len(got) != 1 || got[0] != 2 {
-		t.Errorf("exclude failed: %v", got)
-	}
-}
-
-func TestSelectorSkipsSelf(t *testing.T) {
-	site := testSite(t)
-	m := markov.NewMatrix()
-	m.Set(0, 1, 0.9)
-	sel := &Selector{Policy: Threshold{M: m, Tp: 0}, Site: site}
-	for _, d := range sel.Select(0, nil) {
-		if d == 0 {
-			t.Error("selector returned the requested doc itself")
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{ModePush, ModeHints, ModeHybrid} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m, got, err)
 		}
 	}
-}
-
-func TestHints(t *testing.T) {
-	site := testSite(t)
-	m := markov.NewMatrix()
-	m.Set(0, 1, 0.9)
-	m.Set(0, 2, 0.3)
-	sel := &Selector{Policy: Threshold{M: m, Tp: 0.2}, Site: site}
-	hints := sel.Hints(0, nil)
-	if len(hints) != 2 {
-		t.Fatalf("hints = %v", hints)
-	}
-	if hints[0].Doc != 1 || hints[0].P != 0.9 || hints[0].Size != site.Doc(1).Size {
-		t.Errorf("hint[0] = %+v", hints[0])
-	}
-}
-
-func TestSplitHybrid(t *testing.T) {
-	site := testSite(t)
-	m := markov.NewMatrix()
-	m.Set(0, 1, 1.0)  // embedded-level certainty
-	m.Set(0, 2, 0.96) // above threshold
-	m.Set(0, 3, 0.4)  // hint
-	sel := &Selector{Policy: Threshold{M: m, Tp: 0.2}, Site: site}
-	push, hints := sel.Split(0, 0.95, nil)
-	if len(push) != 2 {
-		t.Errorf("push = %v, want docs 1,2", push)
-	}
-	if len(hints) != 1 || hints[0].Doc != 3 {
-		t.Errorf("hints = %v, want doc 3", hints)
+	if _, err := ParseMode("bogus"); err == nil {
+		t.Error("unknown mode accepted")
 	}
 }

@@ -110,14 +110,25 @@ func parseCLFLine(line string, resolve DocResolver) (Request, error) {
 	}
 	host := line[:hostEnd]
 
-	lb := strings.IndexByte(line, '[')
-	rb := strings.IndexByte(line, ']')
-	if lb < 0 || rb < lb {
+	// The timestamp is the first bracketed field after the host.
+	lb := strings.IndexByte(line[hostEnd:], '[')
+	if lb < 0 {
 		return r, fmt.Errorf("no timestamp")
 	}
+	lb += hostEnd
+	rb := strings.IndexByte(line[lb:], ']')
+	if rb < 0 {
+		return r, fmt.Errorf("no timestamp")
+	}
+	rb += lb
 	ts, err := time.Parse(CLFTimeLayout, line[lb+1:rb])
 	if err != nil {
 		return r, fmt.Errorf("bad timestamp: %w", err)
+	}
+	// time.Parse takes a fractional second the layout does not name; CLF
+	// has whole seconds, and WriteCLF could not give the fraction back.
+	if ts.Nanosecond() != 0 {
+		return r, fmt.Errorf("bad timestamp %q: fractional seconds", line[lb+1:rb])
 	}
 
 	q1 := strings.IndexByte(line[rb:], '"')
@@ -140,8 +151,10 @@ func parseCLFLine(line string, resolve DocResolver) (Request, error) {
 	if len(rest) < 2 {
 		return r, fmt.Errorf("missing status/bytes")
 	}
+	// A status is three digits; 0 is also WriteCLF's "unset", written as
+	// 200, so accepting it would not round-trip.
 	status, err := strconv.Atoi(rest[0])
-	if err != nil {
+	if err != nil || status < 100 || status > 999 {
 		return r, fmt.Errorf("bad status %q", rest[0])
 	}
 	var size int64
