@@ -121,13 +121,17 @@ bench-restart: specbench
 bench-restart-baseline: specbench
 	./bin/specbench -restart -short -o testdata/restart_baseline.json
 
-# Estimator memory gate: a fixed-iteration, deterministic run asserting
-# the bounded estimator's analytic footprint stays flat (≤1.1×) across a
-# 10× document-cardinality jump while the exact estimator's grows
-# multiplicatively. Writes the BENCH-memory.json artifact CI uploads.
+# Memory gates. (1) Estimator: a fixed-iteration, deterministic run
+# asserting the bounded estimator's analytic footprint stays flat (≤1.1×)
+# across a 10× document-cardinality jump while the exact estimator's grows
+# multiplicatively; writes the BENCH-memory.json artifact CI uploads.
+# (2) Ingestion: the heap a buffered request holds until the refresh that
+# folds it, ≤ 24 B at 1,000 clients × 200 requests and ≤ 88 B at
+# 100,000 clients × 1.
 bench-memory:
 	BENCH_MEMORY_OUT=$(CURDIR)/BENCH-memory.json \
 		$(GO) test ./internal/markov/ -run TestBoundedMemoryGate -count=1 -v
+	$(GO) test ./internal/core/ -run TestIngestionMemory -count=1 -v
 
 # Streaming gate: (1) byte-identity — over a spec × overload cube and two
 # worker counts, driving the benchmark from per-client seeded stream

@@ -16,14 +16,17 @@
 // Both types are safe for concurrent use. The engine's decision path
 // (SpeculateInto/HintsInto/SplitInto) is lock-free: decisions read an
 // immutable {frozen matrix, selection rule, size cache} snapshot published
-// through an atomic pointer, and Record appends to striped shard buffers,
-// so concurrent requests contend on nothing but their own shard.
+// through an atomic pointer, and Record logs to striped shard buffers, so
+// concurrent requests contend on nothing but their own shard.
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,14 +186,41 @@ type snapshot struct {
 	estStats *markov.EstimatorStats
 }
 
-// recordShard is one striped ingestion buffer, and the outstanding offers
-// of the clients that hash onto it. The padding keeps adjacent shards on
-// separate cache lines so uncontended shard locks do not falsely share.
+// recordShard is one striped ingestion buffer — the request logs of the
+// clients that hash onto it — and those clients' outstanding offers. The
+// padding keeps adjacent shards on separate cache lines so uncontended
+// shard locks do not falsely share.
 type recordShard struct {
-	mu     sync.Mutex
-	reqs   []trace.Request
+	mu sync.Mutex
+	// logs holds each client's accesses since its last closed stride, in
+	// time order, as at.Sub(base): base is the shard's first access, so
+	// gaps and order are exactly what Time.Sub gives, monotonic reading
+	// included. Both are unset until that access.
+	logs   map[trace.ClientID][]trace.Visit
+	base   time.Time
 	offers map[offerKey]offer // nil until the first Offer
 	_      [64]byte
+}
+
+// log inserts client's access to doc into its log at its time position,
+// after any entry with an equal time: each client's log is then its
+// arrivals stably sorted by time, whatever order concurrent requests or
+// delivery-stamped settlements reach the shard in.
+func (sh *recordShard) log(client trace.ClientID, doc webgraph.DocID, at time.Time) {
+	if sh.logs == nil {
+		sh.logs = make(map[trace.ClientID][]trace.Visit)
+		sh.base = at
+	}
+	v := trace.Visit{At: at.Sub(sh.base), Doc: doc}
+	log := sh.logs[client]
+	i := len(log)
+	if i > 0 && log[i-1].At > v.At {
+		i = sort.Search(i, func(k int) bool { return log[k].At > v.At })
+	}
+	log = append(log, trace.Visit{})
+	copy(log[i+1:], log[i:])
+	log[i] = v
+	sh.logs[client] = log
 }
 
 // offerKey names an outstanding offer: one per client and document.
@@ -217,9 +247,9 @@ type Engine struct {
 	// snap is the RCU-style published decision state.
 	snap atomic.Pointer[snapshot]
 
-	// Ingestion: Record hashes the client onto a shard and appends under
-	// that shard's lock only; the refresh cycle drains and merges all
-	// shards under mu.
+	// Ingestion: Record hashes the client onto a shard and logs under
+	// that shard's lock only; the refresh cycle cuts every shard's closed
+	// strides under mu.
 	shards    []recordShard
 	shardMask uint32
 
@@ -239,12 +269,15 @@ type Engine struct {
 
 	deltaFreezes atomic.Int64
 
-	// mu serializes the write path: refreshes (drain + AddDay + publish)
+	// mu serializes the write path: refreshes (cut + AddRuns + publish)
 	// and knob changes (republish). The read path never takes it.
 	mu         sync.Mutex
 	est        markov.Estimator // exact (*markov.Aging) or bounded (*markov.Bounded)
 	quarantine markov.Estimator // side-ledger for quarantined transitions; nil without a Guard
-	carry      []trace.Request  // open strides carried across refreshes, time-ordered
+	// flush and runs hold the closed strides one refresh hands the
+	// estimator; the next cycle reuses their arrays.
+	flush []trace.Visit
+	runs  []trace.Run
 	// lastEstStats is the bounded estimator's ledger captured at the most
 	// recent refresh (nil on exact engines); installLocked copies it into
 	// the published snapshot for lock-free Stats.
@@ -277,7 +310,7 @@ type engineMetrics struct {
 // The phases of one update cycle, in the order refreshLocked runs them;
 // specweb_engine_refresh_seconds{phase} splits the cycle's cost by them.
 const (
-	phaseDrain      = iota // shard drain, time sort, open-stride split
+	phaseDrain      = iota // per-client cut: closed strides out of the shard logs
 	phaseEstimate          // guard partition, decay and fold
 	phaseFreeze            // compile to CSR, snapshot validation
 	phasePublish           // size cache, rule, atomic install
@@ -306,7 +339,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	var phases [numRefreshPhases]*obs.Histogram
 	for i, name := range refreshPhaseNames {
 		phases[i] = reg.Histogram("specweb_engine_refresh_seconds",
-			"Time one update cycle spent in each phase, paid by the request that crossed the refresh deadline.",
+			"Time one update cycle spent in each phase (drain: cutting the closed strides out of the client logs), paid by the request that crossed the refresh deadline.",
 			nil, obs.Labels{"phase": name})
 	}
 	return &engineMetrics{
@@ -418,10 +451,10 @@ func shardOf(c trace.ClientID) uint32 {
 	return h
 }
 
-// Record observes one client-initiated request. Times should be
-// non-decreasing; a refresh happens automatically when RefreshEvery has
-// elapsed since the last one. Concurrent requests from different clients
-// land on different shard buffers and never contend.
+// Record observes one client-initiated request, entering it in its
+// client's log at its time position; a refresh happens automatically when
+// RefreshEvery has elapsed since the last one. Concurrent requests from
+// different clients land on different shard buffers and never contend.
 func (e *Engine) Record(client trace.ClientID, doc webgraph.DocID, at time.Time) {
 	if !e.started.Load() {
 		e.mu.Lock()
@@ -431,10 +464,9 @@ func (e *Engine) Record(client trace.ClientID, doc webgraph.DocID, at time.Time)
 		}
 		e.mu.Unlock()
 	}
-	size := e.sizeOf(doc)
 	sh := &e.shards[shardOf(client)&e.shardMask]
 	sh.mu.Lock()
-	sh.reqs = append(sh.reqs, trace.Request{Time: at, Client: client, Doc: doc, Size: size})
+	sh.log(client, doc, at)
 	sh.mu.Unlock()
 	e.noteRecorded(doc)
 	if at.Sub(e.lastRefreshTime()) >= e.cfg.RefreshEvery {
@@ -444,18 +476,7 @@ func (e *Engine) Record(client trace.ClientID, doc webgraph.DocID, at time.Time)
 	}
 }
 
-// sizeOf asks the store for doc's size, 0 when there is no store or it does
-// not know the document. It calls out of the engine, so never under a lock.
-func (e *Engine) sizeOf(doc webgraph.DocID) int64 {
-	if e.size != nil {
-		if s, ok := e.size(doc); ok {
-			return s
-		}
-	}
-	return 0
-}
-
-// noteRecorded counts one access appended to a shard log.
+// noteRecorded counts one access entered in a shard log.
 func (e *Engine) noteRecorded(doc webgraph.DocID) {
 	e.recorded.Add(1)
 	e.met.recorded.Inc()
@@ -495,10 +516,6 @@ func (e *Engine) Offer(client trace.ClientID, doc webgraph.DocID, at time.Time, 
 // the offer was advertised at. ok is false, and nothing changes, when no
 // such offer is outstanding: never made, settled already, or expired.
 func (e *Engine) Settle(client trace.ClientID, doc webgraph.DocID, used bool) (pMilli int64, ok bool) {
-	var size int64
-	if used {
-		size = e.sizeOf(doc)
-	}
 	key := offerKey{client, doc}
 	sh := &e.shards[shardOf(client)&e.shardMask]
 	sh.mu.Lock()
@@ -506,8 +523,7 @@ func (e *Engine) Settle(client trace.ClientID, doc webgraph.DocID, used bool) (p
 	if ok {
 		delete(sh.offers, key)
 		if used {
-			// Out of time order in the log; the refresh sorts it.
-			sh.reqs = append(sh.reqs, trace.Request{Time: o.at, Client: client, Doc: doc, Size: size})
+			sh.log(client, doc, o.at)
 		}
 	}
 	sh.mu.Unlock()
@@ -581,21 +597,30 @@ func (e *Engine) Refresh(at time.Time) {
 
 func (e *Engine) refreshLocked(at time.Time) {
 	clock := refreshClock{met: e.met, last: time.Now()}
-	// Drain the shard buffers behind the open strides carried from the
-	// previous refresh and put the lot in time order. Per-client order is
-	// preserved: a client maps to exactly one shard, and the sort is
-	// stable. The buffer is dropped after the cycle, so nothing of a busy
-	// window stays on the heap.
-	buf := append([]trace.Request(nil), e.carry...)
+	// Cut every client's log where its closed strides end: they go to the
+	// estimator, and the trailing stride, still open at the refresh
+	// instant, stays in the log — otherwise a refresh landing mid-stride
+	// would permanently split the dependency pair across windows.
 	var expired int64
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		buf = append(buf, sh.reqs...)
-		if cap(sh.reqs) > 1<<16 {
-			sh.reqs = nil // don't pin a giant buffer across quiet cycles
-		} else {
-			sh.reqs = sh.reqs[:0]
+		now := at.Sub(sh.base)
+		for c, log := range sh.logs {
+			cut := closedPrefix(log, now, e.cfg.StrideTimeout)
+			if cut == 0 {
+				continue
+			}
+			// Runs cut before an append regrows flush keep viewing the
+			// array they were copied into, which nothing writes again.
+			n := len(e.flush)
+			e.flush = append(e.flush, log[:cut]...)
+			e.runs = append(e.runs, trace.Run{Client: c, Visits: e.flush[n:len(e.flush):len(e.flush)]})
+			if cut == len(log) {
+				delete(sh.logs, c)
+			} else {
+				sh.logs[c] = log[:copy(log, log[cut:])]
+			}
 		}
 		// An offer nobody reported on within one cycle is given up: the
 		// client is gone or its report was lost, and the set stays bounded
@@ -612,35 +637,40 @@ func (e *Engine) refreshLocked(at time.Time) {
 		e.offersOut.Add(-expired)
 		e.offersExpired.Add(expired)
 	}
-	trace.SortRequests(buf)
-	// Strides still open at the refresh instant (their last request is
-	// within StrideTimeout of now) are carried into the next buffer
-	// rather than finalized — otherwise a refresh landing mid-stride
-	// would permanently split the dependency pair across buffers.
-	var finalized []trace.Request
-	finalized, e.carry = splitOpenStrides(buf, at, e.cfg.StrideTimeout, e.carry[:0])
-	flush := &trace.Trace{Requests: finalized}
+	// The estimators take clients in sorted order, so their event stream
+	// does not depend on map iteration or shard layout.
+	slices.SortFunc(e.runs, func(a, b trace.Run) int { return cmp.Compare(a.Client, b.Client) })
+	flush := e.runs
 	clock.done(phaseDrain)
 
-	// Estimator hardening: classify clients over the sorted flush and
-	// divert quarantined transitions into the side-ledger. The side-ledger
+	// Estimator hardening: classify the flushed clients and divert
+	// quarantined transitions into the side-ledger. The side-ledger
 	// ages every cycle (even with nothing quarantined this window) so its
 	// occurrence counts decay in lockstep with the clean estimate.
 	g := e.cfg.Guard
 	if g != nil {
 		clean, quar := g.Partition(flush)
-		if n := int64(quar.Len()); n > 0 {
-			e.quarReqs.Add(n)
+		var n int64
+		for _, run := range quar {
+			n += int64(len(run.Visits))
 		}
-		if err := e.quarantine.AddDay(quar); err != nil {
+		e.quarReqs.Add(n)
+		if err := e.quarantine.AddRuns(quar); err != nil {
 			panic(fmt.Sprintf("core: refresh quarantine ledger: %v", err))
 		}
 		flush = clean
 	}
 
-	// AddDay never fails here: the config was validated at construction.
-	if err := e.est.AddDay(flush); err != nil {
+	// AddRuns never fails here: the config was validated at construction.
+	if err := e.est.AddRuns(flush); err != nil {
 		panic(fmt.Sprintf("core: refresh: %v", err))
+	}
+	clear(e.runs) // drop the client IDs until the next cycle fills it
+	e.runs = e.runs[:0]
+	if cap(e.flush) > 1<<16 {
+		e.flush = nil // don't pin a giant buffer across quiet cycles
+	} else {
+		e.flush = e.flush[:0]
 	}
 	e.lastRefresh.Store(at.UnixNano())
 	e.refreshes.Add(1)
@@ -752,63 +782,21 @@ func (s *snapshot) size(doc webgraph.DocID) (int64, bool) {
 	return sz, ok
 }
 
-// splitOpenStrides partitions the time-ordered reqs into the requests safe
-// to finalize and the per-client trailing strides that may still continue
-// past `at`: one stable partition, so both halves keep reqs' order. flush
-// is compacted in place and aliases reqs; the open strides are appended to
-// carry.
-//
-// A client's trailing stride is open when its last request is within
-// strideTimeout of at, and reaches back while successive gaps stay below
-// strideTimeout. The backward scan stops as soon as no stride can reach the
-// request under it, so a refresh at a quiet instant reads only the tail.
-func splitOpenStrides(reqs []trace.Request, at time.Time, strideTimeout time.Duration, carry []trace.Request) (flush, open []trace.Request) {
-	if strideTimeout <= 0 {
-		return reqs, carry
+// closedPrefix is how many of a client's time-ordered log entries are
+// final at instant now (both timed from the shard's base): all of them
+// unless the trailing stride is still open — its last entry within
+// strideTimeout of now — in which case the stride, reaching back while
+// gaps stay under strideTimeout, is kept.
+func closedPrefix(log []trace.Visit, now, strideTimeout time.Duration) int {
+	n := len(log)
+	if strideTimeout <= 0 || now-log[n-1].At >= strideTimeout {
+		return n
 	}
-	// first is the earliest request found so far of a client's trailing
-	// stride; closed clients stay in the map so an older request of theirs
-	// is not mistaken for a last one.
-	type tail struct {
-		first time.Time
-		open  bool
+	cut := n - 1
+	for cut > 0 && log[cut].At-log[cut-1].At < strideTimeout {
+		cut--
 	}
-	tails := make(map[trace.ClientID]tail)
-	// reach is the earliest instant any open stride — or the trailing
-	// stride of a client not met yet, which must end within strideTimeout
-	// of at — has got back to.
-	reach := at
-	lo := len(reqs)
-	var carried []bool // for reqs[lo:], filled back to front
-	for lo > 0 && reach.Sub(reqs[lo-1].Time) < strideTimeout {
-		lo--
-		r := &reqs[lo]
-		t, met := tails[r.Client]
-		switch {
-		case !met: // the client's last request
-			t.open = at.Sub(r.Time) < strideTimeout
-		case t.open:
-			t.open = t.first.Sub(r.Time) < strideTimeout
-		}
-		if t.open {
-			t.first = r.Time
-			if r.Time.Before(reach) {
-				reach = r.Time
-			}
-		}
-		tails[r.Client] = t
-		carried = append(carried, t.open)
-	}
-	n := lo
-	for k := lo; k < len(reqs); k++ {
-		if carried[len(reqs)-1-k] {
-			carry = append(carry, reqs[k])
-		} else {
-			reqs[n] = reqs[k]
-			n++
-		}
-	}
-	return reqs[:n], carry
+	return cut
 }
 
 // Decision is a reusable buffer for one request's speculation outcome.

@@ -124,16 +124,17 @@ func topK(counts map[webgraph.DocID]int64, total int64, k int) (map[webgraph.Doc
 
 // setProfile rebuilds the baseline distribution from the clean refresh
 // window and resets the live counters.
-func (d *driftState) setProfile(clean *trace.Trace) {
+func (d *driftState) setProfile(clean []trace.Run) {
 	counts := make(map[webgraph.DocID]int64, 256)
 	var total int64
-	for i := range clean.Requests {
-		doc := clean.Requests[i].Doc
-		if doc == webgraph.None {
-			continue
+	for _, run := range clean {
+		for _, v := range run.Visits {
+			if v.Doc == webgraph.None {
+				continue
+			}
+			counts[v.Doc]++
+			total++
 		}
-		counts[doc]++
-		total++
 	}
 	prof, rest := topK(counts, total, d.cfg.DriftTopK)
 

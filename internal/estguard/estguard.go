@@ -37,7 +37,6 @@ package estguard
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -321,11 +320,11 @@ type windowFeatures struct {
 	gapCV    float64 // coefficient of variation of positive gaps; 10 when <2 gaps
 }
 
-func featuresOf(reqs []trace.Request) windowFeatures {
-	f := windowFeatures{n: len(reqs)}
-	seen := make(map[int64]struct{}, len(reqs))
-	for i := range reqs {
-		seen[int64(reqs[i].Doc)] = struct{}{}
+func featuresOf(visits []trace.Visit) windowFeatures {
+	f := windowFeatures{n: len(visits)}
+	seen := make(map[int64]struct{}, len(visits))
+	for i := range visits {
+		seen[int64(visits[i].Doc)] = struct{}{}
 	}
 	f.distinct = len(seen)
 	if f.n > 0 {
@@ -338,8 +337,8 @@ func featuresOf(reqs []trace.Request) windowFeatures {
 	// metronomic intra-burst cadence behind two huge inter-burst gaps.
 	const sessionGapCap = 900.0 // seconds
 	var gaps []float64
-	for i := 1; i < len(reqs); i++ {
-		d := reqs[i].Time.Sub(reqs[i-1].Time).Seconds()
+	for i := 1; i < len(visits); i++ {
+		d := (visits[i].At - visits[i-1].At).Seconds()
 		if d > 0 && d <= sessionGapCap {
 			gaps = append(gaps, d)
 		}
@@ -400,30 +399,22 @@ func (g *Guard) classify(c trace.ClientID, st *clientState) string {
 	return ""
 }
 
-// Partition updates fingerprints from a refresh window's flushed trace
-// (time-sorted, as the engine drains it), reclassifies every active
-// client, and splits the window into the clean trace (feeds P[i,j]) and
-// the quarantined trace (feeds the side-ledger). Both partitions preserve
-// the flush's chronological order. It also rebuilds the drift profile from
-// the clean partition and resets the live counters.
+// Partition updates fingerprints from a refresh window's flushed runs (one
+// per client, in ascending client order, as the engine hands them over),
+// reclassifies every active client, and splits the window into the clean
+// runs (feed P[i,j]) and the quarantined runs (feed the side-ledger). Both
+// keep flush's order. It also rebuilds the drift profile from the clean
+// partition and resets the live counters.
 //
 // Must be called from the engine's refresh path: classification order is
-// made deterministic by iterating clients sorted by ID, and state
-// transitions happen only here, so a request's routing decision depends
-// only on trace content — never on shard layout or drain interleaving.
-func (g *Guard) Partition(flush *trace.Trace) (clean, quarantined *trace.Trace) {
-	byClient := flush.ByClient()
-	ids := make([]trace.ClientID, 0, len(byClient))
-	for c := range byClient {
-		ids = append(ids, c)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-
-	for _, c := range ids {
-		reqs := byClient[c]
-		v, _ := g.clients.LoadOrStore(c, &clientState{})
+// the clients' sorted order, and state transitions happen only here, so a
+// request's routing decision depends only on the window's content — never
+// on shard layout or drain interleaving.
+func (g *Guard) Partition(flush []trace.Run) (clean, quarantined []trace.Run) {
+	for _, run := range flush {
+		v, _ := g.clients.LoadOrStore(run.Client, &clientState{})
 		st := v.(*clientState)
-		f := featuresOf(reqs)
+		f := featuresOf(run.Visits)
 		first := st.windows == 0
 		st.windows++
 		st.totalReqs += int64(f.n)
@@ -432,7 +423,7 @@ func (g *Guard) Partition(flush *trace.Trace) (clean, quarantined *trace.Trace) 
 		st.repeat = ewma(st.repeat, f.repeat, first)
 		st.gapCV = ewma(st.gapCV, f.gapCV, first)
 
-		reason := g.classify(c, st)
+		reason := g.classify(run.Client, st)
 		cur := Status(st.status.Load())
 		switch {
 		case reason != "" && cur == Human:
@@ -464,23 +455,17 @@ func (g *Guard) Partition(flush *trace.Trace) (clean, quarantined *trace.Trace) 
 		}
 	}
 
-	// Route requests by final status in one ordered pass, so both
-	// partitions stay chronologically sorted for the aging estimators.
-	clean = &trace.Trace{Requests: make([]trace.Request, 0, flush.Len())}
-	quarantined = &trace.Trace{}
+	// Route each client's run by its final status.
+	clean = make([]trace.Run, 0, len(flush))
 	reasonDrops := make(map[string]int64)
-	for i := range flush.Requests {
-		r := flush.Requests[i]
-		v, ok := g.clients.Load(r.Client)
-		if ok {
-			st := v.(*clientState)
-			if Status(st.status.Load()) == Quarantined {
-				quarantined.Requests = append(quarantined.Requests, r)
-				reasonDrops[st.reason]++
-				continue
-			}
+	for _, run := range flush {
+		v, _ := g.clients.Load(run.Client)
+		if st := v.(*clientState); Status(st.status.Load()) == Quarantined {
+			quarantined = append(quarantined, run)
+			reasonDrops[st.reason] += int64(len(run.Visits))
+			continue
 		}
-		clean.Requests = append(clean.Requests, r)
+		clean = append(clean, run)
 	}
 	for reason, n := range reasonDrops {
 		g.quarRequests.Add(n)

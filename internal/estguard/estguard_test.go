@@ -1,6 +1,7 @@
 package estguard
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -25,6 +26,15 @@ func window(tr *trace.Trace, c trace.ClientID, start time.Time, n int,
 		})
 		at = at.Add(time.Duration(gap(i) * float64(time.Second)))
 	}
+}
+
+// visits counts the requests in runs.
+func visits(runs []trace.Run) int {
+	n := 0
+	for _, r := range runs {
+		n += len(r.Visits)
+	}
+	return n
 }
 
 func seqDocs(n int) []webgraph.DocID {
@@ -68,7 +78,7 @@ func TestClassification(t *testing.T) {
 	window(flush, "newbie", t0, 10, seqDocs(10), func(int) float64 { return 0.5 })
 	flush.SortByTime()
 
-	clean, quar := g.Partition(flush)
+	clean, quar := g.Partition(flush.Runs())
 
 	want := map[trace.ClientID]string{
 		"crawler.bot": ReasonCrawler,
@@ -87,16 +97,16 @@ func TestClassification(t *testing.T) {
 			t.Errorf("%s: status %v reason %q, want quarantined %q", c, st, got, reason)
 		}
 	}
-	if clean.Len()+quar.Len() != flush.Len() {
-		t.Errorf("partition lost requests: %d + %d != %d", clean.Len(), quar.Len(), flush.Len())
+	if visits(clean)+visits(quar) != flush.Len() {
+		t.Errorf("partition lost requests: %d + %d != %d", visits(clean), visits(quar), flush.Len())
 	}
-	if quar.Len() != 40+200+30 {
-		t.Errorf("quarantined %d requests, want %d", quar.Len(), 40+200+30)
+	if visits(quar) != 40+200+30 {
+		t.Errorf("quarantined %d requests, want %d", visits(quar), 40+200+30)
 	}
-	for _, part := range []*trace.Trace{clean, quar} {
-		for i := 1; i < part.Len(); i++ {
-			if part.Requests[i].Time.Before(part.Requests[i-1].Time) {
-				t.Fatal("partition broke chronological order")
+	for _, part := range [][]trace.Run{clean, quar} {
+		for i := 1; i < len(part); i++ {
+			if part[i].Client <= part[i-1].Client {
+				t.Fatal("partition broke the runs' client order")
 			}
 		}
 	}
@@ -115,7 +125,7 @@ func TestPromotionAfterCleanWindows(t *testing.T) {
 
 	flush := &trace.Trace{}
 	window(flush, "c", t0, 40, seqDocs(40), func(int) float64 { return 0.5 })
-	g.Partition(flush)
+	g.Partition(flush.Runs())
 	if st, _ := g.Status("c"); st != Quarantined {
 		t.Fatal("client not quarantined after crawler window")
 	}
@@ -123,7 +133,7 @@ func TestPromotionAfterCleanWindows(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		flush = &trace.Trace{}
 		window(flush, "c", t0.Add(time.Duration(i)*day), 30, seqDocs(12), humanGaps)
-		g.Partition(flush)
+		g.Partition(flush.Runs())
 		st, _ := g.Status("c")
 		if i < 2 && st != Quarantined {
 			t.Fatalf("promoted after %d clean window(s), want %d", i, 2)
@@ -153,15 +163,10 @@ func TestPartitionDeterminism(t *testing.T) {
 	}
 	g1, f1 := build()
 	g2, f2 := build()
-	c1, q1 := g1.Partition(f1)
-	c2, q2 := g2.Partition(f2)
-	if c1.Len() != c2.Len() || q1.Len() != q2.Len() {
-		t.Fatalf("partitions diverged: (%d,%d) vs (%d,%d)", c1.Len(), q1.Len(), c2.Len(), q2.Len())
-	}
-	for i := range q1.Requests {
-		if q1.Requests[i] != q2.Requests[i] {
-			t.Fatalf("quarantined[%d] differs", i)
-		}
+	c1, q1 := g1.Partition(f1.Runs())
+	c2, q2 := g2.Partition(f2.Runs())
+	if !reflect.DeepEqual(c1, c2) || !reflect.DeepEqual(q1, q2) {
+		t.Fatalf("partitions diverged: (%d,%d) vs (%d,%d)", visits(c1), visits(q1), visits(c2), visits(q2))
 	}
 	if s1, s2 := g1.StatsSnapshot(), g2.StatsSnapshot(); s1.QuarantinedRequests != s2.QuarantinedRequests {
 		t.Errorf("stats diverged: %+v vs %+v", s1, s2)
@@ -173,7 +178,7 @@ func TestDriftScore(t *testing.T) {
 
 	flush := &trace.Trace{}
 	window(flush, "alice", t0, 100, seqDocs(10), humanGaps)
-	g.Partition(flush) // profile: uniform over docs 0..9
+	g.Partition(flush.Runs()) // profile: uniform over docs 0..9
 
 	if got := g.DriftScore(); got != 0 {
 		t.Errorf("score with no live samples = %v, want 0", got)
@@ -199,7 +204,7 @@ func TestDriftScore(t *testing.T) {
 	// A refresh rebuilds the profile and resets the live counters.
 	flush2 := &trace.Trace{}
 	window(flush2, "alice", t0.Add(24*time.Hour), 100, []webgraph.DocID{100, 101, 102}, humanGaps)
-	g.Partition(flush2)
+	g.Partition(flush2.Runs())
 	if got := g.DriftScore(); got != 0 {
 		t.Errorf("score after refresh = %v, want 0 (counters reset)", got)
 	}

@@ -25,8 +25,9 @@ func scenarioCellConfig(scenario string, guard bool) Config {
 // with the adversarial scenario × estguard cube. For every cell the
 // single-worker and 16-worker runs must produce byte-identical
 // deterministic reports: quarantine decisions, drift scores, and snapshot
-// judgments are all functions of the refresh-time trace (sorted before
-// any guard mutation), so no shard-drain interleaving may change them.
+// judgments are all functions of the refresh-time client runs (sorted by
+// client before any guard mutation), so no shard interleaving may change
+// them.
 func TestScenarioConformanceMatrix(t *testing.T) {
 	leakcheck.Check(t)
 	scenarios := []string{"", "flash-crowd", "diurnal", "crawler", "long-tail-scan", "multi-tenant"}

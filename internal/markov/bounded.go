@@ -98,7 +98,7 @@ var (
 )
 
 // Bounded is the memory-bounded streaming estimator. Like Aging it is
-// single-writer: the engine calls AddDay/Snapshot under its refresh
+// single-writer: the engine calls AddRuns/Freeze under its refresh
 // mutex. It is not safe for concurrent mutation.
 type Bounded struct {
 	// Transitive selects the P* (stride) pairing instead of the windowed
@@ -240,6 +240,12 @@ func (b *Bounded) addPair(i, j webgraph.DocID) {
 // in the given window's trace — the bounded counterpart of Aging.AddDay,
 // performing the identical float operations on every surviving entry.
 func (b *Bounded) AddDay(day *trace.Trace) error {
+	return b.AddRuns(day.Runs())
+}
+
+// AddRuns is AddDay over a window already grouped by client, as the engine
+// buffers it.
+func (b *Bounded) AddRuns(runs []trace.Run) error {
 	if b.cfg.Window <= 0 {
 		return fmt.Errorf("markov: bounded estimator has non-positive window")
 	}
@@ -268,7 +274,7 @@ func (b *Bounded) AddDay(day *trace.Trace) error {
 		b.sketch.scale(b.decay)
 		b.evictedMass *= b.decay
 	}
-	b.walk.accumulate(day, b.cfg, b.Transitive, b)
+	b.walk.accumulate(runs, b.cfg, b.Transitive, b)
 	return nil
 }
 

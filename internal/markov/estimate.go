@@ -58,49 +58,44 @@ type pairSink interface {
 // one traversal needs; an estimator keeps one so a refresh cycle reuses
 // last cycle's buffers.
 type pairWalk struct {
-	clients []trace.ClientID
-	keys    []uint64 // (document, position) of the stride being linked
-	prev    []int32  // per position: nearest earlier position with the same document, or -1
+	keys []uint64 // (document, position) of the stride being linked
+	prev []int32  // per position: nearest earlier position with the same document, or -1
 }
 
-// accumulate feeds sink the events of tr. When transitive is false, a pair
-// (i,j) counts when j follows i within Window (the P relation). When
-// transitive is true, a pair counts when j follows i anywhere within the
-// same stride — the paper's definition of the closure P*: "a sequence of
-// requests starting with document D_i and ending with document D_j, in
-// which every request is separated by at most T_w units of time from the
-// previous request" (§3.1). Estimating P* directly from the trace avoids
-// the inflation a matrix-power closure suffers when many alternative paths
+// accumulate feeds sink the events of runs, one client's run after
+// another in the order given. When transitive is false, a pair (i,j)
+// counts when j follows i within Window (the P relation). When transitive
+// is true, a pair counts when j follows i anywhere within the same stride
+// — the paper's definition of the closure P*: "a sequence of requests
+// starting with document D_i and ending with document D_j, in which every
+// request is separated by at most T_w units of time from the previous
+// request" (§3.1). Estimating P* directly from the trace avoids the
+// inflation a matrix-power closure suffers when many alternative paths
 // connect the same pair.
-func (w *pairWalk) accumulate(tr *trace.Trace, cfg EstimateConfig, transitive bool, sink pairSink) {
+//
+// The exact accumulator cannot tell one client order from another (its
+// additions commute), but space-saving eviction is order-dependent: the
+// bounded estimator's state — and hence benchmark reports under tight caps
+// — is only reproducible run-to-run if the event stream is, which is why
+// every producer of runs sorts them by client.
+func (w *pairWalk) accumulate(runs []trace.Run, cfg EstimateConfig, transitive bool, sink pairSink) {
 	strideTimeout := cfg.StrideTimeout
 	if transitive && strideTimeout <= 0 {
 		strideTimeout = cfg.Window
 	}
-	// Clients are visited in sorted order, not map order. The exact
-	// accumulator cannot tell the difference (its additions commute), but
-	// space-saving eviction is order-dependent: the bounded estimator's
-	// state — and hence benchmark reports under tight caps — is only
-	// reproducible run-to-run if the event stream is.
-	byClient := tr.ByClient()
-	w.clients = w.clients[:0]
-	for c := range byClient {
-		w.clients = append(w.clients, c)
-	}
-	slices.Sort(w.clients)
-	for _, c := range w.clients {
-		reqs := byClient[c]
+	for _, run := range runs {
+		vs := run.Visits
 		// A stride ends at the first gap of strideTimeout or more; without
 		// a timeout the client's whole stream is one segment.
-		for start := 0; start < len(reqs); {
-			end := len(reqs)
+		for start := 0; start < len(vs); {
+			end := len(vs)
 			if strideTimeout > 0 {
 				end = start + 1
-				for end < len(reqs) && reqs[end].Time.Sub(reqs[end-1].Time) < strideTimeout {
+				for end < len(vs) && vs[end].At-vs[end-1].At < strideTimeout {
 					end++
 				}
 			}
-			w.segment(reqs[start:end], cfg.Window, transitive, sink)
+			w.segment(vs[start:end], cfg.Window, transitive, sink)
 			start = end
 		}
 	}
@@ -112,7 +107,7 @@ func (w *pairWalk) accumulate(tr *trace.Trace, cfg EstimateConfig, transitive bo
 // been counted for position x exactly when it also sits somewhere in
 // (x, y), i.e. when prev[y] > x — which replaces a set per request with
 // one link pass per stride.
-func (w *pairWalk) segment(seg []trace.Request, window time.Duration, transitive bool, sink pairSink) {
+func (w *pairWalk) segment(seg []trace.Visit, window time.Duration, transitive bool, sink pairSink) {
 	prev := w.link(seg)
 	for x := range seg {
 		i := seg[x].Doc
@@ -121,7 +116,7 @@ func (w *pairWalk) segment(seg []trace.Request, window time.Duration, transitive
 		}
 		sink.addOcc(i)
 		for y := x + 1; y < len(seg); y++ {
-			if !transitive && seg[y].Time.Sub(seg[x].Time) > window {
+			if !transitive && seg[y].At-seg[x].At > window {
 				break
 			}
 			j := seg[y].Doc
@@ -137,7 +132,7 @@ func (w *pairWalk) segment(seg []trace.Request, window time.Duration, transitive
 // documents become neighbours in position order. It needs no table over
 // the document-ID space, so sparse and negative IDs cost nothing and the
 // bounded estimator's footprint stays independent of site size.
-func (w *pairWalk) link(seg []trace.Request) []int32 {
+func (w *pairWalk) link(seg []trace.Visit) []int32 {
 	w.prev = slices.Grow(w.prev[:0], len(seg))[:len(seg)]
 	if len(seg) < 3 {
 		// With two requests a repeat can only be of the first document
@@ -466,7 +461,7 @@ func Estimate(tr *trace.Trace, cfg EstimateConfig) (*Matrix, error) {
 		return nil, fmt.Errorf("markov: window must be positive, got %v", cfg.Window)
 	}
 	a := newPairAccumulator()
-	new(pairWalk).accumulate(tr, cfg, false, a)
+	new(pairWalk).accumulate(tr.Runs(), cfg, false, a)
 	return a.snapshot(cfg), nil
 }
 
@@ -479,7 +474,7 @@ func EstimateTransitive(tr *trace.Trace, cfg EstimateConfig) (*Matrix, error) {
 		return nil, fmt.Errorf("markov: need a positive window or stride timeout")
 	}
 	a := newPairAccumulator()
-	new(pairWalk).accumulate(tr, cfg, true, a)
+	new(pairWalk).accumulate(tr.Runs(), cfg, true, a)
 	return a.snapshot(cfg), nil
 }
 
@@ -515,9 +510,10 @@ type EstimatorStats struct {
 // every downstream consumer (trust scoring, drift, checkpointing) is
 // representation-agnostic.
 type Estimator interface {
-	// AddDay decays the accumulated state by one refresh interval and
-	// folds in the window's trace.
-	AddDay(day *trace.Trace) error
+	// AddRuns decays the accumulated state by one refresh interval and
+	// folds in the window's traffic, grouped by client in ascending client
+	// order.
+	AddRuns(runs []trace.Run) error
 	// Freeze compiles the current estimate into its immutable CSR form.
 	// A non-nil scale damps row i by scale(i) first, under
 	// Matrix.ScaleRow's rules (≤ 0 drops the row, ≥ 1 leaves it alone).
@@ -559,6 +555,12 @@ func NewAging(decay float64, cfg EstimateConfig) *Aging {
 // AddDay decays the accumulated state by one day and folds in the given
 // day's trace.
 func (a *Aging) AddDay(day *trace.Trace) error {
+	return a.AddRuns(day.Runs())
+}
+
+// AddRuns is AddDay over a window already grouped by client, as the engine
+// buffers it.
+func (a *Aging) AddRuns(runs []trace.Run) error {
 	if a.cfg.Window <= 0 {
 		return fmt.Errorf("markov: aging estimator has non-positive window")
 	}
@@ -567,7 +569,7 @@ func (a *Aging) AddDay(day *trace.Trace) error {
 	if a.Decay < 1 {
 		a.acc.decay(a.Decay)
 	}
-	a.walk.accumulate(day, a.cfg, a.Transitive, a.acc)
+	a.walk.accumulate(runs, a.cfg, a.Transitive, a.acc)
 	return nil
 }
 

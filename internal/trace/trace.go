@@ -30,6 +30,22 @@ type Request struct {
 	Path   string
 }
 
+// Visit is a request as the dependency estimators read it: when, as an
+// offset from an instant its producer fixes, and which document. The
+// visits of one Run share that instant and their offsets are Time.Sub
+// readings against it, so the gap between two of them is the Time.Sub of
+// their requests, monotonic reading included.
+type Visit struct {
+	At  time.Duration
+	Doc webgraph.DocID
+}
+
+// Run is one client's visits within a window, in time order.
+type Run struct {
+	Client ClientID
+	Visits []Visit
+}
+
 // Trace is a time-ordered sequence of requests against one site.
 type Trace struct {
 	Requests []Request
@@ -130,9 +146,9 @@ func (t *Trace) SortByTime() {
 // SortRequests is SortByTime for a bare request slice.
 //
 // Traces arrive as a few time-ordered runs laid end to end — one per
-// session from the generator, one per ingestion shard from the engine — so
-// this is a natural merge sort, and it sorts 16-byte keys rather than the
-// 88-byte requests, which then move once each.
+// session from the generator — so this is a natural merge sort, and it
+// sorts 16-byte keys rather than the 88-byte requests, which then move
+// once each.
 func SortRequests(reqs []Request) {
 	if len(reqs) < 2 {
 		return
@@ -240,6 +256,26 @@ func (t *Trace) Clients() []ClientID {
 // read-only.
 func (t *Trace) ByClient() map[ClientID][]Request {
 	return t.index().byClient
+}
+
+// Runs groups the trace in the estimators' form: one Run per client, in
+// ascending client order, each client's visits timed from its own first
+// request.
+func (t *Trace) Runs() []Run {
+	idx := t.index()
+	clients := slices.Clone(idx.order)
+	slices.Sort(clients)
+	runs := make([]Run, len(clients))
+	visits := make([]Visit, 0, len(t.Requests))
+	for k, c := range clients {
+		reqs := idx.byClient[c]
+		start := len(visits)
+		for i := range reqs {
+			visits = append(visits, Visit{At: reqs[i].Time.Sub(reqs[0].Time), Doc: reqs[i].Doc})
+		}
+		runs[k] = Run{Client: c, Visits: visits[start:len(visits):len(visits)]}
+	}
+	return runs
 }
 
 // TotalBytes sums the bytes of all requests.

@@ -314,9 +314,9 @@ func TestSortByTimeMatchesStableSort(t *testing.T) {
 	}
 }
 
-// BenchmarkSortRequests sorts the two shapes SortByTime meets: a generated
-// trace (thousands of short session runs laid end to end) and an engine
-// drain (a few long shard runs covering the same span).
+// BenchmarkSortRequests sorts two shapes: a generated trace (thousands of
+// short session runs laid end to end) and a few long runs covering the
+// same span, as a concatenation of per-worker logs has.
 func BenchmarkSortRequests(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	base := time.Date(1995, time.May, 1, 0, 0, 0, 0, time.UTC)
