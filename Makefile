@@ -75,7 +75,7 @@ bench-smoke:
 		-bench 'BenchmarkClosureSerial|BenchmarkClosureParallel|BenchmarkFreeze|BenchmarkFrozenThresholdRow' \
 		./internal/markov/
 	$(GO) test -run '^$$' -benchtime=100x -benchmem \
-		-bench 'BenchmarkReadBody|BenchmarkClientIngestBundle|BenchmarkServeBundle|BenchmarkServerRoundTrip|BenchmarkPrefetchBatch|BenchmarkInlineBundle' \
+		-bench 'BenchmarkReadBody|BenchmarkRenderBody|BenchmarkClientIngestBundle|BenchmarkServeBundle|BenchmarkServerRoundTrip|BenchmarkPrefetchBatch|BenchmarkInlineBundle' \
 		./internal/httpspec/
 	$(GO) test -run '^$$' -benchtime=100x -benchmem -bench 'BenchmarkSpan' ./internal/obs/
 

@@ -189,23 +189,40 @@ func allocCeiling(b *testing.B, max float64, op func()) {
 	}
 }
 
-// BenchmarkReadBody reads a 64 KiB body: into a buffer sized from the
-// declared length, and through the growing read an undeclared one takes.
+// BenchmarkReadBody reads a body in both shapes readBody takes in:
+// memory, the io.NopCloser(bytes.NewReader) every in-process transport
+// hands over, which writes itself into an uncleared buffer; and stream, the
+// same bytes with WriterTo hidden, as a socket delivers them, read into a
+// buffer sized from the declared length (or through the growing read an
+// undeclared one takes).
 func BenchmarkReadBody(b *testing.B) {
-	data := bytes.Repeat([]byte("x"), 64<<10)
-	r := bytes.NewReader(data)
 	for _, tc := range []struct {
 		name     string
-		declared int64
+		size     int
+		stream   bool
+		declared bool
 		ceiling  float64
 	}{
-		{"declared", int64(len(data)), 2}, // the buffer and the EOF probe
-		{"undeclared", -1, 32},
+		{"memory/64KiB", 64 << 10, false, true, 2}, // the buffer and its writer
+		{"memory/512KiB", 512 << 10, false, true, 2},
+		{"stream/64KiB", 64 << 10, true, true, 2}, // the buffer and the EOF probe
+		{"stream/512KiB", 512 << 10, true, true, 2},
+		{"stream/undeclared-64KiB", 64 << 10, true, false, 32},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
+			data := bytes.Repeat([]byte("x"), tc.size)
+			br := bytes.NewReader(data)
+			body := io.NopCloser(br)
+			if tc.stream {
+				body = io.NopCloser(struct{ io.Reader }{br})
+			}
+			declared := int64(len(data))
+			if !tc.declared {
+				declared = -1
+			}
 			op := func() {
-				r.Reset(data)
-				if got, err := readBody(r, tc.declared); err != nil || len(got) != len(data) {
+				br.Reset(data)
+				if got, err := readBody(body, declared); err != nil || len(got) != len(data) {
 					b.Fatal(len(got), err)
 				}
 			}
@@ -217,6 +234,23 @@ func BenchmarkReadBody(b *testing.B) {
 			allocCeiling(b, tc.ceiling, op)
 		})
 	}
+}
+
+// BenchmarkRenderBody renders a 100 kB object, the store's work on an
+// LRU miss: one allocation, the body itself.
+func BenchmarkRenderBody(b *testing.B) {
+	d := &webgraph.Document{ID: 4242, Kind: webgraph.Object, Path: "/media/o4242.mpg", Size: 100_000}
+	op := func() {
+		if got := renderBody(d); len(got) != int(d.Size) {
+			b.Fatal(len(got))
+		}
+	}
+	b.ReportAllocs()
+	b.SetBytes(d.Size)
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	allocCeiling(b, 1, op)
 }
 
 // benchBundle frames a requested document and three pushes of 8 KiB each,

@@ -19,7 +19,8 @@
 package httpspec
 
 import (
-	"fmt"
+	"bytes"
+	"strconv"
 	"sync"
 	"time"
 
@@ -154,23 +155,24 @@ func (s *SiteStore) Content(id webgraph.DocID) ([]byte, bool) {
 }
 
 func renderBody(d *webgraph.Document) []byte {
-	header := fmt.Sprintf("specweb synthetic %s doc=%d path=%s\n", d.Kind, d.ID, d.Path)
-	n := int(d.Size)
-	body := make([]byte, n)
-	h := copy(body, header)
-	if h == n {
-		return body
-	}
-	// The filler is the alphabet repeated, body[i] = 'a' + (i+ID)%26: lay
-	// one period down, then double it across the rest.
+	// The filler is the alphabet repeated, body[i] = 'a' + (i+ID)%26.
+	// bytes.Repeat lays whole periods down in a buffer it does not clear
+	// first (up to 25 bytes past the body, clipped off); the header then
+	// goes over the start, cut off at the body's end.
 	var period [26]byte
 	for k := range period {
-		period[k] = byte('a' + (h+k+int(d.ID))%26)
+		period[k] = byte('a' + (k+int(d.ID))%26)
 	}
-	fill := body[h:]
-	for done := copy(fill, period[:]); done < len(fill); done *= 2 {
-		copy(fill[done:], fill[:done])
-	}
+	n := int(d.Size)
+	body := bytes.Repeat(period[:], (n+len(period)-1)/len(period))[:n:n]
+	var header [128]byte
+	h := append(header[:0], "specweb synthetic "...)
+	h = append(h, d.Kind.String()...)
+	h = append(h, " doc="...)
+	h = strconv.AppendInt(h, int64(d.ID), 10)
+	h = append(h, " path="...)
+	h = append(h, d.Path...)
+	copy(body, append(h, '\n'))
 	return body
 }
 

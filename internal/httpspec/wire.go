@@ -17,7 +17,15 @@ import (
 // buffer is sized from it. The server frames a bundle with a Content-Length
 // on the response and on each part; the client reads the response into one
 // buffer of exactly that size and walks the parts in place, so a document
-// is copied once between the socket and the cache (DESIGN §10).
+// is copied once between the sender's bytes and the cache (DESIGN §10).
+//
+// A body reaches readBody in one of two shapes, and each has its own
+// intake. A stream (a socket) is read into a buffer allocated up front,
+// which Go clears before the read overwrites it. A body whose bytes are
+// already in memory (every in-process transport hands over a bytes.Reader)
+// is an io.WriterTo: it writes itself into a buffer that an append
+// allocates, uncleared, around its first write. io.Copy makes the same
+// dispatch on WriterTo.
 
 // maxDeclaredBody is the largest Content-Length readBody allocates up
 // front. The length arrives from the network, so it may size a buffer only
@@ -28,11 +36,25 @@ import (
 const maxDeclaredBody = 64 << 20
 
 // readBody reads r to EOF. With a plausible declared length it allocates
-// exactly that many bytes and fills them in one pass; a stream that ends
+// exactly that many bytes and fills them in one pass; a body that ends
 // early is io.ErrUnexpectedEOF (retryable upstream), one that runs long is
-// still returned whole.
+// still returned whole. A body that can write itself out (io.WriterTo)
+// does, into bodyWriter, and comes back capacity-clipped.
 func readBody(r io.Reader, declared int64) ([]byte, error) {
-	if declared < 0 || declared > maxDeclaredBody {
+	sized := declared >= 0 && declared <= maxDeclaredBody
+	if wt, ok := r.(io.WriterTo); ok {
+		var w bodyWriter
+		if sized {
+			w.size = int(declared)
+		}
+		_, err := wt.WriteTo(&w)
+		body := w.buf[:len(w.buf):len(w.buf)]
+		if err == nil && sized && int64(len(body)) < declared {
+			err = io.ErrUnexpectedEOF
+		}
+		return body, err
+	}
+	if !sized {
 		return io.ReadAll(r)
 	}
 	buf := make([]byte, declared)
@@ -54,6 +76,26 @@ func readBody(r io.Reader, declared int64) ([]byte, error) {
 	default:
 		return buf, err
 	}
+}
+
+// bodyWriter collects what an io.WriterTo writes, copying every p (a
+// Writer may not keep it). A first write that brings the whole declared
+// body — bytes.Reader brings all it has in one — is appended to a nil
+// slice, which allocates without clearing. A shorter first write reserves
+// the declared size before it is appended, so the later pieces land
+// without growth steps. With no usable size (0) the buffer grows with the
+// bytes that actually arrive.
+type bodyWriter struct {
+	buf  []byte
+	size int
+}
+
+func (w *bodyWriter) Write(p []byte) (int, error) {
+	if w.buf == nil && len(p) < w.size {
+		w.buf = make([]byte, 0, w.size)
+	}
+	w.buf = append(w.buf, p...)
+	return len(p), nil
 }
 
 // bundleBoundary delimits the parts of every bundle this process serves.

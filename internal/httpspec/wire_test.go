@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"net/textproto"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -453,16 +454,51 @@ func TestServeBundleEitherSideOfGatherMax(t *testing.T) {
 	}
 }
 
+// piecesBody is an in-memory body that writes itself out in pieces of at
+// most piece bytes; with fail set it stops halfway with that error. It is
+// an io.WriterTo, so readBody must never call its Read.
+type piecesBody struct {
+	t     *testing.T
+	data  []byte
+	piece int
+	fail  error
+}
+
+func (b *piecesBody) Read([]byte) (int, error) {
+	b.t.Error("readBody read a body that can write itself out")
+	return 0, io.EOF
+}
+
+func (b *piecesBody) WriteTo(w io.Writer) (int64, error) {
+	data := b.data
+	if b.fail != nil {
+		data = data[:len(data)/2]
+	}
+	var n int64
+	for len(data) > 0 {
+		k, err := w.Write(data[:min(b.piece, len(data))])
+		n += int64(k)
+		if err != nil {
+			return n, err
+		}
+		data = data[k:]
+	}
+	return n, b.fail
+}
+
 // TestReadBody: the buffer is sized from the declared length when there is
-// a plausible one, and the bytes returned never depend on it.
+// a plausible one, and the bytes returned never depend on it. Streams keep
+// the exact-size read; bodies already in memory write themselves into a
+// buffer of their own, capacity-clipped, whatever shape the writes take.
 func TestReadBody(t *testing.T) {
 	data := bytes.Repeat([]byte("0123456789abcdef"), 300) // 4800 B: several ReadAll growth steps
+	errHalfway := errors.New("body failed halfway")
 	for _, tc := range []struct {
 		name     string
 		declared int64
 		want     []byte
 		wantErr  error
-		exact    bool // the buffer must be exactly the declared size
+		exact    bool // a stream's buffer must be exactly the declared size
 	}{
 		{"declared = actual", int64(len(data)), data, nil, true},
 		{"short stream", int64(len(data)) + 10, data, io.ErrUnexpectedEOF, false},
@@ -476,8 +512,8 @@ func TestReadBody(t *testing.T) {
 		if tc.want == nil {
 			src = nil
 		}
-		for _, r := range []io.Reader{bytes.NewReader(src), iotest.OneByteReader(bytes.NewReader(src)),
-			iotest.DataErrReader(bytes.NewReader(src))} {
+		for _, r := range []io.Reader{struct{ io.Reader }{bytes.NewReader(src)},
+			iotest.OneByteReader(bytes.NewReader(src)), iotest.DataErrReader(bytes.NewReader(src))} {
 			got, err := readBody(r, tc.declared)
 			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
 				t.Errorf("%s: err %v, want %v", tc.name, err, tc.wantErr)
@@ -492,6 +528,52 @@ func TestReadBody(t *testing.T) {
 				t.Errorf("%s: a %d-byte stream was given a %d-byte buffer", tc.name, len(data), cap(got))
 			}
 		}
+		for _, m := range []struct {
+			name  string
+			body  func([]byte) io.Reader
+			fails bool
+		}{
+			{"bytes.Reader", func(b []byte) io.Reader { return bytes.NewReader(b) }, false},
+			{"NopCloser", func(b []byte) io.Reader { return io.NopCloser(bytes.NewReader(b)) }, false},
+			{"pieces", func(b []byte) io.Reader { return &piecesBody{t: t, data: b, piece: 1000} }, false},
+			{"fails halfway", func(b []byte) io.Reader {
+				return &piecesBody{t: t, data: b, piece: 1000, fail: errHalfway}
+			}, true},
+		} {
+			want, wantErr := tc.want, tc.wantErr
+			if m.fails {
+				want, wantErr = want[:len(want)/2], errHalfway
+			}
+			own := bytes.Clone(src)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := readBody(m.body(own), tc.declared)
+			runtime.ReadMemStats(&after)
+			if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
+				t.Errorf("%s, %s: %d bytes allocated for a %d-byte body", tc.name, m.name, spent, len(src))
+			}
+			if !errors.Is(err, wantErr) || (wantErr == nil && err != nil) {
+				t.Errorf("%s, %s: err %v, want %v", tc.name, m.name, err, wantErr)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s, %s: got %d bytes, want %d", tc.name, m.name, len(got), len(want))
+			}
+			if cap(got) != len(got) {
+				t.Errorf("%s, %s: cap %d for %d bytes, want it clipped", tc.name, m.name, cap(got), len(got))
+			}
+			for i := range own {
+				own[i] = 'X'
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s, %s: the body changed with its source: it aliases what was written", tc.name, m.name)
+			}
+		}
+	}
+	// Pieces land in the one buffer the declared length sized, never in
+	// growth steps: two allocations, that buffer and its writer.
+	pieces := &piecesBody{t: t, data: data, piece: 100}
+	if a := testing.AllocsPerRun(10, func() { _, _ = readBody(pieces, int64(len(data))) }); a > 2 {
+		t.Errorf("%v allocations for a body written in %d pieces, want 2", a, len(data)/100)
 	}
 	if _, err := readBody(iotest.ErrReader(io.ErrClosedPipe), 4); !errors.Is(err, io.ErrClosedPipe) {
 		t.Errorf("transport error lost: %v", err)
@@ -796,30 +878,42 @@ func TestClientRequestMatchesNewRequest(t *testing.T) {
 	}
 }
 
-// TestRenderBodyMatchesByteLoop pins the doubling fill against the loop it
-// replaced, byte for byte, across the header boundary and the alphabet's
-// phase.
-func TestRenderBodyMatchesByteLoop(t *testing.T) {
+// TestRenderBody pins every rendered byte to the reference formula — the
+// header, cut off at the body's end, then body[i] = 'a' + (i+ID)%26 —
+// across the header boundary, the alphabet's phase and a 1 MiB body, and
+// checks the body is capacity-clipped.
+func TestRenderBody(t *testing.T) {
+	header := func(d *webgraph.Document) string {
+		return fmt.Sprintf("specweb synthetic %s doc=%d path=%s\n", d.Kind, d.ID, d.Path)
+	}
+	reference := func(d *webgraph.Document) []byte {
+		want := make([]byte, d.Size)
+		for i := copy(want, header(d)); i < len(want); i++ {
+			want[i] = byte('a' + (i+int(d.ID))%26)
+		}
+		return want
+	}
 	for _, id := range []webgraph.DocID{0, 1, 7, 25, 26, 27, 1000, 123457} {
+		d := &webgraph.Document{ID: id, Kind: webgraph.Page, Path: "/p/" + strconv.Itoa(int(id))}
+		h := len(header(d))
+		sizes := []int{0, 1, h / 2, h - 1, h, h + 1, h + 25, h + 26, h + 27, 1 << 20}
 		for size := 0; size <= 200; size++ {
-			d := &webgraph.Document{ID: id, Kind: webgraph.Page, Path: "/p/" + strconv.Itoa(int(id)), Size: int64(size)}
-			header := fmt.Sprintf("specweb synthetic %s doc=%d path=%s\n", d.Kind, d.ID, d.Path)
-			want := make([]byte, size)
-			copy(want, header)
-			for i := len(header); i < size; i++ {
-				want[i] = byte('a' + (i+int(d.ID))%26)
+			sizes = append(sizes, size)
+		}
+		for _, size := range sizes {
+			d.Size = int64(size)
+			got, want := renderBody(d), reference(d)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("doc %d size %d (header %d):\n got %.300q\nwant %.300q", id, size, h, got, want)
 			}
-			if got := renderBody(d); !bytes.Equal(got, want) {
-				t.Fatalf("doc %d size %d:\n got %q\nwant %q", id, size, got, want)
+			if cap(got) != len(got) {
+				t.Fatalf("doc %d size %d: cap %d", id, size, cap(got))
 			}
 		}
 	}
 	d := &webgraph.Document{ID: 3, Kind: webgraph.Object, Path: "/big", Size: 100_003}
-	got := renderBody(d)
-	for i := 64; i < len(got); i++ {
-		if got[i] != byte('a'+(i+3)%26) {
-			t.Fatalf("byte %d of a %d-byte body is %q", i, len(got), got[i])
-		}
+	if got := renderBody(d); !bytes.Equal(got, reference(d)) {
+		t.Fatalf("object body of %d bytes differs from the reference", d.Size)
 	}
 }
 
