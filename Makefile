@@ -127,11 +127,13 @@ bench-restart-baseline: specbench
 # multiplicatively; writes the BENCH-memory.json artifact CI uploads.
 # (2) Ingestion: the heap a buffered request holds until the refresh that
 # folds it, ≤ 24 B at 1,000 clients × 200 requests and ≤ 88 B at
-# 100,000 clients × 1.
+# 100,000 clients × 1. (3) Session sets: the heap a client's set of what
+# its session was sent holds, ≤ 128 B with one document and ≤ 256 B with
+# twenty.
 bench-memory:
 	BENCH_MEMORY_OUT=$(CURDIR)/BENCH-memory.json \
 		$(GO) test ./internal/markov/ -run TestBoundedMemoryGate -count=1 -v
-	$(GO) test ./internal/core/ -run TestIngestionMemory -count=1 -v
+	$(GO) test ./internal/core/ -run 'TestIngestionMemory|TestSessionSetMemory' -count=1 -v
 
 # Streaming gate: (1) byte-identity — over a spec × overload cube and two
 # worker counts, driving the benchmark from per-client seeded stream

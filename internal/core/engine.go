@@ -17,7 +17,9 @@
 // (SpeculateInto/HintsInto/SplitInto) is lock-free: decisions read an
 // immutable {frozen matrix, selection rule, size cache} snapshot published
 // through an atomic pointer, and Record logs to striped shard buffers, so
-// concurrent requests contend on nothing but their own shard.
+// concurrent requests contend on nothing but their own shard. A decision
+// made in a client's session (SessionInto) also reads what that session was
+// Sent, under the client's shard lock.
 package core
 
 import (
@@ -187,9 +189,9 @@ type snapshot struct {
 }
 
 // recordShard is one striped ingestion buffer — the request logs of the
-// clients that hash onto it — and those clients' outstanding offers. The
-// padding keeps adjacent shards on separate cache lines so uncontended
-// shard locks do not falsely share.
+// clients that hash onto it — and those clients' outstanding offers and
+// session sets. The padding keeps adjacent shards on separate cache lines so
+// uncontended shard locks do not falsely share.
 type recordShard struct {
 	mu sync.Mutex
 	// logs holds each client's accesses since its last closed stride, in
@@ -198,7 +200,8 @@ type recordShard struct {
 	// included. Both are unset until that access.
 	logs   map[trace.ClientID][]trace.Visit
 	base   time.Time
-	offers map[offerKey]offer // nil until the first Offer
+	offers map[offerKey]offer            // nil until the first Offer
+	sent   map[trace.ClientID]sessionSet // nil until the first Sent
 	_      [64]byte
 }
 
@@ -236,6 +239,51 @@ type offerKey struct {
 type offer struct {
 	at     time.Time
 	pMilli int64
+}
+
+// sessionSet is what went to one client in its current session: the token
+// the client names the session by, the unix time of the last delivery (a
+// refresh drops a set idle for longer than RefreshEvery, as it does an
+// offer), and the documents, sorted. A client has one set, its current
+// session's; 40 bytes beside its map key, and 4 per document.
+type sessionSet struct {
+	token uint64
+	at    int64
+	docs  []webgraph.DocID
+}
+
+// find is where doc is or would go in the set, and whether it is there.
+func (s *sessionSet) find(doc webgraph.DocID) (int, bool) {
+	lo, hi := 0, len(s.docs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.docs[m] < doc {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.docs) && s.docs[lo] == doc
+}
+
+// holds reports whether doc is in the set.
+func (s *sessionSet) holds(doc webgraph.DocID) bool {
+	_, ok := s.find(doc)
+	return ok
+}
+
+// strike removes from d, in order, every candidate the set holds: what the
+// selection kernel leaves out of a decision whose exclusion names it, for
+// the kernel only ever skips such a candidate.
+func (s *sessionSet) strike(d *Decision) {
+	push, pushP := d.Push[:0], d.PushP[:0]
+	for i, doc := range d.Push {
+		if !s.holds(doc) {
+			push, pushP = append(push, doc), append(pushP, d.PushP[i])
+		}
+	}
+	d.Push, d.PushP = push, pushP
+	d.Hints = slices.DeleteFunc(d.Hints, func(h speculation.Hint) bool { return s.holds(h.Doc) })
 }
 
 // Engine is the online speculative-service engine.
@@ -296,6 +344,7 @@ type engineMetrics struct {
 	hint             *obs.Counter
 	belowThreshold   *obs.Counter
 	digestSuppressed *obs.Counter
+	sessionHeld      *obs.Counter
 	deltaFreezes     *obs.Counter
 	refreshPhase     [numRefreshPhases]*obs.Histogram
 	pairs            *obs.Gauge
@@ -353,6 +402,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		hint:             reg.Counter(decisions, decisionsHelp, obs.Labels{"decision": "hint"}),
 		belowThreshold:   reg.Counter(decisions, decisionsHelp, obs.Labels{"decision": "below_threshold"}),
 		digestSuppressed: reg.Counter(decisions, decisionsHelp, obs.Labels{"decision": "digest_suppressed"}),
+		sessionHeld:      reg.Counter(decisions, decisionsHelp, obs.Labels{"decision": "session_suppressed"}),
 		deltaFreezes: reg.Counter("specweb_engine_delta_freezes_total",
 			"Refreshes that patched dirty rows into the previous frozen matrix instead of rebuilding it.", nil),
 		pairs: reg.Gauge("specweb_engine_pairs", "Dependency pairs in the current P* estimate.", nil),
@@ -537,6 +587,58 @@ func (e *Engine) Settle(client trace.ClientID, doc webgraph.DocID, used bool) (p
 	return o.pMilli, true
 }
 
+// Sent notes that docs went to client at `at` in the session token names,
+// and keeps in docs, in place and in order, those the session's set did not
+// hold yet. The set is the client's current session's. A token other than
+// the one it was built under starts it afresh, so a client that ends its
+// session, or a new client under the same ID, inherits nothing. Token 0 is
+// no session, and a quarantined client keeps no set: either way nothing is
+// noted and docs comes back whole. The set lives in the client's record
+// shard, beside its log and offers, and a refresh drops it once it is idle
+// for longer than RefreshEvery.
+func (e *Engine) Sent(client trace.ClientID, token uint64, at time.Time, docs []webgraph.DocID) []webgraph.DocID {
+	if token == 0 {
+		return docs
+	}
+	if st, _ := e.ClientStatus(client); st == estguard.Quarantined {
+		return docs
+	}
+	sh := &e.shards[shardOf(client)&e.shardMask]
+	sh.mu.Lock()
+	if sh.sent == nil {
+		sh.sent = make(map[trace.ClientID]sessionSet)
+	}
+	set := sh.sent[client]
+	if set.token != token {
+		set.token, set.docs = token, set.docs[:0]
+	}
+	set.at = at.UnixNano()
+	fresh := docs[:0]
+	for _, doc := range docs {
+		i, held := set.find(doc)
+		if held {
+			continue
+		}
+		set.docs = append(set.docs, 0)
+		copy(set.docs[i+1:], set.docs[i:])
+		set.docs[i] = doc
+		fresh = append(fresh, doc)
+	}
+	sh.sent[client] = set
+	sh.mu.Unlock()
+	return fresh
+}
+
+// Held reports whether doc is in client's set for the session token names:
+// whether a decision in that session leaves it out.
+func (e *Engine) Held(client trace.ClientID, token uint64, doc webgraph.DocID) bool {
+	sh := &e.shards[shardOf(client)&e.shardMask]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	set, ok := sh.sent[client]
+	return ok && token != 0 && set.token == token && set.holds(doc)
+}
+
 // maybeEarlyRefresh re-freezes before the regular deadline when the guard
 // reports real drift — a flash crowd or diurnal shift has made the frozen
 // snapshot stale. Two gates keep this cheap and bounded: the drift score
@@ -629,6 +731,13 @@ func (e *Engine) refreshLocked(at time.Time) {
 			if at.Sub(o.at) > e.cfg.RefreshEvery {
 				delete(sh.offers, key)
 				expired++
+			}
+		}
+		// So is a session set nothing went to for a cycle, and the set of a
+		// client the guard has quarantined since.
+		for c, set := range sh.sent {
+			if st, _ := e.ClientStatus(c); st == estguard.Quarantined || at.Sub(time.Unix(0, set.at)) > e.cfg.RefreshEvery {
+				delete(sh.sent, c)
 			}
 		}
 		sh.mu.Unlock()
@@ -860,6 +969,27 @@ func (e *Engine) HintsInto(d *Decision, doc webgraph.DocID, have map[webgraph.Do
 // allocation-free with a pooled Decision.
 func (e *Engine) SplitInto(d *Decision, doc webgraph.DocID, have map[webgraph.DocID]bool) {
 	e.decide(d, doc, have, speculation.ModeHybrid)
+	e.met.push.Add(int64(len(d.Push)))
+	e.met.hint.Add(int64(len(d.Hints)))
+}
+
+// SessionInto is SpeculateInto, HintsInto or SplitInto, as mode says, for a
+// request client made in the session token names: beside what have names,
+// every document Sent to client in that session is left out, as if have
+// named it. The decision itself takes no lock; what the set holds is then
+// struck from it under the client's shard lock, the one Record takes. Token
+// 0 is no session. Allocation-free with a pooled Decision.
+func (e *Engine) SessionInto(d *Decision, mode speculation.Mode, doc webgraph.DocID, have map[webgraph.DocID]bool, client trace.ClientID, token uint64) {
+	e.decide(d, doc, have, mode)
+	if n := len(d.Push) + len(d.Hints); token != 0 && n > 0 {
+		sh := &e.shards[shardOf(client)&e.shardMask]
+		sh.mu.Lock()
+		if set, ok := sh.sent[client]; ok && set.token == token {
+			set.strike(d)
+		}
+		sh.mu.Unlock()
+		e.met.sessionHeld.Add(int64(n - len(d.Push) - len(d.Hints)))
+	}
 	e.met.push.Add(int64(len(d.Push)))
 	e.met.hint.Add(int64(len(d.Hints)))
 }

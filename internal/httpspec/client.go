@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"slices"
@@ -212,7 +213,7 @@ type Client struct {
 	cfg     ClientConfig
 	base    string
 	baseURL *url.URL // base parsed once; nil when appending a path to it is not just string concatenation
-	accept  string   // the Spec-Accept header of a demand request; "" sends none
+	accept  string   // the Spec-Accept header, session token included; "" sends none. Guarded by mu
 	retrier *resilience.Retrier
 	tracer  *obs.Tracer
 
@@ -245,12 +246,7 @@ func NewClient(base string, cfg ClientConfig) *Client {
 	}
 	c := &Client{cfg: cfg, base: strings.TrimRight(base, "/"),
 		retrier: retrier, tracer: cfg.Tracer, cache: make(map[string]cacheEntry)}
-	if cfg.AcceptBundles {
-		c.accept = acceptBundle
-		if m := prefetchMilli(cfg.PrefetchThreshold); m > 0 {
-			c.accept += "; " + acceptPrefetch + strconv.FormatInt(m, 10)
-		}
-	}
+	c.newSessionLocked()
 	// A base that is literally scheme://host[:port][/plain/prefix], which
 	// is what every caller passes, is parsed here once; anything else keeps
 	// parsing base+path per request.
@@ -259,6 +255,31 @@ func NewClient(base string, cfg ClientConfig) *Client {
 		c.baseURL = u
 	}
 	return c
+}
+
+// newSessionLocked draws the token of a new session and renders it into the
+// Spec-Accept header the session's requests carry. The server keeps what it
+// sent each session under its token and sends none of it again: a random
+// token, because a client can end its session without the server hearing
+// of it, and a fresh client under the same ID must not inherit what an
+// earlier one was sent. Only a client that takes bundles states one.
+// Callers hold mu (or are the constructor).
+func (c *Client) newSessionLocked() {
+	if !c.cfg.AcceptBundles {
+		return
+	}
+	var buf [64]byte
+	b := append(buf[:0], acceptBundle...)
+	if m := prefetchMilli(c.cfg.PrefetchThreshold); m > 0 {
+		b = append(b, "; "+acceptPrefetch...)
+		b = strconv.AppendInt(b, m, 10)
+	}
+	b = append(b, "; "+acceptSession...)
+	tok := rand.Uint64()
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[tok>>shift&15])
+	}
+	c.accept = string(b)
 }
 
 // plainPath reports whether path is an absolute path of unreserved
@@ -314,12 +335,14 @@ func (c *Client) Cached(path string) bool {
 }
 
 // EndSession purges the cache (the paper's end-of-session purge),
-// resolving still-unused speculative entries as wasted.
+// resolving still-unused speculative entries as wasted, and starts a new
+// session under a new token.
 func (c *Client) EndSession() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.resolveUnusedLocked()
 	c.cache = make(map[string]cacheEntry)
+	c.newSessionLocked()
 }
 
 // ResolveOutstanding resolves every speculative cache entry that was
@@ -400,6 +423,7 @@ func (c *Client) GetCtx(ctx context.Context, path string) (body []byte, fromCach
 	}
 	digest := c.digestLocked()
 	feedback := c.drainFeedbackLocked()
+	accept := c.accept
 	c.mu.Unlock()
 
 	sp := c.tracer.Start("client.get")
@@ -412,7 +436,7 @@ func (c *Client) GetCtx(ctx context.Context, path string) (body []byte, fromCach
 		err = c.retrier.Do(ctx, func(ctx context.Context) error {
 			attempts++
 			var ferr error
-			body, hints, ferr = c.fetch(ctx, sp, path, digest, feedback)
+			body, hints, ferr = c.fetch(ctx, sp, path, accept, digest, feedback)
 			return ferr
 		})
 		if attempts > 1 {
@@ -421,7 +445,7 @@ func (c *Client) GetCtx(ctx context.Context, path string) (body []byte, fromCach
 			c.mu.Unlock()
 		}
 	} else {
-		body, hints, err = c.fetch(ctx, sp, path, digest, feedback)
+		body, hints, err = c.fetch(ctx, sp, path, accept, digest, feedback)
 	}
 	if err != nil {
 		// The fetch failed for good and its tokens may not have arrived:
@@ -498,13 +522,13 @@ type clientHint struct {
 // bundle), returning the requested document's body and any prefetch hints.
 // Transport errors, 5xx responses and truncated bodies return retryable
 // errors; 4xx responses are marked permanent so the retrier stops.
-func (c *Client) fetch(ctx context.Context, sp *obs.ActiveSpan, path, digest, feedback string) ([]byte, []clientHint, error) {
+func (c *Client) fetch(ctx context.Context, sp *obs.ActiveSpan, path, accept, digest, feedback string) ([]byte, []clientHint, error) {
 	if c.cfg.Breaker != nil {
 		if err := c.cfg.Breaker.Allow(); err != nil {
 			return nil, nil, resilience.Permanent(err)
 		}
 	}
-	body, hints, err := c.fetchAllowed(ctx, sp, path, digest, feedback)
+	body, hints, err := c.fetchAllowed(ctx, sp, path, accept, digest, feedback)
 	if c.cfg.Breaker != nil {
 		if resilience.IsPermanent(err) {
 			c.cfg.Breaker.Record(nil) // the origin answered; 4xx is not its failure
@@ -515,7 +539,7 @@ func (c *Client) fetch(ctx context.Context, sp *obs.ActiveSpan, path, digest, fe
 	return body, hints, err
 }
 
-func (c *Client) fetchAllowed(ctx context.Context, sp *obs.ActiveSpan, path, digest, feedback string) ([]byte, []clientHint, error) {
+func (c *Client) fetchAllowed(ctx context.Context, sp *obs.ActiveSpan, path, accept, digest, feedback string) ([]byte, []clientHint, error) {
 	cctx, cancel := resilience.EnsureDeadline(ctx, c.cfg.Timeout)
 	defer cancel()
 	req, err := c.newRequest(cctx, path)
@@ -528,8 +552,8 @@ func (c *Client) fetchAllowed(ctx context.Context, sp *obs.ActiveSpan, path, dig
 	if c.cfg.ID != "" {
 		req.Header.Set(HeaderClient, c.cfg.ID)
 	}
-	if c.accept != "" {
-		req.Header.Set(HeaderAccept, c.accept)
+	if accept != "" {
+		req.Header.Set(HeaderAccept, accept)
 	}
 	if c.cfg.Cooperative && digest != "" {
 		req.Header.Set(HeaderHave, digest)
@@ -765,6 +789,7 @@ func (c *Client) fetchWanted(ctx context.Context, parent *obs.ActiveSpan, asked 
 	path := asked[0].path
 	c.mu.Lock()
 	digest := c.digestLocked()
+	accept := c.accept
 	c.stats.PrefetchRoundTrips++
 	c.mu.Unlock()
 
@@ -783,6 +808,11 @@ func (c *Client) fetchWanted(ctx context.Context, parent *obs.ActiveSpan, asked 
 	}
 	if c.cfg.ID != "" {
 		req.Header.Set(HeaderClient, c.cfg.ID)
+	}
+	if accept != "" {
+		// For its session token: what the answer carries joins what the
+		// server knows this session holds.
+		req.Header.Set(HeaderAccept, accept)
 	}
 	if c.cfg.Cooperative && digest != "" {
 		req.Header.Set(HeaderHave, digest)

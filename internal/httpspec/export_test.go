@@ -20,3 +20,9 @@ func (w *testWorld) Advance(d time.Duration) { w.advance(d) }
 func (w *testWorld) Clock() time.Time        { return w.clock() }
 
 var FastRetry = fastRetry
+
+// SessionOf is the engine's key for the session a Spec-Accept header states.
+func SessionOf(accept string) uint64 {
+	_, _, session := parseAccept(accept)
+	return sessionKey(session)
+}

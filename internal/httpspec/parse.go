@@ -35,35 +35,70 @@ func parsePMilli(s string) (int64, bool) {
 }
 
 // Spec-Accept is `token *( ";" parameter )` with optional blanks around
-// each piece: the one token is "bundle", the one parameter "prefetch=<p>",
-// p the threshold in thousandths at or above which the client follows a
-// hint — stated so that a hybrid server can send those documents behind the
-// requested one instead of naming them.
+// each piece: the one token is "bundle", the parameters "prefetch=<p>", p the
+// threshold in thousandths at or above which the client follows a hint —
+// stated so that a hybrid server can send those documents behind the
+// requested one instead of naming them — and "session=<token>", the opaque
+// token of the client's current session, 1 to maxSessionLen bytes of
+// [0-9a-z], under which the server keeps what it sent that session.
 const (
 	acceptBundle   = "bundle"
 	acceptPrefetch = "prefetch="
+	acceptSession  = "session="
+	maxSessionLen  = 16
 )
 
 // parseAccept reads a Spec-Accept header. bundle is whether the client takes
 // bundles: the token must be the known one, whatever follows it. prefetch is
 // the threshold it stated, clamped like every probability off the wire, 0
-// when it stated none: an unknown or malformed parameter is no parameter,
-// never no bundle, and of several well-formed ones the last counts.
-func parseAccept(header string) (bundle bool, prefetch int64) {
+// when it stated none; session is the session token it stated, "" when it
+// stated none. An unknown or malformed parameter is no parameter, never no
+// bundle, and of several well-formed ones of a name the last counts.
+func parseAccept(header string) (bundle bool, prefetch int64, session string) {
 	token, params, _ := strings.Cut(header, ";")
 	if strings.Trim(token, " \t") != acceptBundle {
-		return false, 0
+		return false, 0, ""
 	}
 	for params != "" {
 		var param string
 		param, params, _ = strings.Cut(params, ";")
-		if v, ok := strings.CutPrefix(strings.Trim(param, " \t"), acceptPrefetch); ok {
+		param = strings.Trim(param, " \t")
+		if v, ok := strings.CutPrefix(param, acceptPrefetch); ok {
 			if p, ok := parsePMilli(v); ok {
 				prefetch = p
 			}
+		} else if v, ok := strings.CutPrefix(param, acceptSession); ok && validSession(v) {
+			session = v
 		}
 	}
-	return true, prefetch
+	return true, prefetch, session
+}
+
+// validSession reports whether v is a session token: 1 to maxSessionLen
+// bytes of [0-9a-z].
+func validSession(v string) bool {
+	if v == "" || len(v) > maxSessionLen {
+		return false
+	}
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'z') {
+			return false
+		}
+	}
+	return true
+}
+
+// sessionKey is the engine's key for a session token: its FNV-1a hash, 0
+// (the engine's "no session") only for no token.
+func sessionKey(session string) uint64 {
+	if session == "" {
+		return 0
+	}
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(session); i++ {
+		h = (h ^ uint64(session[i])) * 1099511628211
+	}
+	return h | 1
 }
 
 // prefetchMilli is the lowest probability in thousandths that, advertised

@@ -43,56 +43,82 @@ func FuzzParsePMilli(f *testing.F) {
 
 // splitAccept is parseAccept as one would write it over strings.Split: the
 // reference the in-place parser is held to.
-func splitAccept(header string) (bundle bool, prefetch int64) {
+func splitAccept(header string) (bundle bool, prefetch int64, session string) {
 	pieces := strings.Split(header, ";")
 	if strings.Trim(pieces[0], " \t") != "bundle" {
-		return false, 0
+		return false, 0, ""
 	}
 	for _, param := range pieces[1:] {
 		name, value, found := strings.Cut(strings.Trim(param, " \t"), "=")
-		if !found || name != "prefetch" || value == "" || len(value) > 20 {
+		if !found || value == "" {
 			continue
 		}
-		if v, err := strconv.ParseInt(value, 10, 64); err == nil {
-			prefetch = min(max(v, 0), 1000)
+		switch name {
+		case "prefetch":
+			if len(value) > 20 {
+				continue
+			}
+			if v, err := strconv.ParseInt(value, 10, 64); err == nil {
+				prefetch = min(max(v, 0), 1000)
+			}
+		case "session":
+			if len(value) <= 16 && strings.Trim(value, "0123456789abcdefghijklmnopqrstuvwxyz") == "" {
+				session = value
+			}
 		}
 	}
-	return true, prefetch
+	return true, prefetch, session
 }
 
 var acceptCases = []struct {
 	header   string
 	bundle   bool
 	prefetch int64
+	session  string
 }{
-	{"", false, 0},
-	{"bundle", true, 0},
-	{"nobundle", false, 0}, // strings.Contains used to send this client bundles
-	{"bundles", false, 0},
-	{"Bundle", false, 0},
-	{"bundle, chunked", false, 0},
-	{"bundle; prefetch=250", true, 250},
-	{" bundle\t;prefetch=250 ", true, 250},
-	{"bundle;;; prefetch=7;", true, 7},
-	{"bundle; q=1; prefetch=300; later=x", true, 300},
-	{"bundle; prefetch=100; prefetch=x", true, 100},
-	{"bundle; prefetch=100; prefetch=200", true, 200},
-	{"bundle; prefetch=", true, 0},
-	{"bundle; prefetch=abc", true, 0},
-	{"bundle; prefetch=0.25", true, 0},
-	{"bundle; prefetch = 250", true, 0},
-	{"bundle; Prefetch=250", true, 0},
-	{"bundle; prefetch=99999", true, 1000},
-	{"bundle; prefetch=-5", true, 0},
-	{"bundle; prefetch=123456789012345678901", true, 0}, // 21 bytes
-	{"prefetch=250", false, 0},
-	{"prefetch=250; bundle", false, 0},
+	{"", false, 0, ""},
+	{"bundle", true, 0, ""},
+	{"nobundle", false, 0, ""}, // strings.Contains used to send this client bundles
+	{"bundles", false, 0, ""},
+	{"Bundle", false, 0, ""},
+	{"bundle, chunked", false, 0, ""},
+	{"bundle; prefetch=250", true, 250, ""},
+	{" bundle\t;prefetch=250 ", true, 250, ""},
+	{"bundle;;; prefetch=7;", true, 7, ""},
+	{"bundle; q=1; prefetch=300; later=x", true, 300, ""},
+	{"bundle; prefetch=100; prefetch=x", true, 100, ""},
+	{"bundle; prefetch=100; prefetch=200", true, 200, ""},
+	{"bundle; prefetch=", true, 0, ""},
+	{"bundle; prefetch=abc", true, 0, ""},
+	{"bundle; prefetch=0.25", true, 0, ""},
+	{"bundle; prefetch = 250", true, 0, ""},
+	{"bundle; Prefetch=250", true, 0, ""},
+	{"bundle; prefetch=99999", true, 1000, ""},
+	{"bundle; prefetch=-5", true, 0, ""},
+	{"bundle; prefetch=123456789012345678901", true, 0, ""}, // 21 bytes
+	{"prefetch=250", false, 0, ""},
+	{"prefetch=250; bundle", false, 0, ""},
+	{"bundle; session=0123456789abcdef", true, 0, "0123456789abcdef"},
+	{"bundle; prefetch=250; session=k3", true, 250, "k3"},
+	{" bundle ;session=zz9\t; prefetch=7", true, 7, "zz9"},
+	{"bundle; session=abc; session=def", true, 0, "def"},
+	{"bundle; session=abc; session=DEF", true, 0, "abc"},
+	{"bundle; session=", true, 0, ""},
+	{"bundle; session=0123456789abcdefg", true, 0, ""}, // 17 bytes
+	{"bundle; session=Abc", true, 0, ""},
+	{"bundle; session=a-b", true, 0, ""},
+	{"bundle; session=a b", true, 0, ""},
+	{"bundle; session = ab", true, 0, ""},
+	{"bundle; Session=ab", true, 0, ""},
+	{"bundle; session=\u00e9", true, 0, ""},
+	{"nobundle; session=ab", false, 0, ""},
+	{"session=ab; bundle", false, 0, ""},
 }
 
 func TestParseAccept(t *testing.T) {
 	for _, tc := range acceptCases {
-		if bundle, prefetch := parseAccept(tc.header); bundle != tc.bundle || prefetch != tc.prefetch {
-			t.Errorf("parseAccept(%q) = %v, %d; want %v, %d", tc.header, bundle, prefetch, tc.bundle, tc.prefetch)
+		if bundle, prefetch, session := parseAccept(tc.header); bundle != tc.bundle || prefetch != tc.prefetch || session != tc.session {
+			t.Errorf("parseAccept(%q) = %v, %d, %q; want %v, %d, %q", tc.header, bundle, prefetch, session, tc.bundle, tc.prefetch, tc.session)
 		}
 	}
 }
@@ -103,13 +129,18 @@ func FuzzParseAccept(f *testing.F) {
 	}
 	f.Add(strings.Repeat(";", 4096) + "prefetch=1")
 	f.Add("bundle;prefetch=\x00")
+	f.Add("bundle;session=\x00")
+	f.Add("bundle; session=" + strings.Repeat("z", 4096))
 	f.Fuzz(func(t *testing.T, header string) {
-		bundle, prefetch := parseAccept(header)
-		if prefetch < 0 || prefetch > 1000 || !bundle && prefetch != 0 {
-			t.Fatalf("parseAccept(%q) = %v, %d", header, bundle, prefetch)
+		bundle, prefetch, session := parseAccept(header)
+		if prefetch < 0 || prefetch > 1000 || !bundle && (prefetch != 0 || session != "") || !validSession(session) && session != "" {
+			t.Fatalf("parseAccept(%q) = %v, %d, %q", header, bundle, prefetch, session)
 		}
-		if wantBundle, wantPrefetch := splitAccept(header); bundle != wantBundle || prefetch != wantPrefetch {
-			t.Fatalf("parseAccept(%q) = %v, %d; over strings.Split it is %v, %d", header, bundle, prefetch, wantBundle, wantPrefetch)
+		if wantBundle, wantPrefetch, wantSession := splitAccept(header); bundle != wantBundle || prefetch != wantPrefetch || session != wantSession {
+			t.Fatalf("parseAccept(%q) = %v, %d, %q; over strings.Split it is %v, %d, %q", header, bundle, prefetch, session, wantBundle, wantPrefetch, wantSession)
+		}
+		if key := sessionKey(session); (key == 0) != (session == "") {
+			t.Fatalf("session %q has key %d", session, key)
 		}
 	})
 }

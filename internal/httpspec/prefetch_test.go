@@ -183,6 +183,22 @@ func (b bareAccept) RoundTrip(req *http.Request) (*http.Response, error) {
 	return b.next.RoundTrip(req)
 }
 
+// noSession is a hop that forwards Spec-Accept without its session
+// parameter. The server behind it cannot tell one session of a client from
+// the next, so it sends documents the client already holds, as every server
+// did before clients named their sessions.
+type noSession struct{ next http.RoundTripper }
+
+func (h noSession) RoundTrip(req *http.Request) (*http.Response, error) {
+	if accept := req.Header.Get(HeaderAccept); strings.Contains(accept, acceptSession) {
+		params := strings.Split(accept, ";")
+		params = slices.DeleteFunc(params, func(p string) bool { return strings.HasPrefix(strings.TrimSpace(p), acceptSession) })
+		req = req.Clone(req.Context())
+		req.Header.Set(HeaderAccept, strings.Join(params, ";"))
+	}
+	return h.next.RoundTrip(req)
+}
+
 // recordingStore logs every size the engine or the server asks for, with
 // the client being served and the clock: the engine asks for each access it
 // logs (Record, or Settle of a used offer) and the server for each token it
@@ -221,10 +237,11 @@ type prefetchArm struct {
 // some reports arrive a cycle after their offer and some offers expire),
 // sessions purged at 30-minute gaps.
 // perDocument swaps the client's own hint following for the reference loop;
-// legacyHop puts a hop that drops the Spec-Accept parameter between client
-// and server, so hinted documents travel by Spec-Want as they did before a
-// client could state its threshold.
-func runPrefetchArm(t *testing.T, site *webgraph.Site, tr *trace.Trace, perDocument, legacyHop bool) prefetchArm {
+// hop, when set, puts a hop between client and server: bareAccept drops the
+// Spec-Accept parameters, so hinted documents travel by Spec-Want as they
+// did before a client could state its threshold, and noSession drops the
+// session token alone.
+func runPrefetchArm(t *testing.T, site *webgraph.Site, tr *trace.Trace, perDocument bool, hop func(http.RoundTripper) http.RoundTripper) prefetchArm {
 	t.Helper()
 	const threshold = 0.3
 	var arm prefetchArm
@@ -246,8 +263,8 @@ func runPrefetchArm(t *testing.T, site *webgraph.Site, tr *trace.Trace, perDocum
 	}
 	tap := &linkTap{next: &handlerTransport{h: srv}}
 	hc := &http.Client{Transport: tap}
-	if legacyHop {
-		hc.Transport = bareAccept{tap}
+	if hop != nil {
+		hc.Transport = hop(tap)
 	}
 
 	clients := map[trace.ClientID]*Client{}
@@ -309,8 +326,10 @@ func runPrefetchArm(t *testing.T, site *webgraph.Site, tr *trace.Trace, perDocum
 // ledgers and the sequence of accesses the engine recorded are the same, and
 // the server handled fewer requests by exactly the round trips saved. Either
 // way a prefetched document is an offer to the engine and an access only
-// once its client has reported it consumed. With the parameter the same
-// documents arrive behind the demand answers (inlinePrefetchMatches).
+// once its client has reported it consumed. With the threshold parameter the
+// same documents arrive behind the demand answers, duplicates included while
+// a hop hides the session (inlinePrefetchMatches), none once the server
+// sees it (sessionSetMatches).
 func TestBatchedPrefetchMatchesPerDocument(t *testing.T) {
 	site, err := webgraph.Generate(webgraph.TinySite(), stats.NewRNG(5))
 	if err != nil {
@@ -325,9 +344,12 @@ func TestBatchedPrefetchMatchesPerDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := runPrefetchArm(t, site, res.Trace, true, true)
-	got := runPrefetchArm(t, site, res.Trace, false, true)
-	inlinePrefetchMatches(t, runPrefetchArm(t, site, res.Trace, false, false), got)
+	bare := func(next http.RoundTripper) http.RoundTripper { return bareAccept{next} }
+	ref := runPrefetchArm(t, site, res.Trace, true, bare)
+	got := runPrefetchArm(t, site, res.Trace, false, bare)
+	inline := runPrefetchArm(t, site, res.Trace, false, func(next http.RoundTripper) http.RoundTripper { return noSession{next} })
+	inlinePrefetchMatches(t, inline, got)
+	sessionSetMatches(t, runPrefetchArm(t, site, res.Trace, false, nil), inline)
 
 	t.Logf("per document: %+v, %d round trips, engine %+v; batched: %d round trips", ref.clients, ref.trips, ref.engine, got.trips)
 	if ref.clients.Prefetched == 0 || ref.clients.Pushed == 0 || ref.clients.SpecHits == 0 {
@@ -395,12 +417,13 @@ func TestBatchedPrefetchMatchesPerDocument(t *testing.T) {
 	}
 }
 
-// inlinePrefetchMatches holds the arm whose clients stated their threshold
-// against the batched one: no prefetch request was sent, and the documents
-// arrived all the same — every client counter but the bytes is equal, hits
-// and consumed deliveries included, and the engine learned from as many
-// accesses. What differs is what the server cannot know: it sent some
-// documents to clients that held them, and each of those deliveries is
+// inlinePrefetchMatches holds the arm whose clients stated their threshold,
+// behind a hop that hides their sessions, against the batched one: no
+// prefetch request was sent, and the documents arrived all the same — every
+// client counter but the bytes is equal, hits and consumed deliveries
+// included, and the engine learned from as many accesses. What differs is
+// what the server cannot know: it sent some documents to clients that held
+// them, and each of those deliveries is
 // accounted for, in bytes and in both ledgers, as wasted. (The calibration
 // tables differ by those, and by the few deliveries whose offer a duplicate
 // re-stamped: an access learned at the later of two delivery times moves an
@@ -471,6 +494,28 @@ func inlinePrefetchMatches(t *testing.T, inl, batched prefetchArm) {
 		if !reflect.DeepEqual(side.got[attrib.ClassPush], side.want[attrib.ClassPush]) {
 			t.Errorf("%s calibration, push class: %v, batched %v", side.name, side.got[attrib.ClassPush], side.want[attrib.ClassPush])
 		}
+	}
+}
+
+// sessionSetMatches holds the arm whose server knew each client's session
+// against the same arm behind a hop that hid it (inlinePrefetchMatches):
+// the server sent nothing twice in a session, so every delivery entered a
+// cache, and every client counter but the bytes is equal, hits included.
+func sessionSetMatches(t *testing.T, sess, hidden prefetchArm) {
+	t.Helper()
+	t.Logf("session: %+v, engine %+v", sess.clients, sess.engine)
+	if dup := sess.clientLedger.Deliveries - sess.clients.Pushed - sess.clients.Prefetched; dup != 0 {
+		t.Errorf("%d deliveries of a document the client held (ledger %+v, clients %+v)", dup, sess.clientLedger, sess.clients)
+	}
+	if sess.clients.BytesIn >= hidden.clients.BytesIn {
+		t.Errorf("knowing the session saved no bytes: %d in, %d without", sess.clients.BytesIn, hidden.clients.BytesIn)
+	}
+	sess.clients.BytesIn = hidden.clients.BytesIn
+	if sess.clients != hidden.clients {
+		t.Errorf("client counters differ:\nsession %+v\nhidden  %+v", sess.clients, hidden.clients)
+	}
+	if sess.trips != 0 || sess.server.Requests != hidden.server.Requests {
+		t.Errorf("server handled %d requests (%d prefetch round trips), %d with the session hidden", sess.server.Requests, sess.trips, hidden.server.Requests)
 	}
 }
 
@@ -1001,6 +1046,10 @@ func TestInlinePrefetch(t *testing.T) {
 		{name: "hints-mode server", mode: ModeHints, succs: 3, accept: "bundle; prefetch=300", links: 3},
 		{name: "no_push rung", mode: ModeHybrid, succs: 3, mutate: noPush, accept: "bundle; prefetch=300", links: 3, rung: "no_push"},
 		{name: "quarantined client", mode: ModeHybrid, succs: 3, mutate: guarded, client: "crawler", accept: "bundle; prefetch=300"},
+		{name: "a session stated", mode: ModeHybrid, succs: 3, accept: "bundle; prefetch=300; session=f00d", inline: []int{0, 1, 2}},
+		{name: "no threshold, a session stated", mode: ModeHybrid, succs: 3, accept: "bundle; session=f00d", links: 3},
+		{name: "malformed session", mode: ModeHybrid, succs: 3, accept: "bundle; session=F00D!", links: 3},
+		{name: "overlong session", mode: ModeHybrid, succs: 3, accept: "bundle; session=0123456789abcdef0", links: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			led := attrib.NewLedger(64, obs.NewRegistry())
@@ -1087,7 +1136,9 @@ func twoPageWorld(t *testing.T, led *attrib.Ledger) (w *testWorld, pages [2]*web
 // own. A copy of a document the client already holds is bytes in for
 // nothing, and the server hears so: at once for a document whose own fate is
 // already reported, behind that report for one still unused, so that the one
-// offer the server keeps is settled by the copy that can still be used.
+// offer the server keeps is settled by the copy that can still be used. The
+// client talks through a hop that hides its session, as a server that cannot
+// tell its sessions apart sends such copies (TestSessionSendsNoCopy).
 func TestClientAdmitsInlinePrefetch(t *testing.T) {
 	srvLed := attrib.NewLedger(64, obs.NewRegistry())
 	cliLed := attrib.NewLedger(64, obs.NewRegistry())
@@ -1096,7 +1147,8 @@ func TestClientAdmitsInlinePrefetch(t *testing.T) {
 	for _, d := range succ {
 		sizes += d.Size
 	}
-	c := NewClient(w.ts.URL, ClientConfig{ID: "inline", AcceptBundles: true, PrefetchThreshold: 0.3, Attrib: cliLed})
+	hc := &http.Client{Transport: noSession{http.DefaultTransport}}
+	c := NewClient(w.ts.URL, ClientConfig{ID: "inline", AcceptBundles: true, PrefetchThreshold: 0.3, Attrib: cliLed, HTTP: hc})
 	if _, _, err := c.Get(pages[0].Path); err != nil {
 		t.Fatal(err)
 	}

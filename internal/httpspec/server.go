@@ -357,6 +357,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var docBuf [1 + maxWant]bundleDoc // a default MaxPush fits; more spill to the heap
 	docs := append(docBuf[:0], bundleDoc{doc: id})
 	at := s.now()
+	bundles, follows, session := parseAccept(r.Header.Get(HeaderAccept))
+	token := sessionKey(session)
 	prefetchP := r.Header.Get(HeaderPrefetch)
 	if prefetchP != "" {
 		// A hint-driven prefetch announces itself (with the hint's
@@ -410,29 +412,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// have been: offered to the engine, counted for dissemination,
 		// delivered as a prefetch.
 		docs = parseWant(docs, r.Header.Get(HeaderWant), s.store, s.cfg.MaxPush)
-		for _, d := range docs[1:] {
-			s.offerPrefetch(client, d, at)
-		}
 	default:
 		// The engine never speculates the requested document itself, so
 		// the digest holds only what the client sent: nil for most.
 		have := parseHave(r.Header.Get(HeaderHave), s.store)
 		s.met.digestDocs.Add(int64(len(have)))
 
-		// The engine's lock-free decision path: the pooled Decision's
-		// buffers back push/hints until the response is written, then
-		// recycle at request end.
+		// The engine's decision path, which leaves out what the digest names
+		// and what the session was sent: the pooled Decision's buffers back
+		// push/hints until the response is written, then recycle at request
+		// end.
 		d := core.AcquireDecision()
 		defer core.ReleaseDecision(d)
 		spec := s.tracer.StartChild("server.speculate", sp)
-		switch s.cfg.Mode {
-		case ModePush:
-			s.engine.SpeculateInto(d, id, have)
-		case ModeHints:
-			s.engine.HintsInto(d, id, have)
-		case ModeHybrid:
-			s.engine.SplitInto(d, id, have)
-		}
+		s.engine.SessionInto(d, s.cfg.Mode, id, have, client, token)
 		push, pushP := d.Push, d.PushP
 		for _, h := range d.Hints {
 			hints = append(hints, hint{doc: h.Doc, p: h.P})
@@ -453,7 +446,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			push, pushP = nil, nil
 		}
 		// A client that takes no bundles is pushed nothing.
-		bundles, follows := parseAccept(r.Header.Get(HeaderAccept))
 		if bundles {
 			for i, d := range push {
 				docs = append(docs, bundleDoc{doc: d, class: attrib.ClassPush, pMilli: attrib.PMilli(pushP[i])})
@@ -473,9 +465,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 					named = append(named, h)
 					continue
 				}
-				d := bundleDoc{doc: h.doc, class: attrib.ClassPrefetch, pMilli: pMilli, inline: true}
-				s.offerPrefetch(client, d, at)
-				docs = append(docs, d)
+				docs = append(docs, bundleDoc{doc: h.doc, class: attrib.ClassPrefetch, pMilli: pMilli, inline: true})
 				inline++
 			}
 			hints = named
@@ -484,6 +474,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		spec.SetAttr("hints", strconv.Itoa(len(hints)))
 		spec.SetAttr("inline", strconv.Itoa(inline))
 		spec.Finish()
+	}
+	// The session's set takes in everything the response carries, and a part
+	// it already held — only what Spec-Want names can still be one — stays
+	// behind. A prefetch behind the document is then served as the request
+	// of its own it replaces would have been: offered to the engine, counted
+	// for dissemination.
+	if token != 0 {
+		docs = s.sent(client, token, at, docs)
+	}
+	for _, d := range docs[1:] {
+		if d.class == attrib.ClassPrefetch {
+			s.offerPrefetch(client, d, at)
+		}
 	}
 
 	var linkBuf [128]byte
@@ -696,6 +699,33 @@ func (s *Server) offerPrefetch(client trace.ClientID, d bundleDoc, at time.Time)
 	s.engine.Offer(client, d.doc, at, d.pMilli)
 	size, _ := s.store.Size(d.doc)
 	s.repl.Record(d.doc, size, isRemote(client))
+}
+
+// sent enters the documents of docs in client's session set and keeps in
+// docs the requested one and the parts behind it the set did not hold yet.
+func (s *Server) sent(client trace.ClientID, token uint64, at time.Time, docs []bundleDoc) []bundleDoc {
+	var idBuf [1 + maxWant]webgraph.DocID
+	ids := idBuf[:0]
+	for _, d := range docs {
+		ids = append(ids, d.doc)
+	}
+	fresh := s.engine.Sent(client, token, at, ids)
+	if len(fresh) == len(docs) {
+		return docs
+	}
+	// fresh is ids in order with the held ones out, and no document is in
+	// docs twice.
+	kept := docs[:1]
+	if len(fresh) > 0 && fresh[0] == docs[0].doc {
+		fresh = fresh[1:]
+	}
+	for _, d := range docs[1:] {
+		if len(fresh) > 0 && fresh[0] == d.doc {
+			kept = append(kept, d)
+			fresh = fresh[1:]
+		}
+	}
+	return kept
 }
 
 // parseWant resolves a Spec-Want list onto docs, whose first entry is the
