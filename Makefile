@@ -198,6 +198,7 @@ fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzParseWant -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzParseAccept -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzWalkBundle -fuzztime 30s ./internal/httpspec/
+	$(GO) test -run '^$$' -fuzz FuzzBundleBoundaryOf -fuzztime 15s ./internal/httpspec/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePartial -fuzztime 15s -fuzzminimizetime 10x ./internal/loadgen/
 
 # Non-test, non-blank, non-comment Go lines: the root module and the

@@ -179,11 +179,13 @@ func BenchmarkEngineRefresh(b *testing.B) {
 		guard   bool
 		ceiling float64
 	}{
-		// Measured 70 and 1,311 (12,301 and 14,175 with the map-of-maps
-		// store). What is left is the size cache, new successors' row
-		// growth and the frozen arrays; under a guard, estguard's own
-		// per-client features and drift profile.
-		{"plain", false, 80},
+		// Measured 8 and 1,189 (23 and 1,206 with a per-snapshot size
+		// map; 12,301 and 14,175 with the map-of-maps store). What is left
+		// is new successors' row growth and the frozen arrays; under a
+		// guard, estguard's own per-client features and drift profile.
+		// The plain ceiling is tight so a per-refresh map cannot return
+		// unnoticed.
+		{"plain", false, 16},
 		{"guarded", true, 1400},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

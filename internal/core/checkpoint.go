@@ -147,7 +147,7 @@ func (e *Engine) WarmStart(cs *checkpoint.Snapshot, now time.Time) error {
 		}
 		e.captureEstStatsLocked()
 	}
-	e.installLocked(frozen, e.snapshotSizes(frozen))
+	e.installLocked(frozen)
 	e.met.pairs.Set(float64(frozen.NumPairs()))
 	e.met.docs.Set(float64(frozen.NumRows()))
 	e.recorded.Store(cs.Meta.Recorded)

@@ -127,15 +127,26 @@ func TestEngineHintsAndSplit(t *testing.T) {
 		at = at.Add(time.Hour)
 	}
 	e.Refresh(at)
-	hints := hints(e, 1, nil)
-	if len(hints) != 2 {
-		t.Fatalf("hints = %v", hints)
+	got := hints(e, 1, nil)
+	if len(got) != 2 {
+		t.Fatalf("hints = %v", got)
 	}
-	if hints[0].Doc != 2 || hints[0].P < hints[1].P {
-		t.Errorf("hints not ordered by probability: %v", hints)
+	if got[0].Doc != 2 || got[0].P < got[1].P {
+		t.Errorf("hints not ordered by probability: %v", got)
 	}
-	if hints[0].Size != 2000 {
-		t.Errorf("hint size = %d, want 2000", hints[0].Size)
+	// Doc 2 is 2000 bytes: a MaxSize below it takes it out of the very
+	// next decision, with no refresh, and lifting the cap brings it back.
+	if err := e.SetLimits(1999, 0); err != nil {
+		t.Fatal(err)
+	}
+	if capped := hints(e, 1, nil); len(capped) != 1 || capped[0].Doc != 3 {
+		t.Errorf("hints under MaxSize 1999 = %v, want doc 3 alone", capped)
+	}
+	if err := e.SetLimits(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if again := hints(e, 1, nil); len(again) != 2 || again[0].Doc != 2 {
+		t.Errorf("hints with MaxSize lifted = %v, want docs 2 and 3", again)
 	}
 	push, hint := split(e, 1, nil)
 	if len(push) != 1 || push[0] != 2 {

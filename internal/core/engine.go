@@ -15,7 +15,7 @@
 //
 // Both types are safe for concurrent use. The engine's decision path
 // (SpeculateInto/HintsInto/SplitInto) is lock-free: decisions read an
-// immutable {frozen matrix, selection rule, size cache} snapshot published
+// immutable {frozen matrix, selection rule} snapshot published
 // through an atomic pointer, and Record logs to striped shard buffers, so
 // concurrent requests contend on nothing but their own shard. A decision
 // made in a client's session (SessionInto) also reads what that session was
@@ -165,21 +165,22 @@ func (c *EngineConfig) bounded() (markov.BoundedConfig, bool) {
 }
 
 // SizeFunc reports a document's size in bytes (and whether it exists).
-// Engines consult it for the MaxSize provision.
+// Engines consult it for the MaxSize provision, on the decision path and
+// only while MaxSize > 0: once per candidate of the cut, from any number
+// of requests at once. It must therefore be safe for concurrent use, and
+// it must not change a document's size while the engine serves, so that
+// one document gets one answer however often it is asked. A document it
+// does not know is size-unknown and never filtered. Store.Size on a
+// SiteStore, which reads an immutable site, is such a function.
 type SizeFunc func(webgraph.DocID) (int64, bool)
 
-// snapshot is the engine's immutable read-path state: one frozen matrix,
-// the selection rule with the knobs in force, and the size cache resolved
-// at publish time so decisions never call back into the store. A new
-// snapshot is published on every refresh and every knob change; readers
-// load it once per decision and never take a lock.
+// snapshot is the engine's immutable read-path state: one frozen matrix
+// and the selection rule with the knobs in force. A new snapshot is
+// published on every refresh and every knob change; readers load it once
+// per decision and never take a lock.
 type snapshot struct {
 	frozen *markov.Frozen
 	rule   speculation.Rule
-	// sizes caches SizeFunc results for every successor in frozen;
-	// nil when the engine has no SizeFunc. Docs the SizeFunc does not
-	// know are absent (treated as size-unknown, never filtered).
-	sizes map[webgraph.DocID]int64
 
 	// estStats is the estimator's footprint/eviction ledger captured at
 	// the refresh that produced this snapshot; nil on exact-estimator
@@ -362,7 +363,7 @@ const (
 	phaseDrain      = iota // per-client cut: closed strides out of the shard logs
 	phaseEstimate          // guard partition, decay and fold
 	phaseFreeze            // compile to CSR, snapshot validation
-	phasePublish           // size cache, rule, atomic install
+	phasePublish           // rule, atomic install
 	phaseCheckpoint        // durable frame; observed only with a store
 	numRefreshPhases
 )
@@ -488,7 +489,7 @@ func NewEngine(cfg EngineConfig, size SizeFunc) (*Engine, error) {
 		// the same windows as the clean estimate.
 		e.quarantine = newEst()
 	}
-	e.installLocked(markov.Freeze(markov.NewMatrix()), nil)
+	e.installLocked(markov.Freeze(markov.NewMatrix()))
 	return e, nil
 }
 
@@ -823,7 +824,7 @@ func (e *Engine) refreshLocked(at time.Time) {
 		return
 	}
 
-	e.installLocked(frozen, e.snapshotSizes(frozen))
+	e.installLocked(frozen)
 	e.met.pairs.Set(float64(frozen.NumPairs()))
 	e.met.docs.Set(float64(frozen.NumRows()))
 	clock.done(phasePublish)
@@ -851,44 +852,15 @@ func (e *Engine) captureEstStatsLocked() {
 	e.met.estErrorBound.Set(st.ErrorBound)
 }
 
-// snapshotSizes resolves the SizeFunc once per distinct successor at
-// publish time, so the decision path reads a plain map instead of calling
-// into the store.
-func (e *Engine) snapshotSizes(f *markov.Frozen) map[webgraph.DocID]int64 {
-	if e.size == nil {
-		return nil
-	}
-	sizes := make(map[webgraph.DocID]int64)
-	f.RangeRows(func(_ webgraph.DocID, row []markov.Successor) bool {
-		for _, s := range row {
-			if _, seen := sizes[s.Doc]; seen {
-				continue
-			}
-			if sz, ok := e.size(s.Doc); ok {
-				sizes[s.Doc] = sz
-			}
-		}
-		return true
-	})
-	return sizes
-}
-
 // installLocked publishes frozen with the knobs currently in cfg. Callers
 // hold mu (or are the constructor).
-func (e *Engine) installLocked(frozen *markov.Frozen, sizes map[webgraph.DocID]int64) {
+func (e *Engine) installLocked(frozen *markov.Frozen) {
 	e.snap.Store(&snapshot{
 		frozen: frozen,
 		rule: speculation.Rule{Tp: e.cfg.Tp, TopK: e.cfg.TopK, MaxSize: e.cfg.MaxSize,
 			Embed: e.cfg.EmbedThreshold},
-		sizes:    sizes,
 		estStats: e.lastEstStats,
 	})
-}
-
-// size reads the size cache in the kernel's form.
-func (s *snapshot) size(doc webgraph.DocID) (int64, bool) {
-	sz, ok := s.sizes[doc]
-	return sz, ok
 }
 
 // closedPrefix is how many of a client's time-ordered log entries are
@@ -943,7 +915,7 @@ func (e *Engine) decide(d *Decision, doc webgraph.DocID, have map[webgraph.DocID
 	if have != nil {
 		held = func(c webgraph.DocID) bool { return have[c] }
 	}
-	kept, suppressed := rule.Decide(d, snap.frozen, doc, snap.size, held)
+	kept, suppressed := rule.Decide(d, snap.frozen, doc, e.size, held)
 	e.met.digestSuppressed.Add(int64(suppressed))
 	e.met.belowThreshold.Add(int64(snap.frozen.RowLen(doc) - kept))
 }
@@ -1008,7 +980,7 @@ func (e *Engine) SetTp(tp float64) error {
 	defer e.mu.Unlock()
 	e.cfg.Tp = tp
 	prev := e.snap.Load()
-	e.installLocked(prev.frozen, prev.sizes)
+	e.installLocked(prev.frozen)
 	return nil
 }
 
@@ -1027,7 +999,7 @@ func (e *Engine) SetLimits(maxSize int64, topK int) error {
 	e.cfg.MaxSize = maxSize
 	e.cfg.TopK = topK
 	prev := e.snap.Load()
-	e.installLocked(prev.frozen, prev.sizes)
+	e.installLocked(prev.frozen)
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"specweb/internal/markov"
 	"specweb/internal/trace"
 	"specweb/internal/webgraph"
 )
@@ -61,12 +60,14 @@ func TestIngestionMemory(t *testing.T) {
 	}
 }
 
-// Neither Record nor Settle asks the store for a size: nothing downstream
-// of the log reads one. A refresh resolves sizes once per successor of the
-// published matrix, and nowhere else.
+// Record, Settle and Refresh never ask the store for a size: nothing
+// downstream of the log reads one, and a snapshot holds no sizes. A
+// decision asks only while MaxSize is set, and then once per candidate of
+// the cut.
 func TestNoSizeLookupsOnTheRecordPath(t *testing.T) {
 	cfg := DefaultEngineConfig()
 	cfg.MinOccurrences = 1
+	cfg.Tp = 0
 	calls := 0
 	e, err := NewEngine(cfg, func(webgraph.DocID) (int64, bool) {
 		calls++
@@ -82,21 +83,25 @@ func TestNoSizeLookupsOnTheRecordPath(t *testing.T) {
 		e.Offer("c", 3, at.Add(time.Second), 500)
 		e.Settle("c", 3, k%2 == 0)
 	}
-	if calls != 0 {
-		t.Fatalf("Record and Settle made %d size lookups, want none", calls)
-	}
 	e.Refresh(t0.Add(time.Hour))
-	successors := make(map[webgraph.DocID]bool)
-	e.snap.Load().frozen.RangeRows(func(_ webgraph.DocID, row []markov.Successor) bool {
-		for _, s := range row {
-			successors[s.Doc] = true
-		}
-		return true
-	})
-	if len(successors) == 0 {
-		t.Fatal("the refresh published no successors")
+	if calls != 0 {
+		t.Fatalf("Record, Settle and Refresh made %d size lookups, want none", calls)
 	}
-	if calls != len(successors) {
-		t.Errorf("the refresh made %d size lookups, want one per distinct successor (%d)", calls, len(successors))
+	cut := len(e.snap.Load().frozen.ThresholdRow(1, 0))
+	if cut == 0 {
+		t.Fatal("the refresh published no successors of doc 1")
+	}
+	d := AcquireDecision()
+	defer ReleaseDecision(d)
+	e.HintsInto(d, 1, nil)
+	if calls != 0 {
+		t.Errorf("a decision with MaxSize 0 made %d size lookups, want none", calls)
+	}
+	if err := e.SetLimits(1000, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.HintsInto(d, 1, nil)
+	if calls != cut {
+		t.Errorf("a decision with MaxSize set made %d size lookups, want one per candidate of the cut (%d)", calls, cut)
 	}
 }

@@ -118,10 +118,15 @@ var bundleContentType = bundleTypePrefix + bundleBoundary
 // bundleBoundaryOf reads the boundary off a response's Content-Type; ok is
 // false when that is not multipart/mixed. The server's own spelling with a
 // bare token for a boundary — every bundle this system sends — is read in
-// place; any other goes through mime, which builds a map per call.
+// place, and so is a type with no parameters — every plain response — which
+// cannot carry a boundary; any other goes through mime, which builds a map
+// per call. Each answer is the one mime gives.
 func bundleBoundaryOf(contentType string) (boundary string, ok bool) {
 	if b, found := strings.CutPrefix(contentType, bundleTypePrefix); found && isToken(b) {
 		return b, true
+	}
+	if !strings.Contains(contentType, ";") {
+		return "", strings.TrimSpace(strings.ToLower(contentType)) == "multipart/mixed"
 	}
 	mt, params, _ := mime.ParseMediaType(contentType)
 	return params["boundary"], mt == "multipart/mixed"

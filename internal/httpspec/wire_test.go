@@ -308,8 +308,9 @@ func TestIngestBundleChecks(t *testing.T) {
 	}
 }
 
-// TestBundleBoundaryOf: the server's own spelling is read in place and every
-// other through mime, and the two agree wherever both apply.
+// TestBundleBoundaryOf: the server's own spelling and a type with no
+// parameters are read in place and every other through mime, and each
+// answer is mime's.
 func TestBundleBoundaryOf(t *testing.T) {
 	for _, tc := range []struct {
 		contentType, boundary string
@@ -326,18 +327,47 @@ func TestBundleBoundaryOf(t *testing.T) {
 		{"multipart/mixed; boundary=", "", true},
 		{"multipart/mixed", "", true},
 		{"multipart/related; boundary=B", "B", false},
+		{"application/octet-stream; boundary=B", "B", false},
 		{"application/octet-stream", "", false},
+		{"MULTIPART/MIXED", "", true},
+		{" multipart/mixed\t", "", true},
+		{"multİpart/mixed", "", true}, // İ lowers to i, as mime reads it
+		{"multipart/mixed/x", "", false},
+		{"multipart mixed", "", false},
 		{"", "", false},
 	} {
 		boundary, bundle := bundleBoundaryOf(tc.contentType)
 		if boundary != tc.boundary || bundle != tc.bundle {
 			t.Errorf("bundleBoundaryOf(%q) = %q, %v; want %q, %v", tc.contentType, boundary, bundle, tc.boundary, tc.bundle)
 		}
-		mt, params, _ := mime.ParseMediaType(tc.contentType)
-		if boundary != params["boundary"] || bundle != (mt == "multipart/mixed") {
-			t.Errorf("bundleBoundaryOf(%q) = %q, %v; mime reads %q of %q", tc.contentType, boundary, bundle, params["boundary"], mt)
-		}
+		checkBoundaryAgainstMime(t, tc.contentType)
 	}
+	if n := testing.AllocsPerRun(100, func() { bundleBoundaryOf("application/octet-stream") }); n != 0 {
+		t.Errorf("a plain Content-Type costs %v allocations, want 0", n)
+	}
+}
+
+// checkBoundaryAgainstMime holds bundleBoundaryOf to mime's reading of
+// contentType.
+func checkBoundaryAgainstMime(t *testing.T, contentType string) {
+	t.Helper()
+	boundary, bundle := bundleBoundaryOf(contentType)
+	mt, params, _ := mime.ParseMediaType(contentType)
+	if boundary != params["boundary"] || bundle != (mt == "multipart/mixed") {
+		t.Errorf("bundleBoundaryOf(%q) = %q, %v; mime reads %q of %q", contentType, boundary, bundle, params["boundary"], mt)
+	}
+}
+
+// FuzzBundleBoundaryOf: on any Content-Type, bundleBoundaryOf answers what
+// mime does.
+func FuzzBundleBoundaryOf(f *testing.F) {
+	for _, s := range []string{bundleContentType, "multipart/mixed", " Multipart/Mixed ",
+		"multipart/mixed; boundary=\"a b\"", "application/octet-stream", "text/html; charset=x", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, contentType string) {
+		checkBoundaryAgainstMime(t, contentType)
+	})
 }
 
 // TestClientReadsForeignBundleSpelling: a bundle whose Content-Type is not

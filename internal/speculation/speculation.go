@@ -70,9 +70,8 @@ func ParseMode(name string) (Mode, error) {
 // server tells the client what it would have speculated, and the client
 // decides what to prefetch.
 type Hint struct {
-	Doc  webgraph.DocID
-	P    float64
-	Size int64
+	Doc webgraph.DocID
+	P   float64
 }
 
 // Decision is a reusable buffer for one request's selection outcome.
@@ -112,10 +111,11 @@ type Rule struct {
 
 // Decide fills d with the outcome for a request of doc over f. Candidates
 // are the row's cut — p ≥ Tp, or the TopK most likely with p ≥ Tp — in
-// decreasing probability, ties by ascending DocID. A candidate whose size
-// is known and above MaxSize is dropped; a document size does not know is
-// never dropped and is hinted with Size 0. doc itself is
-// skipped, and so is every candidate have reports the client holds (the
+// decreasing probability, ties by ascending DocID. With MaxSize > 0, size
+// is asked once per candidate of the cut, and a candidate whose size is
+// known and above MaxSize is dropped; a document size does not know is
+// never dropped. size is not called otherwise and may be nil. doc itself
+// is skipped, and so is every candidate have reports the client holds (the
 // cooperative digest; have may be nil). have is asked about each
 // remaining candidate once, in order, before d is returned.
 //
@@ -133,15 +133,11 @@ func (r Rule) Decide(d *Decision, f *markov.Frozen, doc webgraph.DocID,
 	} else {
 		row = f.ThresholdRow(doc, r.Tp)
 	}
-	sized := r.MaxSize > 0 || r.Mode != ModePush
+	capped := r.MaxSize > 0 && size != nil
 	for _, c := range row {
-		var sz int64
-		if sized {
-			if s, known := size(c.Doc); known {
-				if r.MaxSize > 0 && s > r.MaxSize {
-					continue
-				}
-				sz = s
+		if capped {
+			if s, known := size(c.Doc); known && s > r.MaxSize {
+				continue
 			}
 		}
 		kept++
@@ -156,7 +152,7 @@ func (r Rule) Decide(d *Decision, f *markov.Frozen, doc webgraph.DocID,
 			d.Push = append(d.Push, c.Doc)
 			d.PushP = append(d.PushP, c.P)
 		} else {
-			d.Hints = append(d.Hints, Hint{Doc: c.Doc, P: c.P, Size: sz})
+			d.Hints = append(d.Hints, Hint{Doc: c.Doc, P: c.P})
 		}
 	}
 	return kept, suppressed

@@ -116,16 +116,15 @@ func TestSelectorSkipsSelf(t *testing.T) {
 	})
 }
 
-// TestHints pins server-assisted prefetching: hints carry P and the known
-// size, under the MaxSize cap and the digest.
+// TestHints pins server-assisted prefetching: hints carry P, under the
+// MaxSize cap and the digest.
 func TestHints(t *testing.T) {
 	runDecide(t, []decideCase{
-		{name: "hints carry sizes", f: base, doc: 1, rule: Rule{Mode: ModeHints, Tp: 0.2}, sizes: sizes,
-			hints: []Hint{{Doc: 5, P: 1}, {Doc: 2, P: 0.9, Size: 100}, {Doc: 3, P: 0.5, Size: 10000},
-				{Doc: 4, P: 0.2, Size: 4096}}, kept: 4},
+		{name: "hints carry P", f: base, doc: 1, rule: Rule{Mode: ModeHints, Tp: 0.2}, sizes: sizes,
+			hints: []Hint{{Doc: 5, P: 1}, {Doc: 2, P: 0.9}, {Doc: 3, P: 0.5}, {Doc: 4, P: 0.2}}, kept: 4},
 		{name: "hints under maxsize and digest", f: base, doc: 1,
 			rule: Rule{Mode: ModeHints, Tp: 0, MaxSize: 5000}, sizes: sizes, have: []webgraph.DocID{5},
-			hints: []Hint{{Doc: 2, P: 0.9, Size: 100}, {Doc: 4, P: 0.2, Size: 4096}}, kept: 3, suppress: 1},
+			hints: []Hint{{Doc: 2, P: 0.9}, {Doc: 4, P: 0.2}}, kept: 3, suppress: 1},
 	})
 }
 
@@ -136,7 +135,7 @@ func TestSplitHybrid(t *testing.T) {
 		{name: "hybrid splits at embed", f: base, doc: 1,
 			rule: Rule{Mode: ModeHybrid, Tp: 0.2, Embed: 0.9}, sizes: sizes,
 			push:  []pair{{Doc: 5, P: 1}, {Doc: 2, P: 0.9}},
-			hints: []Hint{{Doc: 3, P: 0.5, Size: 10000}, {Doc: 4, P: 0.2, Size: 4096}}, kept: 4},
+			hints: []Hint{{Doc: 3, P: 0.5}, {Doc: 4, P: 0.2}}, kept: 4},
 		{name: "hybrid top1 with digest", f: base, doc: 1,
 			rule: Rule{Mode: ModeHybrid, TopK: 1, Embed: 0.95}, have: []webgraph.DocID{5},
 			kept: 1, suppress: 1},
@@ -149,7 +148,9 @@ func runDecide(t *testing.T, cases []decideCase) {
 	t.Helper()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			sizeAsked := 0
 			size := func(d webgraph.DocID) (int64, bool) {
+				sizeAsked++
 				sz, ok := c.sizes[d]
 				return sz, ok
 			}
@@ -184,6 +185,9 @@ func runDecide(t *testing.T, cases []decideCase) {
 				if !reflect.DeepEqual(d.Hints, c.hints) {
 					t.Errorf("hints = %+v, want %+v", d.Hints, c.hints)
 				}
+			}
+			if c.rule.MaxSize <= 0 && sizeAsked != 0 {
+				t.Errorf("size asked %d times with no MaxSize", sizeAsked)
 			}
 			if kept != c.kept || suppressed != c.suppress {
 				t.Errorf("kept, suppressed = %d, %d, want %d, %d", kept, suppressed, c.kept, c.suppress)
