@@ -60,7 +60,8 @@ bench-short:
 # Hot-path micro-benchmarks under the race detector: a fixed iteration
 # count (-benchtime=100x) makes this a correctness smoke test of the
 # lock-free read path, not a timing run — it catches races and alloc
-# regressions cheaply in CI. The refresh, offer/settle, wire-path,
+# regressions cheaply in CI. The refresh, estimator fold and freeze,
+# offer/settle, wire-path,
 # round-trip, batched and inline prefetch and span benchmarks each fail above
 # their own allocs/op ceiling (BenchmarkServeBundle also unless a bundle leaves
 # in one Write below the gather bound and piece by piece above it) and run
@@ -71,6 +72,8 @@ bench-smoke:
 		-bench 'BenchmarkEngine(Record|Speculate|Hints)' ./internal/core/
 	$(GO) test -run '^$$' -benchtime=20x -benchmem \
 		-bench 'BenchmarkEngineRefresh|BenchmarkEngineOfferSettle' ./internal/core/
+	$(GO) test -run '^$$' -benchtime=20x -benchmem \
+		-bench 'BenchmarkAging(AddDay|Freeze)$$' ./internal/markov/
 	$(GO) test -race -run '^$$' -benchtime=5x \
 		-bench 'BenchmarkClosureSerial|BenchmarkClosureParallel|BenchmarkFreeze|BenchmarkFrozenThresholdRow' \
 		./internal/markov/

@@ -946,13 +946,13 @@ func (e *Engine) SplitInto(d *Decision, doc webgraph.DocID, have map[webgraph.Do
 }
 
 // SessionInto is SpeculateInto, HintsInto or SplitInto, as mode says, for a
-// request client made in the session token names: beside what have names,
-// every document Sent to client in that session is left out, as if have
-// named it. The decision itself takes no lock; what the set holds is then
-// struck from it under the client's shard lock, the one Record takes. Token
-// 0 is no session. Allocation-free with a pooled Decision.
-func (e *Engine) SessionInto(d *Decision, mode speculation.Mode, doc webgraph.DocID, have map[webgraph.DocID]bool, client trace.ClientID, token uint64) {
-	e.decide(d, doc, have, mode)
+// request client made in the session token names: every document Sent to
+// client in that session is left out. The decision itself takes no lock;
+// what the set holds is then struck from it under the client's shard lock,
+// the one Record takes. Token 0 is no session. Allocation-free with a
+// pooled Decision.
+func (e *Engine) SessionInto(d *Decision, mode speculation.Mode, doc webgraph.DocID, client trace.ClientID, token uint64) {
+	e.decide(d, doc, nil, mode)
 	if n := len(d.Push) + len(d.Hints); token != 0 && n > 0 {
 		sh := &e.shards[shardOf(client)&e.shardMask]
 		sh.mu.Lock()

@@ -39,19 +39,19 @@ func sessionEngine(t *testing.T, guard *estguard.Guard) *Engine {
 func docIDs(ids ...webgraph.DocID) []webgraph.DocID { return ids }
 
 // pushed is what a push-mode decision for document 1 sends in session token.
-func pushed(e *Engine, have map[webgraph.DocID]bool, client trace.ClientID, token uint64) []webgraph.DocID {
+func pushed(e *Engine, client trace.ClientID, token uint64) []webgraph.DocID {
 	d := AcquireDecision()
 	defer ReleaseDecision(d)
-	e.SessionInto(d, speculation.ModePush, 1, have, client, token)
+	e.SessionInto(d, speculation.ModePush, 1, client, token)
 	return slices.Clone(d.Push)
 }
 
 // Sent keeps what the set did not hold yet and enters all of it; a decision
-// in the session leaves out what the set holds, beside what the digest
-// names; another token is another session, and the set starts afresh.
+// in the session leaves out what the set holds; another token is another
+// session, and the set starts afresh.
 func TestSessionSetExcludesWhatWasSent(t *testing.T) {
 	e := sessionEngine(t, nil)
-	if got := pushed(e, nil, "c", 7); !slices.Equal(got, docIDs(2, 3, 4, 5, 6)) {
+	if got := pushed(e, "c", 7); !slices.Equal(got, docIDs(2, 3, 4, 5, 6)) {
 		t.Fatalf("fresh session pushes %v", got)
 	}
 	if fresh := e.Sent("c", 7, t0, docIDs(1, 3, 5)); !slices.Equal(fresh, docIDs(1, 3, 5)) {
@@ -65,16 +65,13 @@ func TestSessionSetExcludesWhatWasSent(t *testing.T) {
 			t.Errorf("Held(%d) = %v, want %v", doc, got, want)
 		}
 	}
-	if got := pushed(e, nil, "c", 7); !slices.Equal(got, docIDs(4, 6)) {
+	if got := pushed(e, "c", 7); !slices.Equal(got, docIDs(4, 6)) {
 		t.Errorf("the session is pushed %v, want what it was not sent", got)
 	}
-	if got := pushed(e, map[webgraph.DocID]bool{4: true, 6: true}, "c", 7); len(got) != 0 {
-		t.Errorf("with a digest naming the rest the session is pushed %v", got)
-	}
-	if got := pushed(e, nil, "c", 0); len(got) != 5 {
+	if got := pushed(e, "c", 0); len(got) != 5 {
 		t.Errorf("no session: pushed %v, want all five", got)
 	}
-	if got := pushed(e, nil, "other", 7); len(got) != 5 {
+	if got := pushed(e, "other", 7); len(got) != 5 {
 		t.Errorf("another client under the same token is pushed %v, want all five", got)
 	}
 	if fresh := e.Sent("c", 0, t0, docIDs(4)); len(fresh) != 1 || e.Held("c", 0, 4) {
@@ -82,7 +79,7 @@ func TestSessionSetExcludesWhatWasSent(t *testing.T) {
 	}
 
 	// A new token resets the set.
-	if got := pushed(e, nil, "c", 8); len(got) != 5 {
+	if got := pushed(e, "c", 8); len(got) != 5 {
 		t.Errorf("a new session is pushed %v, want all five", got)
 	}
 	if fresh := e.Sent("c", 8, t0, docIDs(3)); len(fresh) != 1 {
@@ -91,12 +88,12 @@ func TestSessionSetExcludesWhatWasSent(t *testing.T) {
 	if e.Held("c", 7, 3) || e.Held("c", 8, 2) || !e.Held("c", 8, 3) {
 		t.Error("the old session's set survived the new token")
 	}
-	if got := pushed(e, nil, "c", 7); len(got) != 5 {
+	if got := pushed(e, "c", 7); len(got) != 5 {
 		t.Errorf("the old token, now stale, is pushed %v, want all five", got)
 	}
-	// Three candidates struck twice; the digest's two counted as its own.
-	if s, d := e.met.sessionHeld.Value(), e.met.digestSuppressed.Value(); s != 6 || d != 2 {
-		t.Errorf("session_suppressed %v, digest_suppressed %v; want 6 and 2", s, d)
+	// Three candidates struck once; a session decision reads no digest.
+	if s, d := e.met.sessionHeld.Value(), e.met.digestSuppressed.Value(); s != 3 || d != 0 {
+		t.Errorf("session_suppressed %v, digest_suppressed %v; want 3 and 0", s, d)
 	}
 }
 
@@ -150,7 +147,7 @@ func TestSessionSetConcurrentRequests(t *testing.T) {
 				at := t0.Add(time.Duration(k) * time.Millisecond)
 				doc := webgraph.DocID(2 + (w+k)%5)
 				e.Record("c", 1, at)
-				e.SessionInto(d, speculation.ModeHybrid, 1, nil, "c", 9)
+				e.SessionInto(d, speculation.ModeHybrid, 1, "c", 9)
 				e.Offer("c", doc, at, 500)
 				e.Sent("c", 9, at, append(docIDs(1), d.Push...))
 				e.Sent("c", 9, at, docIDs(doc))
@@ -167,7 +164,7 @@ func TestSessionSetConcurrentRequests(t *testing.T) {
 			t.Errorf("document %d was sent and is not held", doc)
 		}
 	}
-	if got := pushed(e, nil, "c", 9); len(got) != 0 {
+	if got := pushed(e, "c", 9); len(got) != 0 {
 		t.Errorf("after everything was sent the session is pushed %v", got)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"specweb/internal/trace"
 )
 
-// TestDigestNamesNothingTheSetLacks is the case for retiring the
+// TestDigestNamesNothingTheSetLacks is why the server reads no
 // cooperative digest: TestReplaySummaryGolden's two drives (hybrid,
 // cooperative, prefetching, a session every 20 requests), every request
 // checked as it arrives. Each document its Spec-Have digest names is

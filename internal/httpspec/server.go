@@ -25,8 +25,10 @@ import (
 // Protocol header names. Spec-Client identifies the requesting client
 // (falling back to the remote address), Spec-Accept announces bundle
 // support and, as its prefetch parameter, the probability from which the
-// client follows hints (parseAccept), and Spec-Have carries the cooperative
-// cache digest as space-separated URL paths.
+// client follows hints (parseAccept), and Spec-Have carries a cooperative
+// client's cache digest as space-separated URL paths. The server does not
+// read the digest: what a session holds of the server's deliveries is in
+// the session set the engine keeps (Spec-Accept's session parameter).
 const (
 	HeaderClient = "Spec-Client"
 	HeaderAccept = "Spec-Accept"
@@ -180,7 +182,6 @@ type serverMetrics struct {
 	pushedBytes *obs.Counter
 	hints       *obs.Counter
 	bundles     *obs.Counter
-	digestDocs  *obs.Counter
 	latency     *obs.Histogram
 	respBytes   *obs.Histogram
 
@@ -201,7 +202,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		pushedBytes: reg.Counter("specweb_server_pushed_bytes_total", "Bytes pushed speculatively in bundles.", nil),
 		hints:       reg.Counter("specweb_server_hints_total", "Link rel=prefetch hints attached to responses.", nil),
 		bundles:     reg.Counter("specweb_server_bundles_total", "Multipart bundles built.", nil),
-		digestDocs:  reg.Counter("specweb_server_digest_docs_total", "Documents announced in cooperative Spec-Have digests.", nil),
 		latency:     reg.Histogram("specweb_server_request_seconds", "Document request service time in seconds.", obs.LatencyBuckets(), nil),
 		respBytes:   reg.Histogram("specweb_server_response_bytes", "Response size in bytes per document request.", obs.SizeBuckets(), nil),
 		pushSuppressed: reg.Counter("specweb_overload_pushes_suppressed_total",
@@ -413,19 +413,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// delivered as a prefetch.
 		docs = parseWant(docs, r.Header.Get(HeaderWant), s.store, s.cfg.MaxPush)
 	default:
-		// The engine never speculates the requested document itself, so
-		// the digest holds only what the client sent: nil for most.
-		have := parseHave(r.Header.Get(HeaderHave), s.store)
-		s.met.digestDocs.Add(int64(len(have)))
-
-		// The engine's decision path, which leaves out what the digest names
-		// and what the session was sent: the pooled Decision's buffers back
-		// push/hints until the response is written, then recycle at request
-		// end.
+		// The engine's decision path, which leaves out what the session
+		// was sent: the pooled Decision's buffers back push/hints until the
+		// response is written, then recycle at request end.
 		d := core.AcquireDecision()
 		defer core.ReleaseDecision(d)
 		spec := s.tracer.StartChild("server.speculate", sp)
-		s.engine.SessionInto(d, s.cfg.Mode, id, have, client, token)
+		s.engine.SessionInto(d, s.cfg.Mode, id, client, token)
 		push, pushP := d.Push, d.PushP
 		for _, h := range d.Hints {
 			hints = append(hints, hint{doc: h.Doc, p: h.P})
@@ -955,19 +949,4 @@ func clientID(r *http.Request) trace.ClientID {
 // naming convention the trace generator uses.
 func isRemote(c trace.ClientID) bool {
 	return !strings.HasSuffix(string(c), ".local")
-}
-
-// parseHave resolves a Spec-Have digest to document IDs; no header, no
-// map (only cooperative clients send one).
-func parseHave(header string, store Store) map[webgraph.DocID]bool {
-	if header == "" {
-		return nil
-	}
-	have := make(map[webgraph.DocID]bool)
-	for _, p := range strings.Fields(header) {
-		if id, ok := store.Lookup(p); ok {
-			have[id] = true
-		}
-	}
-	return have
 }

@@ -7,7 +7,8 @@
 //     multipart/mixed bundle (speculative service), attaches
 //     Link: rel="prefetch" hints (server-assisted prefetching), or both
 //     (the hybrid protocol). Cooperative clients piggyback a cache digest
-//     in a Spec-Have header.
+//     in a Spec-Have header, which the server leaves unread: the session
+//     set the engine keeps already holds every document it names.
 //   - Client consumes bundles and hints (what one response hints it
 //     prefetches in one Spec-Want request), keeps a session cache, and
 //     reports whether a fetch was served locally.

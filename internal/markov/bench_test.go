@@ -121,21 +121,35 @@ func BenchmarkFreeze(b *testing.B) {
 }
 
 // BenchmarkAgingFreeze measures the exact estimator's direct freeze — the
-// accumulator compiled straight to CSR, rows gathered in the previous
-// freeze's order — on the matrix BenchmarkFreeze and BenchmarkDeltaFreeze
-// compile, so the three refresh-path compilers read against each other.
+// accumulator compiled straight to CSR, each row read in its kept order —
+// on the matrix BenchmarkFreeze and BenchmarkDeltaFreeze compile, so the
+// three refresh-path compilers read against each other. The first freeze,
+// which gives every row its kept order, is outside the timer. `make
+// bench-smoke` runs it for the allocs/op ceiling: measured 5, the Frozen
+// and its four arrays; an allocation per row would read in the hundreds.
 func BenchmarkAgingFreeze(b *testing.B) {
 	tr := benchTrace(b)
 	a := NewAging(1, DefaultEstimate())
 	if err := a.AddDay(tr); err != nil {
 		b.Fatal(err)
 	}
-	var f *Frozen
+	f, _ := a.Freeze(nil)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, _ = a.Freeze(nil)
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(f.NumPairs()), "pairs")
+	allocCeiling(b, 8, func() { a.Freeze(nil) })
+}
+
+// allocCeiling fails the benchmark when fn allocates more than ceiling
+// times a run.
+func allocCeiling(b *testing.B, ceiling float64, fn func()) {
+	if got := testing.AllocsPerRun(5, fn); got > ceiling {
+		b.Fatalf("%v allocs per run, ceiling %v", got, ceiling)
+	}
 }
 
 // BenchmarkFrozenThresholdRow measures the zero-alloc binary-search cut on
@@ -164,18 +178,28 @@ func BenchmarkFrozenThresholdRow(b *testing.B) {
 	}
 }
 
-// BenchmarkAgingAddDay measures incremental daily folding.
+// BenchmarkAgingAddDay measures folding one day into a fresh exact
+// estimator: every row and its index grown from empty. `make bench-smoke`
+// runs it for the allocs/op ceiling: measured 645, of which about 200 are
+// the row indexes growing by doubling; an index reallocated at every new
+// successor reads 945.
 func BenchmarkAgingAddDay(b *testing.B) {
 	tr := benchTrace(b)
 	first, _, _ := tr.Span()
 	day := tr.Window(first, first.Add(24*time.Hour))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	addDay := func() {
 		a := NewAging(0.97, DefaultEstimate())
 		if err := a.AddDay(day); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addDay()
+	}
+	b.StopTimer()
+	allocCeiling(b, 720, addDay)
 }
 
 // BenchmarkBoundedAddDay measures the bounded counterpart under caps tight

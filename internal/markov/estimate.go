@@ -205,13 +205,92 @@ func (d *docSlots) slot(i webgraph.DocID) (s int32, fresh bool) {
 	return s, true
 }
 
-// pairRow is one document's successor counts: two parallel slices ordered
-// by ascending successor ID, so a lookup is a binary search, decay is a
-// loop over a []float64, and equal-probability successors are already in
-// the frozen row's tie order.
+// pairRow is one document's successor counts, kept so that neither a
+// count nor a freeze searches or shifts:
+//   - succ and count are parallel slices in arrival order: a new successor
+//     is appended and keeps its position until a decay cull compacts the
+//     row, so decay is a loop over a []float64;
+//   - index is an open-addressing table from a successor to one more than
+//     its position (0 = empty), a power of two in size, at most 3/4 full;
+//   - order holds positions 0..len(order)-1 in the row's order at its last
+//     freeze; positions from len(order) on arrived since.
 type pairRow struct {
 	succ  []webgraph.DocID
 	count []float64
+	index []int32
+	order []int32
+}
+
+// home is j's first probe in an index of n (a power of two) words:
+// Fibonacci hashing, so consecutive IDs spread across the table.
+func home(j webgraph.DocID, n int) int {
+	return int(uint64(uint32(j)*0x9E3779B9) * uint64(n) >> 32)
+}
+
+// find returns j's position in the row, or -1 and the empty index word
+// where j would go.
+func (r *pairRow) find(j webgraph.DocID) (k int32, h int) {
+	if len(r.index) == 0 {
+		return -1, 0
+	}
+	mask := len(r.index) - 1
+	for h = home(j, len(r.index)); ; h = (h + 1) & mask {
+		e := r.index[h]
+		if e == 0 {
+			return -1, h
+		}
+		if r.succ[e-1] == j {
+			return e - 1, h
+		}
+	}
+}
+
+// reindex sizes the index for the row's successors — the smallest power of
+// two, at least 2, that they fill at most 3/4 of — and enters each.
+func (r *pairRow) reindex() {
+	size := 0
+	if len(r.succ) > 0 {
+		size = 2
+		for 4*len(r.succ) > 3*size {
+			size *= 2
+		}
+	}
+	if size == len(r.index) {
+		clear(r.index)
+	} else {
+		r.index = make([]int32, size)
+	}
+	for k, j := range r.succ {
+		_, h := r.find(j)
+		r.index[h] = int32(k) + 1
+	}
+}
+
+// cull drops the entries a decay took below 1e-9, keeping the survivors'
+// arrival order and their frozen order, and re-enters them in the index;
+// remap is scratch of len(r.succ). It returns how many it dropped.
+func (r *pairRow) cull(remap []int32) int {
+	n := 0
+	for k, c := range r.count {
+		remap[k] = -1
+		if c < 1e-9 {
+			continue
+		}
+		remap[k] = int32(n)
+		r.succ[n], r.count[n] = r.succ[k], c
+		n++
+	}
+	kept := 0
+	for _, k := range r.order {
+		if m := remap[k]; m >= 0 {
+			r.order[kept] = m
+			kept++
+		}
+	}
+	dropped := len(r.succ) - n
+	r.succ, r.count, r.order = r.succ[:n], r.count[:n], r.order[:kept]
+	r.reindex()
+	return dropped
 }
 
 // pairAccumulator is the exact counting store: full per-(i,j) counts and
@@ -228,11 +307,16 @@ type pairAccumulator struct {
 	occ   []float64        // slot → decayed occurrences; 0 = none held
 	rows  []pairRow        // slot → successor counts
 	pairs int              // Σ len(rows[s].succ)
-	order []int32          // slots by ascending document, completed lazily
-	// Freeze scratch, per slot: generation<<32 | position of that document
-	// in the row being gathered.
-	where []uint64
-	gen   uint32
+	byDoc []int32          // slots by ascending document, completed lazily
+	// Scratch: cull's position map, and freeze's set-aside entries.
+	remap []int32
+	aside []asideEntry
+}
+
+// asideEntry is a successor freeze set aside, with its row position.
+type asideEntry struct {
+	s Successor
+	k int32
 }
 
 func newPairAccumulator() *pairAccumulator { return &pairAccumulator{} }
@@ -250,20 +334,20 @@ func (a *pairAccumulator) slot(i webgraph.DocID) int32 {
 func (a *pairAccumulator) addOcc(i webgraph.DocID) { a.occ[a.slot(i)]++ }
 
 func (a *pairAccumulator) addPair(i, j webgraph.DocID) {
-	si := a.slot(i)
-	row := &a.rows[si]
-	k, found := slices.BinarySearch(row.succ, j)
-	if found {
+	row := &a.rows[a.slot(i)]
+	k, h := row.find(j)
+	if k >= 0 {
 		row.count[k]++
 		return
 	}
-	// Every successor gets a slot of its own, whether or not it is ever
-	// counted as an occurrence: freeze notes row positions by slot.
-	a.slot(j)
-	row = &a.rows[si] // slot(j) may have grown rows
-	row.succ = slices.Insert(row.succ, k, j)
-	row.count = slices.Insert(row.count, k, 1)
+	row.succ = append(row.succ, j)
+	row.count = append(row.count, 1)
 	a.pairs++
+	if 4*len(row.succ) > 3*len(row.index) {
+		row.reindex()
+	} else {
+		row.index[h] = int32(len(row.succ))
+	}
 }
 
 // occurrences reports the decayed occurrence count of i (0 when unseen).
@@ -280,17 +364,17 @@ func (a *pairAccumulator) occurrences(i webgraph.DocID) float64 {
 func (a *pairAccumulator) decay(f float64) {
 	for s := range a.rows {
 		row := &a.rows[s]
-		n := 0
-		for k, c := range row.count {
-			c *= f
-			if c < 1e-9 {
-				continue
+		culled := false
+		for k := range row.count {
+			row.count[k] *= f
+			if row.count[k] < 1e-9 {
+				culled = true
 			}
-			row.count[n], row.succ[n] = c, row.succ[k]
-			n++
 		}
-		a.pairs -= len(row.count) - n
-		row.count, row.succ = row.count[:n], row.succ[:n]
+		if culled {
+			a.remap = slices.Grow(a.remap[:0], len(row.succ))[:len(row.succ)]
+			a.pairs -= row.cull(a.remap)
+		}
 	}
 	for s := range a.occ {
 		a.occ[s] *= f
@@ -300,28 +384,17 @@ func (a *pairAccumulator) decay(f float64) {
 	}
 }
 
-// nextGen starts a fresh generation of where notes, wiping the table when
-// the 32-bit counter wraps so a stale note can never look current.
-func (a *pairAccumulator) nextGen() uint64 {
-	a.gen++
-	if a.gen == 0 || len(a.where) != len(a.docs) {
-		a.where = append(a.where[:0], make([]uint64, len(a.docs))...)
-		a.gen = 1
-	}
-	return uint64(a.gen) << 32
-}
-
 // ascending returns the slots in ascending document order. New documents
 // are rare once a site has been seen, so the order is kept and re-sorted
 // only when slots were added.
 func (a *pairAccumulator) ascending() []int32 {
-	if len(a.order) != len(a.docs) {
-		for s := len(a.order); s < len(a.docs); s++ {
-			a.order = append(a.order, int32(s))
+	if len(a.byDoc) != len(a.docs) {
+		for s := len(a.byDoc); s < len(a.docs); s++ {
+			a.byDoc = append(a.byDoc, int32(s))
 		}
-		slices.SortFunc(a.order, func(x, y int32) int { return cmp.Compare(a.docs[x], a.docs[y]) })
+		slices.SortFunc(a.byDoc, func(x, y int32) int { return cmp.Compare(a.docs[x], a.docs[y]) })
 	}
-	return a.order
+	return a.byDoc
 }
 
 // minOccurrences is the row-support cut shared by snapshot and freeze.
@@ -341,14 +414,22 @@ func (a *pairAccumulator) estimable(s int, min float64) bool {
 // probability is p[i,j] = count / (occurrences + Smoothing), capped at
 // certainty; it panics on NaN exactly as Matrix.Set does.
 func probability(i, j webgraph.DocID, c, den float64) float64 {
-	p := c / den
-	if p > 1 {
-		p = 1
-	}
+	p := min(c/den, 1) // NaN stays NaN
 	if p != p {
-		panic(fmt.Sprintf("markov: invalid probability %v for (%d,%d)", p, i, j))
+		panic(invalidProbability{i, j, p})
 	}
 	return p
+}
+
+// invalidProbability is probability's panic value; it formats only when
+// printed, so probability stays small enough to inline.
+type invalidProbability struct {
+	i, j webgraph.DocID
+	p    float64
+}
+
+func (e invalidProbability) Error() string {
+	return fmt.Sprintf("markov: invalid probability %v for (%d,%d)", e.p, e.i, e.j)
 }
 
 func (a *pairAccumulator) snapshot(cfg EstimateConfig) *Matrix {
@@ -379,13 +460,15 @@ func (a *pairAccumulator) snapshot(cfg EstimateConfig) *Matrix {
 // through Matrix.ScaleRow(i, scale(i)) when scale is non-nil — bit for
 // bit, without building the Matrix in between.
 //
-// hint, when non-nil, is an earlier freeze of this store. A cycle moves
-// few successors past each other, so each row is gathered in hint's order
-// (successors hint lacks go last) and then needs little more than a
-// verifying pass to sort. hint changes the work, never the result.
-func (a *pairAccumulator) freeze(cfg EstimateConfig, scale func(webgraph.DocID) float64, hint *Frozen) *Frozen {
+// A cycle moves few successors past each other, so each row is read in
+// its order at the last freeze, new arrivals last, and an entry that
+// would come before the last one taken — one that rose this cycle — is
+// set aside. The taken entries are in frozen order already; the few set
+// aside are sorted and merged back, and the row's positions go through
+// the merge with them, so the row keeps its order for the next freeze.
+// The kept order changes the work, never the result: the order is total.
+func (a *pairAccumulator) freeze(cfg EstimateConfig, scale func(webgraph.DocID) float64) *Frozen {
 	min := cfg.minOccurrences()
-	order := a.ascending()
 	rows, pairs := 0, 0
 	for s := range a.rows {
 		if a.estimable(s, min) {
@@ -394,7 +477,7 @@ func (a *pairAccumulator) freeze(cfg EstimateConfig, scale func(webgraph.DocID) 
 		}
 	}
 	f := newFrozen(rows, pairs)
-	for _, s := range order {
+	for _, s := range a.ascending() {
 		if !a.estimable(int(s), min) {
 			continue
 		}
@@ -402,54 +485,68 @@ func (a *pairAccumulator) freeze(cfg EstimateConfig, scale func(webgraph.DocID) 
 		i := a.docs[s]
 		den := a.occ[s] + cfg.Smoothing
 		start := len(f.succ)
-		emit := func(k int) {
-			if p := probability(i, row.succ[k], row.count[k], den); p > 0 {
-				f.succ = append(f.succ, Successor{Doc: row.succ[k], P: p})
+		n := len(row.succ)
+		run := f.succ[start : start+n]
+		// The new order overwrites the kept one in place when it fits:
+		// the write index never passes the read index.
+		was := row.order
+		order := slices.Grow(row.order[:0], n)[:n]
+		a.aside = a.aside[:0]
+		w := 0
+		for m := range n {
+			k := int32(m)
+			if m < len(was) {
+				k = was[m]
+			}
+			x := Successor{Doc: row.succ[k], P: probability(i, row.succ[k], row.count[k], den)}
+			if w > 0 && successorBefore(x, run[w-1]) {
+				a.aside = append(a.aside, asideEntry{x, k})
+				continue
+			}
+			run[w], order[w] = x, k
+			w++
+		}
+		if w < n {
+			a.mergeAside(run, order, w)
+		}
+		row.order = order
+		// p > 0 keeps an entry; the rest sort last.
+		for n > 0 && !(run[n-1].P > 0) {
+			n--
+		}
+		if n > 0 && scale != nil {
+			n = scaleSuccessors(run[:n], scale(i))
+			// Damping can round neighbours to one P, which DocID orders.
+			if !slices.IsSortedFunc(run[:n], compareSuccessors) {
+				sortSuccessors(run[:n])
 			}
 		}
-		var was []Successor
-		if hint != nil {
-			was = hint.SortedRow(i)
-		}
-		if len(was) == 0 {
-			for k := range row.succ {
-				emit(k)
-			}
-		} else {
-			// Note where each held successor sits, stamped with this row's
-			// generation; gathering a successor clears its note, so what
-			// is still stamped afterwards is what hint lacks.
-			gen := a.nextGen()
-			for k, j := range row.succ {
-				a.where[a.slots.get(j)] = gen | uint64(k)
-			}
-			left := len(row.succ)
-			for _, h := range was {
-				if sj := a.slots.get(h.Doc); sj >= 0 && a.where[sj]&^math.MaxUint32 == gen {
-					emit(int(uint32(a.where[sj])))
-					a.where[sj] = 0
-					left--
-				}
-			}
-			for k := 0; left > 0; k++ {
-				if sj := a.slots.get(row.succ[k]); a.where[sj]&^math.MaxUint32 == gen {
-					emit(k)
-					left--
-				}
-			}
-		}
-		if len(f.succ) > start && scale != nil {
-			f.succ = f.succ[:start+scaleSuccessors(f.succ[start:], scale(i))]
-		}
-		if len(f.succ) == start {
+		if n == 0 {
 			continue
 		}
-		resortSuccessors(f.succ[start:])
+		f.succ = f.succ[:start+n]
 		f.ids = append(f.ids, i)
 		f.off = append(f.off, int32(len(f.succ)))
 	}
 	f.indexDense()
 	return f
+}
+
+// mergeAside sorts the entries freeze set aside and merges them, from the
+// back, with the w taken ones into the row's run and its positions order.
+func (a *pairAccumulator) mergeAside(run []Successor, order []int32, w int) {
+	aside := a.aside
+	slices.SortFunc(aside, func(x, y asideEntry) int { return compareSuccessors(x.s, y.s) })
+	x := w - 1
+	for y, t := len(aside)-1, len(run)-1; y >= 0; t-- {
+		if x >= 0 && successorBefore(aside[y].s, run[x]) {
+			run[t], order[t] = run[x], order[x]
+			x--
+		} else {
+			run[t], order[t] = aside[y].s, aside[y].k
+			y--
+		}
+	}
 }
 
 // Estimate computes P from a trace: for each occurrence of document i, the
@@ -541,7 +638,6 @@ type Aging struct {
 	cfg  EstimateConfig
 	acc  *pairAccumulator
 	walk pairWalk
-	last *Frozen // the previous Freeze, whose row order seeds the next
 }
 
 // NewAging returns an aging estimator. It panics on decay outside (0, 1].
@@ -584,8 +680,7 @@ func (a *Aging) Snapshot() *Matrix {
 // equal bit for bit to Freeze(Snapshot()) with scale applied row by row.
 // The exact estimator always compiles every row, so patched is false.
 func (a *Aging) Freeze(scale func(webgraph.DocID) float64) (*Frozen, bool) {
-	a.last = a.acc.freeze(a.cfg, scale, a.last)
-	return a.last, false
+	return a.acc.freeze(a.cfg, scale), false
 }
 
 // Occurrences reports the decayed occurrence count backing row i — the
@@ -607,8 +702,12 @@ const (
 	mapEntryBytes = 48 // one map[DocID]float64 entry incl. bucket share
 	mapFixedBytes = 96 // map header + first bucket
 
-	flatPairBytes = 12 // successor ID + count in a row's parallel slices
-	flatSlotBytes = 68 // document ID, occurrence count, two slice headers, index and order words
+	// A pair holds its successor ID and count (12 B), its place in the
+	// row's kept order (4 B) and index words: 4 B each in a table 3/8 to
+	// 3/4 full, 5.3–10.7 B a pair (7.5 on the 30-day department trace),
+	// taken here as 8.
+	flatPairBytes = 24
+	flatSlotBytes = 116 // document ID, occurrence count, four slice headers, docSlots and byDoc words
 )
 
 // EstimatorStats reports the exact estimator's footprint: rows and pairs

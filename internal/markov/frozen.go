@@ -80,41 +80,27 @@ func (f *Frozen) indexDense() {
 	}
 }
 
-// sortSuccessors puts a row in frozen order: decreasing probability, ties
-// by ascending DocID. A document appears once per row, so the order is
-// total and any sorting algorithm yields the same bytes.
-func sortSuccessors(row []Successor) {
-	slices.SortFunc(row, func(a, b Successor) int {
-		switch {
-		case a.P > b.P:
-			return -1
-		case a.P < b.P:
-			return 1
-		}
-		return cmp.Compare(a.Doc, b.Doc)
-	})
+// compareSuccessors orders a row as it is frozen: decreasing probability,
+// ties by ascending DocID.
+func compareSuccessors(a, b Successor) int {
+	switch {
+	case a.P > b.P:
+		return -1
+	case a.P < b.P:
+		return 1
+	}
+	return cmp.Compare(a.Doc, b.Doc)
 }
 
-// resortSuccessors is sortSuccessors for a row believed to be nearly in
-// order already: an insertion sort, which costs one pass plus one move per
-// inversion, abandoned for the general sort once it has moved more than a
-// general sort would have cost.
-func resortSuccessors(row []Successor) {
-	budget := 16 * len(row)
-	for k := 1; k < len(row); k++ {
-		s := row[k]
-		j := k
-		for j > 0 && (row[j-1].P < s.P || row[j-1].P == s.P && row[j-1].Doc > s.Doc) {
-			row[j] = row[j-1]
-			j--
-		}
-		row[j] = s
-		if budget -= k - j; budget < 0 {
-			sortSuccessors(row)
-			return
-		}
-	}
+// successorBefore reports whether a comes before b in frozen order.
+func successorBefore(a, b Successor) bool {
+	return a.P > b.P || a.P == b.P && a.Doc < b.Doc
 }
+
+// sortSuccessors puts a row in frozen order. A document appears once per
+// row, so the order is total and any sorting algorithm yields the same
+// bytes.
+func sortSuccessors(row []Successor) { slices.SortFunc(row, compareSuccessors) }
 
 // scaleSuccessors is Matrix.ScaleRow over a row held as a slice: it damps
 // row in place by f and returns how many leading entries remain.

@@ -1,6 +1,8 @@
 package markov
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -296,6 +298,20 @@ func FuzzExactAccumulator(f *testing.F) {
 	f.Add([]byte("speculative data dissemination and service"), uint8(1), true)
 	f.Add([]byte("\xff\xfe\xfd\x00\x00\x00\x01\x01\x01\x80\x80\x80\x7f\x7f\x7f"), uint8(2), true)
 	f.Add([]byte("abcabcabcabcabcabcabcabcabcabcabcabcabc"), uint8(5), false)
+	// Multi-day seeds: three clients revisit a few documents a second or
+	// two apart while each day's favourites shift, so rows carry their
+	// frozen order from day to day, successors rise past others and arrive
+	// mid-row, and — at decay 1e-4 (modes 11 and 15) — are culled.
+	for _, mode := range []uint8{1, 5, 11, 15, 26} {
+		var data []byte
+		for day := 0; day < 6; day++ {
+			for n := 0; n < 24; n++ {
+				client, gap := n%3, 1+n%2
+				data = append(data, byte(client+3*gap), byte((n*(day+1)+day)%9))
+			}
+		}
+		f.Add(data, mode, mode%2 == 1)
+	}
 	docs := []webgraph.DocID{0, 1, 2, 3, 4, 5, 6, 7, 40, 41, 5000, denseDocLimit, 1<<31 - 1,
 		webgraph.None, -2, -1 << 31}
 	clients := []trace.ClientID{"a", "b", "c"}
@@ -334,6 +350,218 @@ func FuzzExactAccumulator(f *testing.F) {
 			agreeWithOracle(t, flat, oracle, scales)
 		}
 	})
+}
+
+// keptOrderDay is one cycle of traffic for TestKeptOrderMerge: each
+// session is a client of its own requesting its documents a second apart.
+func keptOrderDay(day int, sessions ...[]webgraph.DocID) *trace.Trace {
+	tr := &trace.Trace{}
+	for c, s := range sessions {
+		for k, doc := range s {
+			tr.Requests = append(tr.Requests, trace.Request{
+				Time:   t0.Add(time.Duration(day)*24*time.Hour + time.Duration(k)*time.Second),
+				Client: trace.ClientID(fmt.Sprintf("c%d", c)),
+				Doc:    doc,
+			})
+		}
+	}
+	return tr
+}
+
+// follow is n sessions in which document 0 is followed by j.
+func follow(n int, j webgraph.DocID) [][]webgraph.DocID {
+	s := make([][]webgraph.DocID, n)
+	for k := range s {
+		s[k] = []webgraph.DocID{0, j}
+	}
+	return s
+}
+
+// sessions concatenates session lists.
+func sessions(parts ...[][]webgraph.DocID) [][]webgraph.DocID {
+	var out [][]webgraph.DocID
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// rowDocs lists a frozen row's successors in order.
+func rowDocs(row []Successor) []webgraph.DocID {
+	docs := make([]webgraph.DocID, len(row))
+	for k, s := range row {
+		docs[k] = s.Doc
+	}
+	return docs
+}
+
+// TestKeptOrderMerge drives one Aging through cycles built to take each
+// path of the freeze's kept-order merge — an entry set aside because it
+// rose, a new arrival merged mid-row, positions remapped by a decay cull,
+// DocID deciding between equal probabilities, a row frozen again after
+// MinOccurrences dropped it — and holds every freeze to
+// Freeze(oracle.Snapshot()). Each day compares twice, so Freeze(nil) and
+// Freeze(scale) alternate on one state; check then confirms that document
+// 0's row took the shape the case is named for.
+func TestKeptOrderMerge(t *testing.T) {
+	// One ulp below 1: a count seen once and aged a cycle reads 2 − 2⁻⁵²,
+	// next to a count of 2 seen in one cycle.
+	ulpDecay := 1 - math.Ldexp(1, -52)
+	for _, tc := range []struct {
+		name     string
+		decay    float64
+		minOcc   int
+		smooth   float64
+		days     [][][]webgraph.DocID
+		extraCut map[string]func(webgraph.DocID) float64
+		check    func(t *testing.T, day int, a *Aging, row []Successor)
+	}{
+		{
+			name: "rise past many", decay: 0.97, minOcc: 1, smooth: 2,
+			days: [][][]webgraph.DocID{
+				sessions(follow(10, 1), follow(9, 2), follow(8, 3), follow(7, 4), follow(6, 5),
+					follow(5, 6), follow(4, 7), follow(3, 8), follow(2, 9), follow(1, 10)),
+				follow(30, 10),
+				// Read in kept order 8 before 9, set aside, sorted 9 first.
+				sessions(follow(60, 8), follow(70, 9)),
+			},
+			check: func(t *testing.T, day int, a *Aging, row []Successor) {
+				want := [][]webgraph.DocID{
+					{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+					{10, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+					{9, 8, 10, 1, 2, 3, 4, 5, 6, 7},
+				}[day]
+				if got := rowDocs(row); !reflect.DeepEqual(got, want) {
+					t.Fatalf("day %d: row %v, want %v", day, got, want)
+				}
+			},
+		},
+		{
+			name: "new successor mid-row", decay: 0.97, minOcc: 1, smooth: 2,
+			days: [][][]webgraph.DocID{
+				sessions(follow(10, 1), follow(8, 2), follow(6, 3), follow(4, 4)),
+				follow(5, 5),
+			},
+			check: func(t *testing.T, day int, a *Aging, row []Successor) {
+				want := [][]webgraph.DocID{{1, 2, 3, 4}, {1, 2, 3, 5, 4}}[day]
+				if got := rowDocs(row); !reflect.DeepEqual(got, want) {
+					t.Fatalf("day %d: row %v, want %v", day, got, want)
+				}
+			},
+		},
+		{
+			// At 1e-4 a day, what day 0 counted falls under the 1e-9 cull
+			// on day 3 while later arrivals survive, so positions shift and
+			// the kept order and index are rebuilt; day 4 counts through
+			// the rebuilt index.
+			name: "decay cull", decay: 1e-4, minOcc: 1, smooth: 2,
+			days: [][][]webgraph.DocID{
+				sessions(follow(1, 1), follow(2, 2), follow(1, 3)),
+				sessions(follow(2, 4), follow(1, 5)),
+				sessions(follow(1, 5), follow(1, 6), follow(1, 4)),
+				sessions(follow(1, 6), follow(1, 7)),
+				sessions(follow(1, 4), follow(2, 7), follow(1, 8)),
+			},
+			check: func(t *testing.T, day int, a *Aging, row []Successor) {
+				if day < 3 {
+					return
+				}
+				if len(row) == 0 {
+					t.Fatalf("day %d: row culled whole", day)
+				}
+				for _, s := range row {
+					if s.Doc <= 3 {
+						t.Fatalf("day %d: %d outlived the cull: %v", day, s.Doc, rowDocs(row))
+					}
+				}
+			},
+		},
+		{
+			// Counts 2 − 2⁻⁵² (doc 7) and 2 (doc 3) over 3 + 3 both read
+			// P = 2/3; doc 3 arrives after doc 7 and must merge before it.
+			name: "equal P, DocID breaks the tie", decay: ulpDecay, minOcc: 1, smooth: 3,
+			days: [][][]webgraph.DocID{
+				{{0, 7}},
+				{{0, 3, 7}, {0, 3}},
+			},
+			check: func(t *testing.T, day int, a *Aging, row []Successor) {
+				if day == 0 {
+					return
+				}
+				c := a.acc.counts()[0]
+				if c[3] == c[7] || len(row) != 2 || row[0].P != row[1].P || row[0].Doc != 3 {
+					t.Fatalf("counts %v, row %v: want unequal counts, equal P, doc 3 first", c, row)
+				}
+			},
+		},
+		{
+			// The same counts over 3 + 2 read apart by an ulp, doc 7
+			// first; damped by 0.37 they round equal and doc 3 goes first.
+			name: "damping rounds two P equal", decay: ulpDecay, minOcc: 1, smooth: 2,
+			days: [][][]webgraph.DocID{
+				{{0, 3}},
+				{{0, 7, 3}, {0, 7}},
+			},
+			extraCut: map[string]func(webgraph.DocID) float64{
+				"0.37": func(webgraph.DocID) float64 { return 0.37 },
+			},
+			check: func(t *testing.T, day int, a *Aging, row []Successor) {
+				if day == 0 {
+					return
+				}
+				if got := rowDocs(row); !reflect.DeepEqual(got, []webgraph.DocID{7, 3}) || row[0].P == row[1].P {
+					t.Fatalf("unscaled row %v: want doc 7 above doc 3", row)
+				}
+				f, _ := a.Freeze(func(webgraph.DocID) float64 { return 0.37 })
+				if damped := f.SortedRow(0); len(damped) != 2 || damped[0].P != damped[1].P || damped[0].Doc != 3 {
+					t.Fatalf("damped row %v: want equal P, doc 3 first", damped)
+				}
+			},
+		},
+		{
+			// Support 3, then 2.5 (dropped; doc 3 arrives unfrozen), then
+			// 5.25: the row is frozen again from its day-0 order with two
+			// days of arrivals behind it.
+			name: "row crosses MinOccurrences both ways", decay: 0.5, minOcc: 3, smooth: 2,
+			days: [][][]webgraph.DocID{
+				sessions(follow(2, 1), follow(1, 2)),
+				follow(1, 3),
+				sessions(follow(2, 2), follow(1, 4), follow(1, 1)),
+			},
+			check: func(t *testing.T, day int, a *Aging, row []Successor) {
+				want := [][]webgraph.DocID{{1, 2}, {}, {2, 1, 4, 3}}[day]
+				if got := rowDocs(row); !reflect.DeepEqual(got, want) {
+					t.Fatalf("day %d: row %v, want %v", day, got, want)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := EstimateConfig{
+				Window:         5 * time.Second,
+				StrideTimeout:  5 * time.Second,
+				MinOccurrences: tc.minOcc,
+				Smoothing:      tc.smooth,
+			}
+			flat := NewAging(tc.decay, cfg)
+			oracle := newMapAging(tc.decay, cfg, false)
+			scales := testScales()
+			for name, scale := range tc.extraCut {
+				scales[name] = scale
+			}
+			for day, ss := range tc.days {
+				tr := keptOrderDay(day, ss...)
+				if err := flat.AddDay(tr); err != nil {
+					t.Fatal(err)
+				}
+				oracle.AddDay(tr)
+				agreeWithOracle(t, flat, oracle, scales)
+				agreeWithOracle(t, flat, oracle, scales)
+				f, _ := flat.Freeze(nil)
+				tc.check(t, day, flat, f.SortedRow(0))
+			}
+		})
+	}
 }
 
 // The one-shot estimators run the same flat store and traversal; hold them
