@@ -183,20 +183,28 @@ func RowsFromFrozen(f *markov.Frozen) []Row {
 }
 
 // FrozenFromRows rebuilds the immutable CSR snapshot from checkpoint
-// rows. Probabilities are re-validated before touching the matrix —
-// markov.Matrix.Set panics on invalid input, and a decoded file crossed a
-// trust boundary even when its checksum held.
+// rows. Rows Decode accepted are canonical (ascending documents, each row
+// in frozen order), so they are appended to the CSR as they stand;
+// markov.NewFrozen re-checks the order and every probability, since a
+// decoded file crossed a trust boundary even when its checksum held.
 func FrozenFromRows(rows []Row) (*markov.Frozen, error) {
-	m := markov.NewMatrix()
+	pairs := 0
 	for _, r := range rows {
-		for _, s := range r.Succ {
-			p := s.P()
-			if math.IsNaN(p) || p <= 0 || p > 1 {
-				return nil, fmt.Errorf("%w: probability %v for (%d,%d) outside (0,1]",
-					ErrMalformed, p, r.Doc, s.Doc)
-			}
-			m.Set(webgraph.DocID(r.Doc), webgraph.DocID(s.Doc), p)
-		}
+		pairs += len(r.Succ)
 	}
-	return markov.Freeze(m), nil
+	ids := make([]webgraph.DocID, 0, len(rows))
+	off := make([]int32, 1, len(rows)+1)
+	succ := make([]markov.Successor, 0, pairs)
+	for _, r := range rows {
+		ids = append(ids, webgraph.DocID(r.Doc))
+		for _, s := range r.Succ {
+			succ = append(succ, markov.Successor{Doc: webgraph.DocID(s.Doc), P: s.P()})
+		}
+		off = append(off, int32(len(succ)))
+	}
+	f, err := markov.NewFrozen(ids, off, succ)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	return f, nil
 }

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"os"
@@ -101,11 +102,15 @@ func TestFrozenRowsRoundTrip(t *testing.T) {
 	m.Set(0, 2, 0.5) // tie with doc 1
 	m.Set(0, 3, 0.9)
 	m.Set(5, 0, 1.0)
-	rows := RowsFromFrozen(markov.Freeze(m))
+	f := markov.Freeze(m)
+	rows := RowsFromFrozen(f)
 
 	f2, err := FrozenFromRows(rows)
 	if err != nil {
 		t.Fatalf("FrozenFromRows: %v", err)
+	}
+	if !reflect.DeepEqual(f2, f) {
+		t.Fatalf("restored CSR differs from the frozen one:\n%+v\n%+v", f2, f)
 	}
 	rows2 := RowsFromFrozen(f2)
 	if !reflect.DeepEqual(rows, rows2) {
@@ -122,6 +127,42 @@ func TestFrozenFromRowsRejectsBadProbability(t *testing.T) {
 		if _, err := FrozenFromRows(rows); err == nil {
 			t.Fatalf("FrozenFromRows accepted p=%v", p)
 		}
+	}
+}
+
+// TestFrozenFromRowsMalformed holds restore to the canonical form: rows
+// out of document order, a row out of (P desc, Doc asc) order, an empty
+// row or a probability outside (0, 1] is ErrMalformed, never a panic.
+func TestFrozenFromRowsMalformed(t *testing.T) {
+	succ := func(doc int32, p float64) Succ { return Succ{Doc: doc, PBits: math.Float64bits(p)} }
+	good := Row{Doc: 3, Succ: []Succ{succ(1, 0.9), succ(2, 0.5), succ(4, 0.5)}}
+	for _, tc := range []struct {
+		name string
+		rows []Row
+	}{
+		{"unsorted ids", []Row{good, {Doc: 1, Succ: []Succ{succ(2, 0.5)}}}},
+		{"repeated id", []Row{good, good}},
+		{"P ascending", []Row{{Doc: 3, Succ: []Succ{succ(2, 0.5), succ(1, 0.9)}}}},
+		{"tie by Doc descending", []Row{{Doc: 3, Succ: []Succ{succ(4, 0.5), succ(2, 0.5)}}}},
+		{"repeated successor", []Row{{Doc: 3, Succ: []Succ{succ(2, 0.5), succ(2, 0.5)}}}},
+		{"empty row", []Row{{Doc: 3}}},
+		{"p = 0", []Row{{Doc: 3, Succ: []Succ{succ(1, 0.9), succ(2, 0)}}}},
+		{"p > 1", []Row{{Doc: 3, Succ: []Succ{succ(1, 1.5)}}}},
+		{"NaN", []Row{{Doc: 3, Succ: []Succ{succ(1, 0.9), succ(2, math.NaN())}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := FrozenFromRows(tc.rows); !errors.Is(err, ErrMalformed) {
+				t.Fatalf("err = %v, want ErrMalformed", err)
+			}
+		})
+	}
+	rows := []Row{good, {Doc: 1 << 20, Succ: []Succ{succ(0, 1)}}}
+	f, err := FrozenFromRows(rows)
+	if err != nil {
+		t.Fatalf("canonical rows rejected: %v", err)
+	}
+	if got := RowsFromFrozen(f); !reflect.DeepEqual(got, rows) {
+		t.Fatalf("canonical rows did not round-trip:\n got %+v\nwant %+v", got, rows)
 	}
 }
 

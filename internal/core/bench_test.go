@@ -177,6 +177,7 @@ func BenchmarkEngineRefresh(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
 		guard   bool
+		maxRows int // > 0 runs the bounded estimator
 		ceiling float64
 	}{
 		// Measured 8 and 1,189 (23 and 1,206 with a per-snapshot size
@@ -185,8 +186,12 @@ func BenchmarkEngineRefresh(b *testing.B) {
 		// guard, estguard's own per-client features and drift profile.
 		// The plain ceiling is tight so a per-refresh map cannot return
 		// unnoticed.
-		{"plain", false, 16},
-		{"guarded", true, 1400},
+		{name: "plain", ceiling: 16},
+		{name: "guarded", guard: true, ceiling: 1400},
+		// The bounded estimator at its default caps and decay: measured
+		// 1,004, mostly its map store's new entries; freezing through a
+		// Matrix built each refresh read 5,513.
+		{name: "bounded", maxRows: 1 << 16, ceiling: 1200},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := DefaultEngineConfig()
@@ -194,6 +199,7 @@ func BenchmarkEngineRefresh(b *testing.B) {
 			if tc.guard {
 				cfg.Guard = estguard.New(estguard.Config{Metrics: cfg.Metrics})
 			}
+			cfg.MaxRows = tc.maxRows
 			e, err := NewEngine(cfg, size)
 			if err != nil {
 				b.Fatal(err)

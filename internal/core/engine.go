@@ -316,8 +316,6 @@ type Engine struct {
 	quarReqs       atomic.Int64
 	driftChecks    atomic.Int64 // rate-limits DriftScore on the record path
 
-	deltaFreezes atomic.Int64
-
 	// mu serializes the write path: refreshes (cut + AddRuns + publish)
 	// and knob changes (republish). The read path never takes it.
 	mu         sync.Mutex
@@ -346,7 +344,6 @@ type engineMetrics struct {
 	belowThreshold   *obs.Counter
 	digestSuppressed *obs.Counter
 	sessionHeld      *obs.Counter
-	deltaFreezes     *obs.Counter
 	refreshPhase     [numRefreshPhases]*obs.Histogram
 	pairs            *obs.Gauge
 	docs             *obs.Gauge
@@ -404,10 +401,8 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		belowThreshold:   reg.Counter(decisions, decisionsHelp, obs.Labels{"decision": "below_threshold"}),
 		digestSuppressed: reg.Counter(decisions, decisionsHelp, obs.Labels{"decision": "digest_suppressed"}),
 		sessionHeld:      reg.Counter(decisions, decisionsHelp, obs.Labels{"decision": "session_suppressed"}),
-		deltaFreezes: reg.Counter("specweb_engine_delta_freezes_total",
-			"Refreshes that patched dirty rows into the previous frozen matrix instead of rebuilding it.", nil),
-		pairs: reg.Gauge("specweb_engine_pairs", "Dependency pairs in the current P* estimate.", nil),
-		docs:  reg.Gauge("specweb_engine_docs", "Documents with at least one successor in P*.", nil),
+		pairs:            reg.Gauge("specweb_engine_pairs", "Dependency pairs in the current P* estimate.", nil),
+		docs:             reg.Gauge("specweb_engine_docs", "Documents with at least one successor in P*.", nil),
 		estMemory: reg.Gauge("specweb_estimator_memory_bytes",
 			"Analytic live footprint of the dependency estimator.", nil),
 		estTrackedPairs: reg.Gauge("specweb_estimator_tracked_pairs",
@@ -489,7 +484,8 @@ func NewEngine(cfg EngineConfig, size SizeFunc) (*Engine, error) {
 		// the same windows as the clean estimate.
 		e.quarantine = newEst()
 	}
-	e.installLocked(markov.Freeze(markov.NewMatrix()))
+	empty, _ := markov.NewFrozen(nil, nil, nil) // no rows: nothing to reject
+	e.installLocked(empty)
 	return e, nil
 }
 
@@ -798,11 +794,7 @@ func (e *Engine) refreshLocked(at time.Time) {
 			return g.RowTrust(e.est.Occurrences(i), e.quarantine.Occurrences(i))
 		}
 	}
-	frozen, patched := e.est.Freeze(trust)
-	if patched {
-		e.deltaFreezes.Add(1)
-		e.met.deltaFreezes.Inc()
-	}
+	frozen := e.est.Freeze(trust)
 
 	// Snapshot validation: a candidate whose predicted interception
 	// regresses past the guard's bound is rejected, and the last-good
@@ -1022,10 +1014,6 @@ type Stats struct {
 	SnapshotsRejected   int64 `json:",omitempty"`
 	QuarantinedRequests int64 `json:",omitempty"`
 
-	// DeltaFreezes counts refreshes that patched dirty rows into the
-	// previous frozen matrix instead of rebuilding it.
-	DeltaFreezes int64 `json:",omitempty"`
-
 	// OffersOutstanding counts prefetched documents whose clients have not
 	// yet reported them used or unused; OffersExpired those a refresh gave
 	// up on after one RefreshEvery without a report.
@@ -1056,7 +1044,6 @@ func (e *Engine) Stats() Stats {
 		EarlyRefreshes:      e.earlyRefreshes.Load(),
 		SnapshotsRejected:   e.rejectedSnaps.Load(),
 		QuarantinedRequests: e.quarReqs.Load(),
-		DeltaFreezes:        e.deltaFreezes.Load(),
 		OffersOutstanding:   e.offersOut.Load(),
 		OffersExpired:       e.offersExpired.Load(),
 		Estimator:           snap.estStats,

@@ -14,9 +14,10 @@ import (
 // FuzzBoundedEstimator drives a memory-bounded engine through
 // fuzzer-chosen interleavings of the operations that interact in the
 // bounded path: Record (which triggers space-saving evictions), Refresh
-// (which exercises both the delta-freeze and the full-freeze branch),
-// checkpoint export (version-2 frames) and WarmStart (which resets the
-// delta baseline mid-stream). The invariants: no operation panics, the
+// (the bounded estimator's direct freeze, over rows that evictions and
+// decay culls come and go from), checkpoint export (version-2 frames) and
+// WarmStart (which installs the decoded rows mid-stream while the live
+// store carries on). The invariants: no operation panics, the
 // eviction ledger in Stats never moves backwards — not even across a warm
 // restart — and every exported frame survives Decode → Encode
 // byte-identically (the canonical-form contract of the v2 codec).
@@ -34,8 +35,9 @@ func FuzzBoundedEstimator(f *testing.F) {
 		cfg.Metrics = obs.NewRegistry()
 		cfg.MinOccurrences = 1
 		// Tiny caps so the fuzzer reaches the eviction branches quickly;
-		// the first bytes pick the shape, including decay 1 (the
-		// delta-freeze regime) vs < 1 (full rebuilds every refresh).
+		// the first bytes pick the shape, including decay 1 (counts only
+		// grow; rows leave only by eviction) vs < 1 (every count ages and
+		// the smallest are culled).
 		cfg.MaxRows = 2 + int(data[0]%6)
 		cfg.RowTopK = 1 + int(data[1]%4)
 		if data[2]%2 == 0 {
@@ -69,7 +71,7 @@ func FuzzBoundedEstimator(f *testing.F) {
 			case 0, 1: // the common case: traffic
 				at = at.Add(time.Duration(x%8) * time.Second)
 				e.Record(clients[int(x)%len(clients)], webgraph.DocID(y%48), at)
-			case 2: // explicit refresh: delta-freeze or full rebuild
+			case 2: // explicit refresh: one direct freeze
 				at = at.Add(time.Duration(1+x%4) * time.Hour)
 				e.Refresh(at)
 				checkLedger("refresh")
@@ -95,8 +97,8 @@ func FuzzBoundedEstimator(f *testing.F) {
 				if !bytes.Equal(frame, again) {
 					t.Fatalf("v2 frame not canonical: %d bytes in, %d out", len(frame), len(again))
 				}
-				// Warm-start from the decoded frame mid-stream: the delta
-				// baseline resets, the ledger must survive via the frame.
+				// Warm-start from the decoded frame mid-stream: the ledger
+				// must survive via the frame.
 				if err := e.WarmStart(decoded, at); err != nil {
 					t.Fatalf("WarmStart: %v", err)
 				}

@@ -69,7 +69,6 @@ type materializedLog struct {
 	recorded       int64
 	quarantined    int64
 	refreshes      int64
-	deltaFreezes   int64
 	offersOut      int64
 }
 
@@ -212,14 +211,10 @@ func runIngestion(t *testing.T, mk func() EngineConfig, script []ingestOp) (evic
 		var got, want *markov.Frozen
 		if e.cfg.Guard == nil {
 			got = e.snap.Load().frozen
-			var patched bool
-			want, patched = ref.est.Freeze(nil)
-			if patched {
-				m.deltaFreezes++
-			}
-			if st.Pairs != want.NumPairs() || st.Docs != want.NumRows() || st.DeltaFreezes != m.deltaFreezes {
-				t.Fatalf("op %d: stats %+v, reference %d pairs %d docs %d delta freezes",
-					n, st, want.NumPairs(), want.NumRows(), m.deltaFreezes)
+			want = ref.est.Freeze(nil)
+			if st.Pairs != want.NumPairs() || st.Docs != want.NumRows() {
+				t.Fatalf("op %d: stats %+v, reference %d pairs %d docs",
+					n, st, want.NumPairs(), want.NumRows())
 			}
 			if st.Estimator != nil {
 				if ws := ref.est.EstimatorStats(); *st.Estimator != ws {
@@ -228,11 +223,9 @@ func runIngestion(t *testing.T, mk func() EngineConfig, script []ingestOp) (evic
 				evicted = st.Estimator.EvictedPairs
 			}
 		} else {
-			got, _ = e.est.Freeze(nil)
-			want, _ = ref.est.Freeze(nil)
-			gq, _ := e.quarantine.Freeze(nil)
-			wq, _ := ref.quarantine.Freeze(nil)
-			if !slices.Equal(frozenBits(gq), frozenBits(wq)) {
+			got = e.est.Freeze(nil)
+			want = ref.est.Freeze(nil)
+			if !slices.Equal(frozenBits(e.quarantine.Freeze(nil)), frozenBits(ref.quarantine.Freeze(nil))) {
 				t.Fatalf("op %d: quarantine ledger differs from the reference", n)
 			}
 			if st.QuarantinedRequests != m.quarantined {

@@ -40,15 +40,20 @@ func BenchmarkEstimate(b *testing.B) {
 	b.ReportMetric(float64(tr.Len()), "requests")
 }
 
-// BenchmarkEstimateTransitive measures direct P* estimation.
+// BenchmarkEstimateTransitive measures direct P* estimation as the
+// simulator runs it each cycle: the trace folded into a fresh transitive
+// Aging, then frozen.
 func BenchmarkEstimateTransitive(b *testing.B) {
 	tr := benchTrace(b)
 	cfg := DefaultEstimate()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EstimateTransitive(tr, cfg); err != nil {
+		a := NewAging(1, cfg)
+		a.Transitive = true
+		if err := a.AddDay(tr); err != nil {
 			b.Fatal(err)
 		}
+		a.Freeze(nil)
 	}
 }
 
@@ -66,13 +71,9 @@ func BenchmarkClosure(b *testing.B) {
 	reportPairMetrics(b, m)
 }
 
-// reportPairMetrics splits the old input_pairs metric into what the matrix
-// actually holds vs what a bounded estimator dropped on the way: NumPairs
-// only ever counted tracked pairs, and conflating the two would let a
-// bounding change shift benchmark baselines silently.
+// reportPairMetrics reports the closure's input size.
 func reportPairMetrics(b *testing.B, m *Matrix) {
 	b.ReportMetric(float64(m.NumPairs()), "tracked_pairs")
-	b.ReportMetric(float64(m.EvictedPairs()), "evicted_pairs")
 }
 
 // BenchmarkClosureSerial pins the single-worker closure as the baseline
@@ -122,8 +123,8 @@ func BenchmarkFreeze(b *testing.B) {
 
 // BenchmarkAgingFreeze measures the exact estimator's direct freeze — the
 // accumulator compiled straight to CSR, each row read in its kept order —
-// on the matrix BenchmarkFreeze and BenchmarkDeltaFreeze compile, so the
-// three refresh-path compilers read against each other. The first freeze,
+// on the matrix BenchmarkFreeze compiles, so the two compilers read
+// against each other. The first freeze,
 // which gives every row its kept order, is outside the timer. `make
 // bench-smoke` runs it for the allocs/op ceiling: measured 5, the Frozen
 // and its four arrays; an allocation per row would read in the hundreds.
@@ -133,11 +134,11 @@ func BenchmarkAgingFreeze(b *testing.B) {
 	if err := a.AddDay(tr); err != nil {
 		b.Fatal(err)
 	}
-	f, _ := a.Freeze(nil)
+	f := a.Freeze(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, _ = a.Freeze(nil)
+		f = a.Freeze(nil)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(f.NumPairs()), "pairs")
@@ -221,32 +222,4 @@ func BenchmarkBoundedAddDay(b *testing.B) {
 	b.ReportMetric(float64(st.TrackedPairs), "tracked_pairs")
 	b.ReportMetric(float64(st.EvictedPairs), "evicted_pairs")
 	b.ReportMetric(float64(st.MemoryBytes), "estimator_bytes")
-}
-
-// BenchmarkDeltaFreeze measures the incremental refresh-path freeze when
-// only a small fraction of rows changed since the previous snapshot —
-// the case delta-freezing exists for. Compare against BenchmarkFreeze.
-func BenchmarkDeltaFreeze(b *testing.B) {
-	tr := benchTrace(b)
-	m, err := Estimate(tr, DefaultEstimate())
-	if err != nil {
-		b.Fatal(err)
-	}
-	prev := Freeze(m)
-	// Touch ~1/16 of the rows, the shape of a quiet refresh window.
-	var dirty []webgraph.DocID
-	f := Freeze(m)
-	f.RangeRows(func(doc webgraph.DocID, row []Successor) bool {
-		if int(doc)%16 == 0 {
-			m.Set(doc, row[0].Doc, row[0].P/2)
-			dirty = append(dirty, doc)
-		}
-		return true
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DeltaFreeze(prev, m, dirty)
-	}
-	b.ReportMetric(float64(len(dirty)), "dirty_rows")
-	b.ReportMetric(float64(m.NumRows()), "total_rows")
 }

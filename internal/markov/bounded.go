@@ -36,7 +36,7 @@ import (
 // arithmetic (the same increments, the same decay multiplies, the same
 // 1e-9 cull, the same count/(occ+smoothing) division). While nothing has
 // been evicted — every row width ≤ RowTopK and distinct documents ≤
-// MaxRows — its Snapshot is therefore byte-identical to the exact
+// MaxRows — its Freeze is therefore byte-identical to the exact
 // estimator's, which is what the conformance matrix and the property
 // tests in bounded_test.go pin.
 type BoundedConfig struct {
@@ -117,19 +117,6 @@ type Bounded struct {
 	evictedPairs int64
 	evictedMass  float64
 
-	// Dirty tracking for delta-freezing: rows touched since the last
-	// Snapshot. allDirty short-circuits when decay re-weighted every row.
-	dirty        map[webgraph.DocID]struct{}
-	allDirty     bool
-	lastDirty    []webgraph.DocID
-	lastDirtyAll bool
-	// base is the previous unscaled Freeze, kept while the dirty set still
-	// describes everything that changed since it: the precondition for
-	// patching only dirty rows. A scaled Freeze or a Snapshot taken by
-	// anyone else consumes the dirty set without producing a base, so both
-	// clear it and the next Freeze compiles in full.
-	base *Frozen
-
 	walk pairWalk
 }
 
@@ -141,26 +128,16 @@ func NewBounded(decay float64, cfg EstimateConfig, bcfg BoundedConfig) *Bounded 
 	}
 	bcfg = bcfg.withDefaults()
 	return &Bounded{
-		decay:        decay,
-		cfg:          cfg,
-		bcfg:         bcfg,
-		rows:         make(map[webgraph.DocID]*boundedRow),
-		sketch:       newCountMin(bcfg.SketchWidth, bcfg.SketchDepth),
-		dirty:        make(map[webgraph.DocID]struct{}),
-		allDirty:     true, // before the first Snapshot, everything is new
-		lastDirtyAll: true,
+		decay:  decay,
+		cfg:    cfg,
+		bcfg:   bcfg,
+		rows:   make(map[webgraph.DocID]*boundedRow),
+		sketch: newCountMin(bcfg.SketchWidth, bcfg.SketchDepth),
 	}
 }
 
 // Config returns the bounding parameters in force (after defaulting).
 func (b *Bounded) Config() BoundedConfig { return b.bcfg }
-
-func (b *Bounded) markDirty(i webgraph.DocID) {
-	if b.allDirty {
-		return
-	}
-	b.dirty[i] = struct{}{}
-}
 
 // row returns document i's tracked row, admitting it — evicting the
 // least-popular row when the table is full — if absent.
@@ -190,7 +167,6 @@ func (b *Bounded) row(i webgraph.DocID) *boundedRow {
 		b.evictedRows++
 		b.evictedPairs += int64(len(vr.succ))
 		delete(b.rows, victim)
-		b.markDirty(victim)
 		r.occ = vr.occ
 		r.occErr = vr.occ
 	}
@@ -200,9 +176,7 @@ func (b *Bounded) row(i webgraph.DocID) *boundedRow {
 
 // addOcc implements pairSink: one occurrence of document i.
 func (b *Bounded) addOcc(i webgraph.DocID) {
-	r := b.row(i)
-	r.occ++
-	b.markDirty(i)
+	b.row(i).occ++
 }
 
 // addPair implements pairSink: one (i,j) dependency observation, counted
@@ -211,12 +185,10 @@ func (b *Bounded) addPair(i, j webgraph.DocID) {
 	r := b.row(i)
 	if e, ok := r.succ[j]; ok {
 		e.count++
-		b.markDirty(i)
 		return
 	}
 	if len(r.succ) < b.bcfg.RowTopK {
 		r.succ[j] = &ssEntry{count: 1}
-		b.markDirty(i)
 		return
 	}
 	// Row full: evict the minimum-count successor (ties by ascending
@@ -233,7 +205,6 @@ func (b *Bounded) addPair(i, j webgraph.DocID) {
 	b.evictedPairs++
 	delete(r.succ, victim)
 	r.succ[j] = &ssEntry{count: ve.count + 1, err: ve.count}
-	b.markDirty(i)
 }
 
 // AddDay decays the accumulated state by one refresh interval and folds
@@ -250,12 +221,6 @@ func (b *Bounded) AddRuns(runs []trace.Run) error {
 		return fmt.Errorf("markov: bounded estimator has non-positive window")
 	}
 	if b.decay < 1 {
-		// Decay re-weights every row, so the whole snapshot is dirty and
-		// delta-freezing has nothing to patch against.
-		b.allDirty = true
-		for i := range b.dirty {
-			delete(b.dirty, i)
-		}
 		for i, r := range b.rows {
 			for j, e := range r.succ {
 				e.count *= b.decay
@@ -278,80 +243,40 @@ func (b *Bounded) AddRuns(runs []trace.Run) error {
 	return nil
 }
 
-// Snapshot materializes the current bounded estimate. In the no-eviction
-// regime it is byte-identical to the exact estimator's snapshot (same
-// counts, same division, same MinOccurrences filter); with evictions the
-// tracked probabilities are the space-saving overestimates and the matrix
-// carries the eviction tally. Snapshot also latches the dirty row set for
-// DirtyDocs and starts a fresh one.
-func (b *Bounded) Snapshot() *Matrix {
-	b.base = nil // the dirty set is consumed below; see Freeze
-	m := NewMatrix()
+// Freeze compiles the current bounded estimate straight to its CSR form:
+// the rows holding successors whose document was seen at least
+// MinOccurrences times, in ascending document order, each successor at
+// count/(occ+Smoothing) capped at 1. In the no-eviction regime the result
+// is byte-identical to the exact estimator's; with evictions the tracked
+// probabilities are the space-saving overestimates. A non-nil scale damps
+// row i by scale(i) under Matrix.ScaleRow's rules. The result equals
+// Freeze of the same rows built through Matrix.Set, bit for bit.
+func (b *Bounded) Freeze(scale func(webgraph.DocID) float64) *Frozen {
 	min := b.cfg.minOccurrences()
+	ids := make([]webgraph.DocID, 0, len(b.rows))
+	pairs := 0
 	for i, r := range b.rows {
-		if len(r.succ) == 0 || r.occ < min {
-			continue
+		if len(r.succ) > 0 && r.occ >= min {
+			ids = append(ids, i)
+			pairs += len(r.succ)
 		}
+	}
+	slices.Sort(ids)
+	f := newFrozen(len(ids), pairs)
+	for _, i := range ids {
+		r := b.rows[i]
 		den := r.occ + b.cfg.Smoothing
+		run := f.succ[len(f.succ) : len(f.succ)+len(r.succ)]
+		k := 0
 		for j, e := range r.succ {
-			p := e.count / den
-			if p > 1 {
-				p = 1
-			}
-			m.Set(i, j, p)
+			run[k] = Successor{Doc: j, P: probability(i, j, e.count, den)}
+			k++
 		}
+		sortSuccessors(run)
+		f.closeRow(i, run, scale)
 	}
-	m.SetEvictedPairs(b.evictedPairs)
-
-	// Latch the change set between the previous snapshot and this one.
-	b.lastDirtyAll = b.allDirty
-	if b.allDirty {
-		b.lastDirty = nil
-	} else {
-		b.lastDirty = make([]webgraph.DocID, 0, len(b.dirty))
-		for i := range b.dirty {
-			b.lastDirty = append(b.lastDirty, i)
-		}
-		slices.Sort(b.lastDirty)
-	}
-	b.dirty = make(map[webgraph.DocID]struct{})
-	b.allDirty = false
-	return m
-}
-
-// Freeze compiles the current bounded estimate: Snapshot, then a full
-// Freeze — or, when nothing but a known set of rows changed since the
-// previous unscaled Freeze, DeltaFreeze of those rows into it, which is
-// byte-identical and skips the sort of every clean row. Trust-damped
-// output is not the estimator's own snapshot, so a non-nil scale always
-// compiles in full and leaves no base to patch next time.
-func (b *Bounded) Freeze(scale func(webgraph.DocID) float64) (f *Frozen, patched bool) {
-	base := b.base
-	m := b.Snapshot()
-	if scale != nil {
-		for _, i := range m.Docs() {
-			m.ScaleRow(i, scale(i))
-		}
-		return Freeze(m), false
-	}
-	if dirty, ok := b.DirtyDocs(); ok && base != nil {
-		f, patched = DeltaFreeze(base, m, dirty), true
-	} else {
-		f = Freeze(m)
-	}
-	b.base = f
-	return f, patched
-}
-
-// DirtyDocs reports the rows that changed between the two most recent
-// snapshots, in ascending order. ok is false when every row may have
-// changed (before the first snapshot, or when decay re-weighted the whole
-// store), in which case callers must freeze in full.
-func (b *Bounded) DirtyDocs() ([]webgraph.DocID, bool) {
-	if b.lastDirtyAll {
-		return nil, false
-	}
-	return b.lastDirty, true
+	f.indexDense()
+	return f
 }
 
 // Occurrences reports the decayed occurrence count backing row i,
@@ -424,7 +349,6 @@ func (b *Bounded) EstimatorStats() EstimatorStats {
 	mem += int64(len(b.rows)) * (mapEntryBytes + 32 + mapFixedBytes)
 	mem += int64(pairs) * (mapEntryBytes + 16)
 	mem += b.sketch.bytes()
-	mem += int64(len(b.dirty)+len(b.lastDirty)) * 8
 	return EstimatorStats{
 		TrackedRows:  len(b.rows),
 		TrackedPairs: pairs,

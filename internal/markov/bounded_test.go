@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -30,6 +31,95 @@ func boundedRandTrace(rng *stats.RNG, docs, reqs int) *trace.Trace {
 		})
 	}
 	return tr
+}
+
+// requireFrozenIdentical fails unless two frozen matrices are structurally
+// identical — ids, offsets, the flat successor array, and the dense index
+// all DeepEqual, which is exactly the byte-identity the checkpoint codec
+// and the conformance matrix pin.
+func requireFrozenIdentical(t *testing.T, got, want *Frozen, ctx string) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: frozen forms differ\n got: ids=%v off=%v succ=%v dense=%v\nwant: ids=%v off=%v succ=%v dense=%v",
+			ctx, got.ids, got.off, got.succ, got.dense, want.ids, want.off, want.succ, want.dense)
+	}
+}
+
+// boundedReference builds, through Matrix.Set and Matrix.ScaleRow, the
+// matrix whose Freeze Bounded.Freeze(scale) must equal: every tracked row
+// seen at least MinOccurrences times, each successor at its count over
+// occ+Smoothing capped at 1, then damped row by row.
+func boundedReference(b *Bounded, scale func(webgraph.DocID) float64) *Matrix {
+	m := NewMatrix()
+	min := b.cfg.minOccurrences()
+	for i, r := range b.rows {
+		if r.occ < min {
+			continue
+		}
+		for j, e := range r.succ {
+			m.Set(i, j, math.Min(e.count/(r.occ+b.cfg.Smoothing), 1))
+		}
+	}
+	if scale != nil {
+		for _, i := range m.Docs() {
+			m.ScaleRow(i, scale(i))
+		}
+	}
+	return m
+}
+
+// After every cycle the bounded estimator's direct freeze equals Freeze of
+// the reference matrix built from its rows, unscaled and under every trust
+// function of testScales: across row evictions, top-K evictions, sparse
+// and negative IDs, and decays that leave every count, age it, and cull
+// it.
+func TestBoundedFreezeMatchesReference(t *testing.T) {
+	cfg := EstimateConfig{
+		Window:         5 * time.Second,
+		StrideTimeout:  5 * time.Second,
+		MinOccurrences: 2,
+		Smoothing:      2,
+	}
+	for _, tc := range []struct {
+		name          string
+		docs          int
+		maxRows, topK int
+		remap         func(webgraph.DocID) webgraph.DocID // nil keeps the dense IDs
+	}{
+		{"dense-no-eviction", 16, 64, 16, nil},
+		{"dense-row-eviction", 48, 8, 16, nil},
+		{"topk-eviction", 24, 64, 3, nil},
+		// Spread far enough apart that the snapshot binary-searches.
+		{"sparse-ids", 16, 64, 6, func(d webgraph.DocID) webgraph.DocID { return d * 10007 }},
+		{"negative-ids", 16, 8, 4, func(d webgraph.DocID) webgraph.DocID { return d*7919 - 60000 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, decay := range []float64{1, 0.9, 1e-3} {
+				rng := stats.NewRNG(555)
+				b := NewBounded(decay, cfg, BoundedConfig{MaxRows: tc.maxRows, RowTopK: tc.topK})
+				for day := 0; day < 6; day++ {
+					tr := boundedRandTrace(rng, tc.docs, 250)
+					if tc.remap != nil {
+						for i := range tr.Requests {
+							tr.Requests[i].Doc = tc.remap(tr.Requests[i].Doc)
+						}
+					}
+					if err := b.AddDay(tr); err != nil {
+						t.Fatal(err)
+					}
+					ctx := fmt.Sprintf("decay=%v day=%d", decay, day)
+					requireFrozenIdentical(t, b.Freeze(nil), Freeze(boundedReference(b, nil)), ctx)
+					for name, scale := range testScales() {
+						requireFrozenIdentical(t, b.Freeze(scale), Freeze(boundedReference(b, scale)), ctx+" scale="+name)
+					}
+				}
+				st := b.EstimatorStats()
+				if tc.maxRows < tc.docs && st.EvictedRows == 0 || tc.topK < tc.docs-1 && st.EvictedPairs == 0 {
+					t.Fatalf("decay=%v: no evictions (%+v), test vacuous", decay, st)
+				}
+			}
+		})
+	}
 }
 
 // matricesIdentical compares two snapshots entry-by-entry with exact
@@ -82,18 +172,10 @@ func TestBoundedMatchesExactUnderCaps(t *testing.T) {
 					if err := bounded.AddDay(tr); err != nil {
 						t.Fatal(err)
 					}
-					me, mb := exact.Snapshot(), bounded.Snapshot()
-					if !matricesIdentical(me, mb) {
-						t.Fatalf("seed=%d decay=%v transitive=%v day=%d: bounded snapshot diverged from exact",
-							seed, decay, transitive, day)
-					}
-					// Byte-level check: the frozen CSR forms are identical too.
-					if !reflect.DeepEqual(Freeze(me), Freeze(mb)) {
-						t.Fatalf("seed=%d decay=%v day=%d: frozen forms differ", seed, decay, day)
-					}
-					if mb.EvictedPairs() != 0 {
-						t.Fatalf("no-eviction regime annotated %d evicted pairs", mb.EvictedPairs())
-					}
+					// Byte-level check: the two direct freezes compile the
+					// same CSR.
+					requireFrozenIdentical(t, bounded.Freeze(nil), exact.Freeze(nil),
+						fmt.Sprintf("seed=%d decay=%v transitive=%v day=%d", seed, decay, transitive, day))
 					st := bounded.EstimatorStats()
 					if st.EvictedRows != 0 || st.EvictedPairs != 0 || st.EvictedMass != 0 || st.ErrorBound != 0 {
 						t.Fatalf("no-eviction regime reported evictions: %+v", st)
@@ -234,11 +316,6 @@ func TestBoundedRowAdmission(t *testing.T) {
 	if prev.EvictedRows == 0 {
 		t.Fatal("workload too tame — no row evictions, test vacuous")
 	}
-	// The annotation rides into the snapshot for NumPairs/EvictedPairs
-	// separation downstream.
-	if got := bounded.Snapshot().EvictedPairs(); got != prev.EvictedPairs {
-		t.Errorf("snapshot annotates %d evicted pairs, ledger says %d", got, prev.EvictedPairs)
-	}
 }
 
 func TestBoundedImportCountersMonotone(t *testing.T) {
@@ -300,8 +377,8 @@ func TestBoundedMemoryGate(t *testing.T) {
 			if err := bounded.AddDay(tr); err != nil {
 				t.Fatal(err)
 			}
-			exact.Snapshot()
-			bounded.Snapshot()
+			exact.Freeze(nil)
+			bounded.Freeze(nil)
 		}
 		return exact.EstimatorStats().MemoryBytes, bounded.EstimatorStats().MemoryBytes
 	}

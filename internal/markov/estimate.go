@@ -467,6 +467,7 @@ func (a *pairAccumulator) snapshot(cfg EstimateConfig) *Matrix {
 // aside are sorted and merged back, and the row's positions go through
 // the merge with them, so the row keeps its order for the next freeze.
 // The kept order changes the work, never the result: the order is total.
+// closeRow, which Bounded's freeze shares, finishes each row.
 func (a *pairAccumulator) freeze(cfg EstimateConfig, scale func(webgraph.DocID) float64) *Frozen {
 	min := cfg.minOccurrences()
 	rows, pairs := 0, 0
@@ -484,9 +485,8 @@ func (a *pairAccumulator) freeze(cfg EstimateConfig, scale func(webgraph.DocID) 
 		row := &a.rows[s]
 		i := a.docs[s]
 		den := a.occ[s] + cfg.Smoothing
-		start := len(f.succ)
 		n := len(row.succ)
-		run := f.succ[start : start+n]
+		run := f.succ[len(f.succ) : len(f.succ)+n]
 		// The new order overwrites the kept one in place when it fits:
 		// the write index never passes the read index.
 		was := row.order
@@ -510,23 +510,7 @@ func (a *pairAccumulator) freeze(cfg EstimateConfig, scale func(webgraph.DocID) 
 			a.mergeAside(run, order, w)
 		}
 		row.order = order
-		// p > 0 keeps an entry; the rest sort last.
-		for n > 0 && !(run[n-1].P > 0) {
-			n--
-		}
-		if n > 0 && scale != nil {
-			n = scaleSuccessors(run[:n], scale(i))
-			// Damping can round neighbours to one P, which DocID orders.
-			if !slices.IsSortedFunc(run[:n], compareSuccessors) {
-				sortSuccessors(run[:n])
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		f.succ = f.succ[:start+n]
-		f.ids = append(f.ids, i)
-		f.off = append(f.off, int32(len(f.succ)))
+		f.closeRow(i, run, scale)
 	}
 	f.indexDense()
 	return f
@@ -559,19 +543,6 @@ func Estimate(tr *trace.Trace, cfg EstimateConfig) (*Matrix, error) {
 	}
 	a := newPairAccumulator()
 	new(pairWalk).accumulate(tr.Runs(), cfg, false, a)
-	return a.snapshot(cfg), nil
-}
-
-// EstimateTransitive computes P* directly from the trace per the paper's
-// §3.1 definition: p*[i,j] is the probability that D_j follows D_i within
-// the same traversal stride (successive gaps below StrideTimeout, which
-// defaults to Window when unset).
-func EstimateTransitive(tr *trace.Trace, cfg EstimateConfig) (*Matrix, error) {
-	if cfg.Window <= 0 && cfg.StrideTimeout <= 0 {
-		return nil, fmt.Errorf("markov: need a positive window or stride timeout")
-	}
-	a := newPairAccumulator()
-	new(pairWalk).accumulate(tr.Runs(), cfg, true, a)
 	return a.snapshot(cfg), nil
 }
 
@@ -614,10 +585,7 @@ type Estimator interface {
 	// Freeze compiles the current estimate into its immutable CSR form.
 	// A non-nil scale damps row i by scale(i) first, under
 	// Matrix.ScaleRow's rules (≤ 0 drops the row, ≥ 1 leaves it alone).
-	// patched reports that the estimator produced the result by patching
-	// the rows that changed into its previous unscaled Freeze rather than
-	// compiling every row; the bytes are the same either way.
-	Freeze(scale func(webgraph.DocID) float64) (f *Frozen, patched bool)
+	Freeze(scale func(webgraph.DocID) float64) *Frozen
 	// Occurrences reports the decayed occurrence count backing row i.
 	Occurrences(i webgraph.DocID) float64
 	// EstimatorStats reports the storage footprint and eviction ledger.
@@ -678,9 +646,8 @@ func (a *Aging) Snapshot() *Matrix {
 
 // Freeze compiles the current decayed estimate straight to its CSR form,
 // equal bit for bit to Freeze(Snapshot()) with scale applied row by row.
-// The exact estimator always compiles every row, so patched is false.
-func (a *Aging) Freeze(scale func(webgraph.DocID) float64) (*Frozen, bool) {
-	return a.acc.freeze(a.cfg, scale), false
+func (a *Aging) Freeze(scale func(webgraph.DocID) float64) *Frozen {
+	return a.acc.freeze(a.cfg, scale)
 }
 
 // Occurrences reports the decayed occurrence count backing row i — the

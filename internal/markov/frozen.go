@@ -2,6 +2,7 @@ package markov
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -43,9 +44,9 @@ func Freeze(m *Matrix) *Frozen {
 }
 
 // newFrozen returns an empty snapshot with room for the given rows and
-// pairs. Every compiler (Freeze, DeltaFreeze, the exact estimator's direct
-// freeze) starts here, appends ids, off and succ row by row in ascending
-// document order, and ends with indexDense.
+// pairs. Every compiler (Freeze, the estimators' direct freezes) starts
+// here, appends ids, off and succ row by row in ascending document order,
+// and ends with indexDense; NewFrozen takes rows already laid out so.
 func newFrozen(rows, pairs int) *Frozen {
 	return &Frozen{
 		ids:  make([]webgraph.DocID, 0, rows),
@@ -63,6 +64,69 @@ func (f *Frozen) appendRow(row map[webgraph.DocID]float64) {
 	}
 	sortSuccessors(f.succ[start:])
 	f.off = append(f.off, int32(len(f.succ)))
+}
+
+// closeRow is the row tail both estimators' freezes share. run holds row
+// i's successors in frozen order, written into succ's spare capacity just
+// past its end. Entries with p ≤ 0 (which sort last) are cut; a non-nil
+// scale then damps the row by scale(i) under Matrix.ScaleRow's rules; and
+// the row is appended to the snapshot, or dropped when nothing is left.
+// The result equals Freeze of the same row first passed through
+// Matrix.Set and Matrix.ScaleRow.
+func (f *Frozen) closeRow(i webgraph.DocID, run []Successor, scale func(webgraph.DocID) float64) {
+	n := len(run)
+	for n > 0 && !(run[n-1].P > 0) {
+		n--
+	}
+	if n > 0 && scale != nil {
+		n = scaleSuccessors(run[:n], scale(i))
+		// Damping can round neighbours to one P, which DocID orders.
+		if !slices.IsSortedFunc(run[:n], compareSuccessors) {
+			sortSuccessors(run[:n])
+		}
+	}
+	if n == 0 {
+		return
+	}
+	f.succ = f.succ[:len(f.succ)+n]
+	f.ids = append(f.ids, i)
+	f.off = append(f.off, int32(len(f.succ)))
+}
+
+// NewFrozen assembles a snapshot from rows already in frozen form, as a
+// checkpoint holds them: row r is document ids[r] with successors
+// succ[off[r]:off[r+1]]. ids must ascend strictly, every row must be
+// non-empty and in (P desc, Doc asc) order with each P in (0, 1], and off
+// must start at 0 and end at len(succ); anything else is an error, never
+// a panic, since the rows may come from outside the process. The slices
+// are kept, not copied. NewFrozen(nil, nil, nil) is the empty snapshot.
+func NewFrozen(ids []webgraph.DocID, off []int32, succ []Successor) (*Frozen, error) {
+	if len(ids) == 0 && len(off) == 0 {
+		off = []int32{0}
+	}
+	if len(off) != len(ids)+1 || off[0] != 0 || int(off[len(ids)]) != len(succ) {
+		return nil, fmt.Errorf("markov: %d row offsets for %d rows of %d successors", len(off), len(ids), len(succ))
+	}
+	for r, i := range ids {
+		if r > 0 && i <= ids[r-1] {
+			return nil, fmt.Errorf("markov: rows not strictly ascending at document %d", i)
+		}
+		if off[r+1] <= off[r] || int(off[r+1]) > len(succ) {
+			return nil, fmt.Errorf("markov: row %d has offsets %d..%d", i, off[r], off[r+1])
+		}
+		row := succ[off[r]:off[r+1]]
+		for k, s := range row {
+			if !(s.P > 0 && s.P <= 1) {
+				return nil, fmt.Errorf("markov: probability %v for (%d,%d) outside (0,1]", s.P, i, s.Doc)
+			}
+			if k > 0 && !successorBefore(row[k-1], s) {
+				return nil, fmt.Errorf("markov: row %d not in (P desc, Doc asc) order", i)
+			}
+		}
+	}
+	f := &Frozen{ids: ids, off: off, succ: succ}
+	f.indexDense()
+	return f, nil
 }
 
 // indexDense builds the direct DocID → row table once ids is complete.

@@ -2,6 +2,7 @@ package markov
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"specweb/internal/webgraph"
@@ -159,6 +160,25 @@ func TestFreezeEmpty(t *testing.T) {
 	}
 }
 
+// NewFrozen takes the CSR a Freeze would build and rejects offsets that do
+// not describe its rows; the row contents' checks are table-tested through
+// checkpoint.FrozenFromRows.
+func TestNewFrozen(t *testing.T) {
+	want := Freeze(frozenFixture())
+	got, err := NewFrozen(want.ids, want.off, want.succ)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("NewFrozen of a frozen CSR = %+v, %v; want %+v", got, err, want)
+	}
+	if empty, err := NewFrozen(nil, nil, nil); err != nil || empty.NumRows() != 0 || empty.SortedRow(1) != nil {
+		t.Fatalf("empty snapshot = %+v, %v", empty, err)
+	}
+	for _, off := range [][]int32{nil, {0, 4}, {1, 4, 5}, {0, 4, 6}, {0, 0, 5}, {0, 5, 5}} {
+		if _, err := NewFrozen(want.ids, off, want.succ); err == nil {
+			t.Errorf("offsets %v accepted for %d rows of %d", off, len(want.ids), len(want.succ))
+		}
+	}
+}
+
 func TestFrozenRangeRows(t *testing.T) {
 	f := Freeze(frozenFixture())
 	var visited []webgraph.DocID
@@ -179,38 +199,6 @@ func TestFrozenRangeRows(t *testing.T) {
 	f.RangeRows(func(webgraph.DocID, []Successor) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("early stop visited %d rows", n)
-	}
-}
-
-// TestMatrixRowIsACopy pins the defensive-copy contract of the stat-path
-// accessor: mutating the returned map must not corrupt the matrix.
-func TestMatrixRowIsACopy(t *testing.T) {
-	m := frozenFixture()
-	row := m.Row(1)
-	row[2] = 0.001
-	delete(row, 5)
-	if got := m.Get(1, 2); got != 0.9 {
-		t.Errorf("mutating the Row copy leaked: Get(1,2) = %v", got)
-	}
-	if got := m.RowLen(1); got != 4 {
-		t.Errorf("RowLen(1) = %d after external delete", got)
-	}
-	if m.Row(99) != nil {
-		t.Error("absent row should be nil")
-	}
-}
-
-func TestMatrixRangeRow(t *testing.T) {
-	m := frozenFixture()
-	sum := 0.0
-	m.RangeRow(1, func(_ webgraph.DocID, p float64) bool { sum += p; return true })
-	if math.Abs(sum-2.6) > 1e-12 {
-		t.Errorf("RangeRow sum = %v, want 2.6", sum)
-	}
-	n := 0
-	m.RangeRow(1, func(webgraph.DocID, float64) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("early stop visited %d", n)
 	}
 }
 
@@ -237,11 +225,10 @@ func TestClosureParallelMatchesSerial(t *testing.T) {
 	}
 	for i := 0; i < 45; i++ {
 		id := webgraph.DocID(i)
-		serial.RangeRow(id, func(j webgraph.DocID, p float64) bool {
+		for j, p := range serial.rows[id] {
 			if q := parallel.Get(id, j); math.Abs(p-q) > 1e-9 {
 				t.Errorf("p*[%d,%d]: serial %v parallel %v", id, j, p, q)
 			}
-			return true
-		})
+		}
 	}
 }

@@ -118,12 +118,11 @@ func TestClosureDominatesP(t *testing.T) {
 	m.Set(1, 3, 0.1)
 	c := m.Closure(1e-9, 1e-9, 0)
 	for _, i := range []webgraph.DocID{1, 2} {
-		m.RangeRow(i, func(j webgraph.DocID, p float64) bool {
-			if c.Get(i, j) < p-1e-12 {
-				t.Errorf("closure lost mass: p*[%d,%d]=%v < p=%v", i, j, c.Get(i, j), p)
+		for _, s := range m.SortedRow(i) {
+			if c.Get(i, s.Doc) < s.P-1e-12 {
+				t.Errorf("closure lost mass: p*[%d,%d]=%v < p=%v", i, s.Doc, c.Get(i, s.Doc), s.P)
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -277,7 +276,7 @@ func TestFigure4Structure(t *testing.T) {
 		if d.Kind != webgraph.Page || len(d.Embedded) == 0 {
 			continue
 		}
-		if m.RowLen(d.ID) == 0 {
+		if len(m.SortedRow(d.ID)) == 0 {
 			continue
 		}
 		for _, e := range d.Embedded {
@@ -393,6 +392,18 @@ func TestEstimateClosureProperty(t *testing.T) {
 // of names clients a, b, c.
 func of(i int) string { return string(rune('a' + i)) }
 
+// transitiveAging folds tr into a fresh exact estimator pairing on P*
+// straight from the strides, as the simulator builds each cycle.
+func transitiveAging(t *testing.T, tr *trace.Trace, cfg EstimateConfig) *Aging {
+	t.Helper()
+	a := NewAging(1, cfg)
+	a.Transitive = true
+	if err := a.AddDay(tr); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestEstimateTransitive(t *testing.T) {
 	// 1 → 2 → 3 within one stride (gaps 4s < 5s timeout) but the 1→3 gap
 	// (8s) exceeds the 5s window: windowed P misses (1,3), transitive P*
@@ -410,10 +421,7 @@ func TestEstimateTransitive(t *testing.T) {
 	if p.Get(1, 3) != 0 {
 		t.Errorf("windowed P caught the out-of-window pair: %v", p.Get(1, 3))
 	}
-	ps, err := EstimateTransitive(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := transitiveAging(t, tr, cfg).Freeze(nil)
 	if ps.Get(1, 3) != 1 {
 		t.Errorf("p*[1,3] = %v, want 1 (same stride)", ps.Get(1, 3))
 	}
@@ -429,15 +437,14 @@ func TestEstimateTransitiveDefaultsStride(t *testing.T) {
 		mkReq("a", 4*time.Second, 2),
 		mkReq("a", 20*time.Second, 3), // breaks the stride
 	}}
-	m, err := EstimateTransitive(tr, EstimateConfig{Window: 5 * time.Second, MinOccurrences: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := transitiveAging(t, tr, EstimateConfig{Window: 5 * time.Second, MinOccurrences: 1}).Freeze(nil)
 	if m.Get(1, 2) != 1 || m.Get(1, 3) != 0 || m.Get(2, 3) != 0 {
-		t.Errorf("rows: 1→%v 2→%v", m.Row(1), m.Row(2))
+		t.Errorf("rows: 1→%v 2→%v", m.SortedRow(1), m.SortedRow(2))
 	}
-	if _, err := EstimateTransitive(tr, EstimateConfig{}); err == nil {
-		t.Error("no window and no stride accepted")
+	a := NewAging(1, EstimateConfig{StrideTimeout: 5 * time.Second})
+	a.Transitive = true
+	if err := a.AddDay(tr); err == nil {
+		t.Error("a stride timeout without a window accepted")
 	}
 }
 

@@ -4,13 +4,17 @@
 // request for D_i, and its closure P*, which extends P to chains of
 // requests each at most T_w apart.
 //
-// P is estimated from server logs exactly as the paper describes; the
-// closure is computed by the monotone fixpoint X ← clamp₁(P + P·X), which
-// sums path products over all chain lengths and clamps at 1 (the paper
-// writes the closure as P^N; the clamped fixpoint is the same quantity with
-// probabilities capped at certainty, and converges because the iteration is
-// monotone and bounded). Sparse rows are pruned below a threshold to keep
-// the matrices tractable, as any real deployment would.
+// Both are estimated from server logs as the paper describes. The engine,
+// and the simulator when it speculates on the closure, estimate P*
+// directly from strides (§3.1): p*[i,j] counts D_j anywhere after D_i in
+// the same stride of requests each at most T_w apart, and the estimators
+// (Aging, Bounded) compile their counts straight into a Frozen snapshot.
+// Matrix.Closure is only the analytic ablation: it derives P* from an estimated P by the noisy-OR fixpoint
+// X(i,j) ← 1 − (1 − p(i,j)) · Π_k (1 − p(i,k)·X(k,j)), which combines
+// alternative first steps as independent and stays within [0, 1] (the
+// paper writes the closure as P^N, whose path sums overestimate when
+// paths overlap). Entries below a threshold are pruned each round to keep
+// the matrix tractable.
 package markov
 
 import (
@@ -28,13 +32,6 @@ import (
 // ID. A missing entry is 0.
 type Matrix struct {
 	rows map[webgraph.DocID]map[webgraph.DocID]float64
-	// evictedPairs annotates a snapshot produced by a bounded estimator
-	// with the cumulative number of (i,j) pairs its space-saving store
-	// evicted — pairs that existed in the traffic but are absent here.
-	// Always 0 for exact estimation, so NumPairs ("tracked") and
-	// EvictedPairs never conflate and benchmark baselines cannot shift
-	// silently when bounding is enabled.
-	evictedPairs int64
 }
 
 // NewMatrix returns an empty matrix.
@@ -72,35 +69,6 @@ func (m *Matrix) Set(i, j webgraph.DocID, p float64) {
 	}
 	row[j] = p
 }
-
-// Row returns a copy of document i's successors and probabilities. The
-// copy is safe to hold and modify, at the cost of an allocation per call;
-// iteration-only callers should use RangeRow, and hot paths should operate
-// on a Frozen snapshot instead.
-func (m *Matrix) Row(i webgraph.DocID) map[webgraph.DocID]float64 {
-	row := m.rows[i]
-	if row == nil {
-		return nil
-	}
-	out := make(map[webgraph.DocID]float64, len(row))
-	for j, p := range row {
-		out[j] = p
-	}
-	return out
-}
-
-// RangeRow visits document i's successors without copying the row.
-// Returning false stops the iteration. The visit order is unspecified.
-func (m *Matrix) RangeRow(i webgraph.DocID, fn func(j webgraph.DocID, p float64) bool) {
-	for j, p := range m.rows[i] {
-		if !fn(j, p) {
-			return
-		}
-	}
-}
-
-// RowLen returns the number of successors of i without copying the row.
-func (m *Matrix) RowLen(i webgraph.DocID) int { return len(m.rows[i]) }
 
 // Successors returns row i as a slice sorted by decreasing probability
 // (ties by DocID), for deterministic policy evaluation.
@@ -160,9 +128,7 @@ func (m *Matrix) ScaleRow(i webgraph.DocID, f float64) {
 	}
 }
 
-// NumPairs returns the number of (i,j) entries stored — the *tracked*
-// pairs. Pairs a bounded estimator evicted are deliberately not included;
-// they are reported separately by EvictedPairs.
+// NumPairs returns the number of (i,j) entries stored.
 func (m *Matrix) NumPairs() int {
 	n := 0
 	for _, row := range m.rows {
@@ -171,22 +137,12 @@ func (m *Matrix) NumPairs() int {
 	return n
 }
 
-// EvictedPairs returns the cumulative count of dependency pairs the
-// producing estimator evicted before this snapshot was taken (0 for exact
-// estimation and hand-built matrices).
-func (m *Matrix) EvictedPairs() int64 { return m.evictedPairs }
-
-// SetEvictedPairs annotates the matrix with its producer's eviction
-// tally. Bounded estimators stamp it at Snapshot time.
-func (m *Matrix) SetEvictedPairs(n int64) { m.evictedPairs = n }
-
 // NumRows returns the number of documents with at least one successor.
 func (m *Matrix) NumRows() int { return len(m.rows) }
 
-// Clone returns a deep copy (including the eviction annotation).
+// Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix()
-	c.evictedPairs = m.evictedPairs
 	for i, row := range m.rows {
 		nr := make(map[webgraph.DocID]float64, len(row))
 		for j, p := range row {

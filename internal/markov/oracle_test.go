@@ -192,11 +192,7 @@ func agreeWithOracle(t testing.TB, flat *Aging, oracle *mapAging, scales map[str
 	if got := flat.Snapshot(); !matricesIdentical(got, want) {
 		t.Fatal("Snapshot() differs from the oracle's")
 	}
-	direct, patched := flat.Freeze(nil)
-	if patched {
-		t.Fatal("exact estimator reported a patched freeze")
-	}
-	if !reflect.DeepEqual(direct, Freeze(want)) {
+	if !reflect.DeepEqual(flat.Freeze(nil), Freeze(want)) {
 		t.Fatal("Freeze(nil) differs from Freeze(oracle.Snapshot())")
 	}
 	for name, scale := range scales {
@@ -204,7 +200,7 @@ func agreeWithOracle(t testing.TB, flat *Aging, oracle *mapAging, scales map[str
 		for _, i := range m.Docs() {
 			m.ScaleRow(i, scale(i))
 		}
-		if got, _ := flat.Freeze(scale); !reflect.DeepEqual(got, Freeze(m)) {
+		if got := flat.Freeze(scale); !reflect.DeepEqual(got, Freeze(m)) {
 			t.Fatalf("Freeze(%s) differs from Freeze of the row-scaled oracle snapshot", name)
 		}
 	}
@@ -283,7 +279,7 @@ func TestDirectFreezeMatchesFreezeOfSnapshot(t *testing.T) {
 		agreeWithOracle(t, flat, oracle, scales)
 		cycles++
 	}
-	if f, _ := flat.Freeze(nil); cycles < 30 || f.NumPairs() < 10000 {
+	if f := flat.Freeze(nil); cycles < 30 || f.NumPairs() < 10000 {
 		t.Fatalf("%d cycles, %d frozen pairs: the trace no longer exercises the store", cycles, f.NumPairs())
 	}
 }
@@ -512,7 +508,7 @@ func TestKeptOrderMerge(t *testing.T) {
 				if got := rowDocs(row); !reflect.DeepEqual(got, []webgraph.DocID{7, 3}) || row[0].P == row[1].P {
 					t.Fatalf("unscaled row %v: want doc 7 above doc 3", row)
 				}
-				f, _ := a.Freeze(func(webgraph.DocID) float64 { return 0.37 })
+				f := a.Freeze(func(webgraph.DocID) float64 { return 0.37 })
 				if damped := f.SortedRow(0); len(damped) != 2 || damped[0].P != damped[1].P || damped[0].Doc != 3 {
 					t.Fatalf("damped row %v: want equal P, doc 3 first", damped)
 				}
@@ -557,15 +553,16 @@ func TestKeptOrderMerge(t *testing.T) {
 				oracle.AddDay(tr)
 				agreeWithOracle(t, flat, oracle, scales)
 				agreeWithOracle(t, flat, oracle, scales)
-				f, _ := flat.Freeze(nil)
-				tc.check(t, day, flat, f.SortedRow(0))
+				tc.check(t, day, flat, flat.Freeze(nil).SortedRow(0))
 			}
 		})
 	}
 }
 
-// The one-shot estimators run the same flat store and traversal; hold them
-// to the oracle too, on a trace with repeats inside strides.
+// The one-shot estimates run the same flat store and traversal — Estimate
+// for P, and a fresh transitive Aging frozen once for P*, as the simulator
+// builds each cycle — so hold them to the oracle too, on a trace with
+// repeats inside strides.
 func TestEstimateMatchesOracle(t *testing.T) {
 	rng := stats.NewRNG(99)
 	tr := boundedRandTrace(rng, 9, 600)
@@ -575,16 +572,18 @@ func TestEstimateMatchesOracle(t *testing.T) {
 			cfg.StrideTimeout = stride
 			oracle := newMapAging(1, cfg, transitive)
 			oracle.AddDay(tr)
-			estimate := Estimate
 			if transitive {
-				estimate = EstimateTransitive
+				if !reflect.DeepEqual(transitiveAging(t, tr, cfg).Freeze(nil), Freeze(oracle.Snapshot())) {
+					t.Errorf("stride=%v: transitive freeze differs from the oracle", stride)
+				}
+				continue
 			}
-			got, err := estimate(tr, cfg)
+			got, err := Estimate(tr, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !matricesIdentical(got, oracle.Snapshot()) {
-				t.Errorf("transitive=%v stride=%v: estimate differs from the oracle", transitive, stride)
+				t.Errorf("stride=%v: estimate differs from the oracle", stride)
 			}
 		}
 	}

@@ -189,26 +189,25 @@ func BuildSchedule(tr *trace.Trace, cfg Config) (*Schedule, error) {
 	for at := first; !at.After(last); at = at.Add(s.cycle) {
 		histFrom := at.Add(-time.Duration(cfg.HistoryLength) * day)
 		window := tr.Window(histFrom, at)
-		var m *markov.Matrix
-		var err error
-		switch {
-		case cfg.UseClosure && !cfg.ClosureAnalytic:
-			m, err = markov.EstimateTransitive(window, est)
-		case cfg.UseClosure:
-			m, err = markov.Estimate(window, est)
-			if err == nil {
-				// Chains beyond a handful of links carry negligible
-				// probability mass; bounding the fixpoint keeps the
-				// analytic ablation tractable on month-scale histories.
-				m = m.Closure(eps, 1e-4, 6)
+		if cfg.UseClosure && cfg.ClosureAnalytic {
+			m, err := markov.Estimate(window, est)
+			if err != nil {
+				return nil, err
 			}
-		default:
-			m, err = markov.Estimate(window, est)
+			// Chains beyond a handful of links carry negligible
+			// probability mass; bounding the fixpoint keeps the analytic
+			// ablation tractable on month-scale histories.
+			s.matrices = append(s.matrices, markov.Freeze(m.Closure(eps, 1e-4, 6)))
+			continue
 		}
-		if err != nil {
+		// P, or P* straight from the strides: the window folded into a
+		// fresh exact estimator that never decays, frozen from its counts.
+		a := markov.NewAging(1, est)
+		a.Transitive = cfg.UseClosure
+		if err := a.AddDay(window); err != nil {
 			return nil, err
 		}
-		s.matrices = append(s.matrices, markov.Freeze(m))
+		s.matrices = append(s.matrices, a.Freeze(nil))
 	}
 	return s, nil
 }
